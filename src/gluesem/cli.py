@@ -99,6 +99,7 @@ def _run_readings(args) -> int:
                 "max_steps": budget.max_steps,
                 "max_depth": budget.max_depth,
                 "steps_used": result.stats.steps,
+                "head_rejects": result.stats.head_rejects,
                 "exhausted": result.stats.exhausted,
             },
         }

@@ -199,25 +199,37 @@ def _tokenize(text: str):
     return toks
 
 
+# Lists may nest this deep and no deeper.  Every parser and every recursive
+# pass over what they build (f-structures, formulas, terms) recurses once or
+# a few times per level, so the limit keeps them all within Python's stack.
+MAX_NESTING = 100
+
+
 def _read_sexp(toks, pos):
     """Generic s-expression reader shared with the lexicon format.  Returns
     (tree, next_pos); strings keep a leading '\"' marker."""
-    if pos >= len(toks):
-        raise FStructError("unexpected end of input")
-    tok, line = toks[pos]
-    if tok == "(":
-        items = []
+    stack: list[tuple[list, int]] = []  # the open lists, innermost last
+    while True:
+        if pos >= len(toks):
+            if stack:
+                raise FStructError("missing )", stack[-1][1])
+            raise FStructError("unexpected end of input")
+        tok, line = toks[pos]
         pos += 1
-        while True:
-            if pos >= len(toks):
-                raise FStructError("missing )", line)
-            if toks[pos][0] == ")":
-                return (items, line), pos + 1
-            item, pos = _read_sexp(toks, pos)
-            items.append(item)
-    if tok == ")":
-        raise FStructError("unexpected )", line)
-    return (tok, line), pos + 1
+        if tok == "(":
+            if len(stack) == MAX_NESTING:
+                raise FStructError(f"lists nest deeper than {MAX_NESTING} levels", line)
+            stack.append(([], line))
+            continue
+        if tok == ")":
+            if not stack:
+                raise FStructError("unexpected )", line)
+            node = stack.pop()
+        else:
+            node = (tok, line)
+        if not stack:
+            return node, pos
+        stack[-1][0].append(node)
 
 
 def read_sexps(text: str):

@@ -169,17 +169,6 @@ def formula_free_vars(f: GlueFormula, bound=frozenset()) -> set[str]:
             return set()
 
 
-def _ty_text(ty: MeaningType) -> str:
-    if isinstance(ty, Arrow):
-        left = _ty_atom(ty.left)
-        return f"{left} -> {_ty_text(ty.right)}"
-    return repr(ty)
-
-
-def _ty_atom(ty: MeaningType) -> str:
-    return f"({_ty_text(ty)})" if isinstance(ty, Arrow) else repr(ty)
-
-
 def print_formula(f: GlueFormula) -> str:
     def go(g, prec):
         # precedence: 0 forall/limp body, 1 tensor, 2 atom
@@ -187,7 +176,7 @@ def print_formula(f: GlueFormula) -> str:
             case Forall():
                 binders = []
                 while isinstance(g, Forall):
-                    kind = "sem" if g.kind == SEM else _ty_text(g.kind)
+                    kind = "sem" if g.kind == SEM else repr(g.kind)
                     binders.append(f"{g.var}:{kind}")
                     g = g.body
                 text = f"forall {', '.join(binders)}. {go(g, 0)}"
@@ -199,7 +188,8 @@ def print_formula(f: GlueFormula) -> str:
                 text = f"{go(l, 2)} * {go(r, 1)}"
                 return f"({text})" if prec > 1 else text
             case Means(sem, term, ty):
-                return f"{sem!r} ~>_{_ty_atom(ty)} {terms.print_term(term)}"
+                ty_text = f"({ty!r})" if isinstance(ty, Arrow) else repr(ty)
+                return f"{sem!r} ~>_{ty_text} {terms.print_term(term)}"
             case PropAtom(name):
                 return name
         raise AssertionError(f"bad formula {g!r}")

@@ -9,6 +9,17 @@ sequent is one that leaves nothing over.  Universals focused on the left
 introduce fresh flex variables; universals proved on the right introduce
 fresh eigenvariables whose scope is policed by the unifier's timestamps.
 
+Focusing is indexed by head.  When a resource is made, the atom a focus on
+it would end at (after stripping its quantifiers and implications) is
+recorded as its head signature: the meaning type with the semantic
+structure, or with no structure when the resource's own quantifier binds
+it, or the name of a propositional atom.  An atomic goal skips every
+resource whose signature cannot unify with it (a type clash, an atom of the
+other kind, or two rigid structures that differ under the current
+substitution) before any quantifier is instantiated, so such a resource
+costs no search step.  This is the head filter of Hepple's (1996)
+first-order compilation; it rejects only what the unifier would reject.
+
 Readings are the normalized meaning terms of the goal structure across all
 proofs, deduplicated up to renaming of bound variables.
 """
@@ -17,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Union
 
 from .fstruct import ROOT, SemStruct, SemTerm, SemVar
 from .glue import (
@@ -67,12 +78,39 @@ class Sequent:
     goal: GlueFormula
 
 
+# What a focus ends at: (type, structure) for a meaning atom, with structure
+# None when the focused formula's own quantifier binds it; the name for a
+# propositional atom; None for a tensor, which is split rather than matched.
+HeadSignature = Union[tuple[MeaningType, Optional[SemTerm]], str, None]
+
+
+def _head_signature(f: GlueFormula) -> HeadSignature:
+    """The head atom of `f` once its Forall/Limp spine is stripped."""
+    bound: set[str] = set()
+    while True:
+        if isinstance(f, Forall):
+            if f.kind == SEM:
+                bound.add(f.var)
+            f = f.body
+        elif isinstance(f, Limp):
+            f = f.cons
+        else:
+            break
+    if isinstance(f, Means):
+        own = isinstance(f.sem, SemVar) and f.sem.name in bound
+        return f.ty, None if own else f.sem
+    if isinstance(f, PropAtom):
+        return f.name
+    return None
+
+
 @dataclass(frozen=True)
 class Resource:
     rid: int
     formula: GlueFormula
-    premise: Optional[int]  # index of the originating premise, if any
     tag: str
+    head: HeadSignature
+    dup: Optional[int]  # class of equal premise formulas; None for the rest
 
 
 @dataclass(frozen=True)
@@ -83,6 +121,7 @@ class Derivation:
     consumed: frozenset[int]
     atom: Optional[GlueFormula] = None  # consumed atom, for Identity leaves
     fresh: tuple[str, ...] = ()  # variables introduced at PiL nodes
+    rid: Optional[int] = None  # resource consumed, for Identity and TensorL
 
     def identity_leaves(self) -> list["Derivation"]:
         if self.rule == "Identity":
@@ -103,6 +142,7 @@ class Reading:
 class SearchStats:
     steps: int = 0
     proofs: int = 0
+    head_rejects: int = 0  # resources skipped by the head filter
     exhausted: bool = False
 
 
@@ -127,6 +167,7 @@ class Prover:
         self.classes = VarClass()
         self.stats = SearchStats()
         self._rids = itertools.count(1)
+        self._dups: dict[GlueFormula, int] = {}
 
     # -- plumbing -----------------------------------------------------------
 
@@ -138,7 +179,12 @@ class Prover:
             raise BudgetExhausted(f"max-depth {self.budget.max_depth}")
 
     def _resource(self, formula, premise, tag) -> Resource:
-        return Resource(next(self._rids), formula, premise, tag)
+        # premises are closed, so two premises with equal formulas stay
+        # interchangeable under every substitution
+        dup = None
+        if premise is not None:
+            dup = self._dups.setdefault(formula, len(self._dups))
+        return Resource(next(self._rids), formula, tag, _head_signature(formula), dup)
 
     # -- right (goal) rules -------------------------------------------------
 
@@ -177,15 +223,17 @@ class Prover:
             case Means() | PropAtom():
                 seen = set()
                 for i, res in enumerate(ctx):
-                    # two plain premises with identical instantiated formulas
-                    # are interchangeable: focusing the later one would only
+                    # two plain premises with identical formulas are
+                    # interchangeable: focusing the later one would only
                     # permute the proof.  Assumptions and split-out parts are
                     # excluded: they carry region obligations of their own.
-                    if res.premise is not None:
-                        key = subst_formula(res.formula, su)
-                        if key in seen:
+                    if res.dup is not None:
+                        if res.dup in seen:
                             continue
-                        seen.add(key)
+                        seen.add(res.dup)
+                    if not self._head_may_match(su, res.head, goal):
+                        self.stats.head_rejects += 1
+                        continue
                     rest = ctx[:i] + ctx[i + 1 :]
                     yield from self._focus(su, res, rest, goal, depth)
             case _:
@@ -244,7 +292,12 @@ class Prover:
             if su2 is None:
                 return
             leaf = Derivation(
-                "Identity", f"{res.tag}#{res.rid}", (), frozenset([res.rid]), atom=f
+                "Identity",
+                f"{res.tag}#{res.rid}",
+                (),
+                frozenset([res.rid]),
+                atom=f,
+                rid=res.rid,
             )
             for su3, left3, pending_ds in self._prove_pendings(
                 su2, ctx, pendings, depth
@@ -268,6 +321,7 @@ class Prover:
                     f"{res.tag}#{res.rid}",
                     (d2,),
                     d2.consumed | frozenset([res.rid]),
+                    rid=res.rid,
                 )
                 for su3, left3, pending_ds in self._prove_pendings(
                     su2, left2, pendings, depth
@@ -301,6 +355,25 @@ class Prover:
 
     # -- atoms ---------------------------------------------------------------
 
+    def _head_may_match(self, su, head: HeadSignature, goal) -> bool:
+        """False only where `_unify_atoms` would fail on the focused head,
+        whatever the quantifiers were instantiated with."""
+        if head is None:
+            return True
+        if isinstance(head, str):
+            return isinstance(goal, PropAtom) and goal.name == head
+        ty, sem = head
+        if not isinstance(goal, Means) or goal.ty != ty:
+            return False
+        if sem is None:
+            return True
+        a, b = su.walk_sem(sem), su.walk_sem(goal.sem)
+        return (
+            a == b
+            or isinstance(a, SemVar) and self.classes.is_flex_sem(a)
+            or isinstance(b, SemVar) and self.classes.is_flex_sem(b)
+        )
+
     def _unify_atoms(self, su, f, goal) -> Optional[Substitution]:
         if isinstance(f, PropAtom) and isinstance(goal, PropAtom):
             return su if f.name == goal.name else None
@@ -324,9 +397,8 @@ def check_linearity(d: Derivation, ctx: tuple[Resource, ...]) -> None:
     seen: list[int] = []
 
     def walk(n: Derivation):
-        if n.rule in ("Identity", "TensorL"):
-            rid = int(n.info.rsplit("#", 1)[1])
-            seen.append(rid)
+        if n.rid is not None:
+            seen.append(n.rid)
         for c in n.children:
             walk(c)
 
@@ -448,8 +520,6 @@ def render_trace(d: Derivation, su: Optional[Substitution] = None) -> str:
                 pairs.append(f"{name} := {sol}" if sol else name)
             text = f"{n.rule}: {n.info.split(':')[0]}: " + ", ".join(pairs)
         if n.atom is not None and su is not None:
-            from .glue import subst_formula
-
             text += f"   |- {print_formula(subst_formula(n.atom, su))}"
         return text
 

@@ -317,10 +317,6 @@ def free_meta_vars(term: MeaningTerm) -> set[str]:
     return {n for n in _iter_leaves(term, MetaVar)}
 
 
-def free_eigen_vars(term: MeaningTerm) -> set[str]:
-    return {n for n in _iter_leaves(term, Var)}
-
-
 def _iter_leaves(term, cls) -> Iterator[str]:
     match term:
         case _ if isinstance(term, cls):

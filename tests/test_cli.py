@@ -80,6 +80,7 @@ def test_json_round_trip(capsys):
     payload = json.loads(out)
     assert payload["count"] == 2
     assert payload["budget"]["exhausted"] is False
+    assert payload["budget"]["head_rejects"] > 0
     assert len(payload["premises"]) == 4
     lex = load_lexicon("corpus/lexicon.glue")
     for text in payload["readings"]:
@@ -133,6 +134,21 @@ def test_parse_error_reports_line(capsys, tmp_path):
     )
     assert code == 1
     assert "line 2" in err
+
+
+def test_deep_nesting_is_an_input_error(capsys, tmp_path):
+    inner = '(fstruct n0 (PRED "unicorn"))'
+    for i in range(1, 1200):
+        inner = f'(fstruct n{i} (PRED "conversation")\n (OBL-WITH {inner}))'
+    deep = tmp_path / "deep.fstr"
+    deep.write_text(f'(fstruct f (PRED "seek") (OBJ {inner}))\n')
+    code, _, err = run(
+        capsys, "readings", "--fstructure", str(deep),
+        "--lexicon", "corpus/lexicon.glue",
+    )
+    assert code == 1
+    assert err.startswith("error:") and "line 50" in err
+    assert "Traceback" not in err
 
 
 def test_budget_exhaustion_exits_3(capsys):

@@ -1,10 +1,12 @@
 """Proof-search tests: linearity, theorems, scope constraints, determinism."""
 
 import itertools
+import pathlib
 import random
 
-from gluesem.fstruct import ROOT, SemStruct, parse_fstructure
+from gluesem.fstruct import ROOT, SemStruct, SemVar, parse_fstructure
 from gluesem.glue import (
+    SEM,
     Forall,
     Limp,
     Means,
@@ -16,6 +18,7 @@ from gluesem.glue import (
     premises,
 )
 from gluesem.prover import (
+    Prover,
     SearchBudget,
     Sequent,
     check_theorem,
@@ -43,6 +46,7 @@ PROP = Arrow(S, Arrow(E, T))
 
 LEX = load_lexicon("corpus/lexicon.glue")
 LEX_EXT = load_lexicon("corpus/lexicon.glue", extensional=True)
+CORPUS = sorted(p.stem for p in pathlib.Path("corpus").glob("*.fstr"))
 
 
 def doc_for(name):
@@ -81,6 +85,19 @@ def test_tensor_splits():
 def test_implication_chaining():
     assert list(prove_sequent(Sequent((A, Limp(A, B)), B)))
     assert not list(prove_sequent(Sequent((Limp(A, B),), B)))
+
+
+def test_head_filter_keeps_flex_structures():
+    # the filter must let a flex structure on either side through to the
+    # unifier.  A goal: H is bound by the focused formula, whose head is A,
+    # so its antecedent's goal H ~> c is still flex.  A resource: the
+    # assumption H ~> c made while proving the antecedent of q.
+    gs, c, h = SemStruct("g", ROOT), Const("c", E), SemVar("H")
+    p = Forall("H", SEM, Limp(Means(h, c, E), A))
+    assert len(list(prove_sequent(Sequent((p, Means(gs, c, E)), A)))) == 1
+    q = Forall("H", SEM, Limp(Limp(Means(h, c, E), A), B))
+    r = Forall("x", E, Limp(Means(gs, MetaVar("x", E), E), A))
+    assert len(list(prove_sequent(Sequent((q, r), B)))) == 1
 
 
 def test_al_functions_as_a_quantifier():
@@ -160,6 +177,12 @@ def test_type_subscript_blocks_degenerate_scope():
     assert len(base.readings) == 1
 
 
+# An identity sentence modifier at the root f: forall M:t. f~>M -o f~>M
+_fs, _m = SemStruct("f", ROOT), MetaVar("M", T)
+MODIFIER = Premise("indeed", "f", Forall("M", T, Limp(Means(_fs, _m, T), Means(_fs, _m, T))))
+MODIFIED = [("admirer-of-his", LEX, 2), ("every-candidate-a-manager", LEX_EXT, 1)]
+
+
 def test_readings_deduplicate_alpha_equal_proofs():
     # An identity sentence modifier at the root can take scope at several
     # points of the derivation, so each one multiplies the proofs of a single
@@ -167,19 +190,41 @@ def test_readings_deduplicate_alpha_equal_proofs():
     # `proofs > readings` is the evidence that deduplication ran: if a later
     # search change stops producing these spurious proofs, revisit the
     # fixture, not the assertion.
-    fs = SemStruct("f", ROOT)
-    m = MetaVar("M", T)
-    modifier = Premise("indeed", "f", Forall("M", T, Limp(Means(fs, m, T), Means(fs, m, T))))
-    for name, lex, n_modifiers in [
-        ("admirer-of-his", LEX, 2),
-        ("every-candidate-a-manager", LEX_EXT, 1),
-    ]:
-        prems = premises(doc_for(name), lex) + [modifier] * n_modifiers
-        result = enumerate_readings(prems, fs)
+    for name, lex, n_modifiers in MODIFIED:
+        prems = premises(doc_for(name), lex) + [MODIFIER] * n_modifiers
+        result = enumerate_readings(prems, _fs)
         assert result.stats.proofs > len(result.readings) >= 1
         with open(f"corpus/golden/{name}.out", encoding="utf-8") as fh:
             golden = [line for line in fh.read().splitlines() if not line.startswith("readings:")]
         assert [r.text for r in result.readings] == golden
+
+
+def test_head_filter_rejects_only_failing_focuses(monkeypatch):
+    # every corpus document under its golden's lexicon variant, and the
+    # modifier fixture above: the same proofs and readings whether or not
+    # the head filter runs, in strictly fewer steps when it does
+    cases = [
+        (name, LEX_EXT if name in ("convince-every-voter", "every-candidate-a-manager") else LEX, 0)
+        for name in CORPUS
+    ] + MODIFIED
+
+    def search():
+        out = []
+        for name, lex, n_modifiers in cases:
+            doc = doc_for(name)
+            prems = premises(doc, lex) + [MODIFIER] * n_modifiers
+            result = enumerate_readings(prems, SemStruct(doc.root.label, ROOT))
+            assert not result.stats.exhausted
+            out.append((result.stats, [r.text for r in result.readings]))
+        return out
+
+    filtered = search()
+    monkeypatch.setattr(Prover, "_head_may_match", lambda self, su, head, goal: True)
+    unfiltered = search()
+    for (name, _, _), (on, on_texts), (off, off_texts) in zip(cases, filtered, unfiltered):
+        assert (on.proofs, on_texts) == (off.proofs, off_texts), name
+        assert on.steps < off.steps, name
+        assert on.head_rejects > 0 and off.head_rejects == 0, name
 
 
 def test_each_reading_is_closed_normal_and_propositional():
