@@ -242,7 +242,8 @@ def read_sexps(text: str):
     return out
 
 
-def _sym(node, what):
+def symbol(node, what):
+    """The bare symbol at an s-expression node, or an error naming its line."""
     val, line = node
     if not isinstance(val, str) or val.startswith('"'):
         raise FStructError(f"expected {what}", line)
@@ -251,11 +252,11 @@ def _sym(node, what):
 
 def _build_fstruct(node, by_label) -> FStructure:
     val, line = node
-    if not isinstance(val, list) or not val or _sym(val[0], "fstruct") != "fstruct":
+    if not isinstance(val, list) or not val or symbol(val[0], "fstruct") != "fstruct":
         raise FStructError("expected (fstruct LABEL ...)", line)
     if len(val) < 2:
         raise FStructError("fstruct needs a label", line)
-    label = _sym(val[1], "label")
+    label = symbol(val[1], "label")
     if label in by_label:
         raise FStructError(f"duplicate label {label}", line)
     fs = FStructure(label)
@@ -264,14 +265,14 @@ def _build_fstruct(node, by_label) -> FStructure:
         aval, aline = attr_node
         if not isinstance(aval, list) or len(aval) != 2:
             raise FStructError("expected (ATTR value)", aline)
-        attr = _sym(aval[0], "attribute name").upper()
+        attr = symbol(aval[0], "attribute name").upper()
         if fs.get(attr) is not None:
             raise FStructError(f"duplicate attribute {attr} in {label}", aline)
         vval, vline = aval[1]
         if isinstance(vval, str) and vval.startswith('"'):
             fs.attrs.append((attr, vval[1:]))
         elif isinstance(vval, list) and vval and vval[0][0] == "ref":
-            ref = _sym(vval[1], "label")
+            ref = symbol(vval[1], "label")
             if ref not in by_label:
                 raise FStructError(f"reference to unknown label {ref}", vline)
             fs.attrs.append((attr, by_label[ref]))
@@ -290,9 +291,9 @@ def parse_fstructure(text: str) -> FDocument:
     links = []
     for node in sexps[1:]:
         val, line = node
-        if not isinstance(val, list) or len(val) != 3 or _sym(val[0], "ant") != "ant":
+        if not isinstance(val, list) or len(val) != 3 or symbol(val[0], "ant") != "ant":
             raise FStructError("expected (ant PRONOUN ANTECEDENT)", line)
-        pro, ant = _sym(val[1], "label"), _sym(val[2], "label")
+        pro, ant = symbol(val[1], "label"), symbol(val[2], "label")
         for lbl in (pro, ant):
             if lbl not in by_label:
                 raise FStructError(f"ant link names unknown label {lbl}", line)

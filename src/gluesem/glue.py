@@ -30,6 +30,7 @@ from .fstruct import (
     resolve,
     sigma,
     sigma_ant,
+    symbol,
 )
 from .terms import (
     Arrow,
@@ -226,13 +227,6 @@ def _expect_list(node, what):
     return val, line
 
 
-def _symbol(node, what):
-    val, line = node
-    if not isinstance(val, str) or val.startswith('"'):
-        raise FStructError(f"expected {what}", line)
-    return val
-
-
 def _string(node, what):
     val, line = node
     if not isinstance(val, str) or not val.startswith('"'):
@@ -248,7 +242,7 @@ def _parse_type_sexp(node) -> Union[MeaningType, str]:
         if val in ("e", "t", "s"):
             return Base(val)
         raise FStructError(f"unknown type {val!r}", line)
-    if not val or _symbol(val[0], "->") != "->":
+    if not val or symbol(val[0], "->") != "->":
         raise FStructError("expected (-> T T ...)", line)
     tys = [_parse_type_sexp(n) for n in val[1:]]
     if len(tys) < 2 or any(t == SEM for t in tys):
@@ -264,7 +258,7 @@ def _parse_sem_sexp(node, binders) -> Union[SigmaPath, SemVar]:
         raise FStructError(f"unbound structure variable {val!r}", line)
     if not val:
         raise FStructError("empty sigma term", line)
-    head = _symbol(val[0], "sigma operator")
+    head = symbol(val[0], "sigma operator")
     if head == "sig":
         if len(val) != 2:
             raise FStructError("(sig F) takes one argument", line)
@@ -272,9 +266,9 @@ def _parse_sem_sexp(node, binders) -> Union[SigmaPath, SemVar]:
         if fval == "up":
             return SigmaPath((), ROOT)
         flist, _ = _expect_list(val[1], "(path up ATTR ...)")
-        if not flist or _symbol(flist[0], "path") != "path" or _symbol(flist[1], "up") != "up":
+        if not flist or symbol(flist[0], "path") != "path" or symbol(flist[1], "up") != "up":
             raise FStructError("expected (path up ATTR ...)", fline)
-        attrs = tuple(_symbol(n, "attribute").upper() for n in flist[2:])
+        attrs = tuple(symbol(n, "attribute").upper() for n in flist[2:])
         return SigmaPath(attrs, ROOT)
     if head in ("svar", "srestr", "sant"):
         inner = _parse_sem_sexp(val[1], binders)
@@ -307,7 +301,7 @@ def _parse_term_sexp(node, binders, lam_bound) -> MeaningTerm:
         blist, bline = _expect_list(val[1], "(var TYPE)")
         if len(blist) != 2:
             raise FStructError("lambda binder is (var TYPE)", bline)
-        name = _symbol(blist[0], "variable")
+        name = symbol(blist[0], "variable")
         ty = _parse_type_sexp(blist[1])
         if ty == SEM:
             raise FStructError("lambda cannot bind structure variables", bline)
@@ -324,7 +318,7 @@ def parse_formula_sexp(node, binders=None) -> GlueFormula:
     lst, _ = _expect_list(node, "glue formula")
     if not lst:
         raise FStructError("empty formula", line)
-    head = _symbol(lst[0], "connective")
+    head = symbol(lst[0], "connective")
     if head == "forall":
         blist, _ = _expect_list(lst[1], "binder list")
         if len(lst) != 3:
@@ -334,7 +328,7 @@ def parse_formula_sexp(node, binders=None) -> GlueFormula:
             pair, bline = _expect_list(b, "(VAR TYPE)")
             if len(pair) != 2:
                 raise FStructError("binder is (VAR TYPE)", bline)
-            name = _symbol(pair[0], "variable")
+            name = symbol(pair[0], "variable")
             if name in binders:
                 raise FStructError(f"shadowed quantifier variable {name}", bline)
             binders[name] = _parse_type_sexp(pair[1])
@@ -367,7 +361,7 @@ def parse_formula_sexp(node, binders=None) -> GlueFormula:
         term = _parse_term_sexp(lst[2], binders, [])
         return Means(sem, term, ty)
     if head == "atom":
-        return PropAtom(_symbol(lst[1], "atom name"))
+        return PropAtom(symbol(lst[1], "atom name"))
     raise FStructError(f"unknown connective {head!r}", line)
 
 
@@ -400,10 +394,10 @@ def parse_lexicon(text: str, extensional: bool = False) -> Lexicon:
     sexps = read_sexps(text)
     for node in sexps:
         lst, line = _expect_list(node, "lexicon form")
-        if lst and _symbol(lst[0], "form") == "const":
+        if lst and symbol(lst[0], "form") == "const":
             if len(lst) != 3:
                 raise FStructError("(const NAME TYPE)", line)
-            name = _symbol(lst[1], "constant name")
+            name = symbol(lst[1], "constant name")
             ty = _parse_type_sexp(lst[2])
             if ty == SEM:
                 raise FStructError("constants cannot have type sem", line)
@@ -414,28 +408,28 @@ def parse_lexicon(text: str, extensional: bool = False) -> Lexicon:
     entries = []
     for node in sexps:
         lst, line = _expect_list(node, "lexicon form")
-        if not lst or _symbol(lst[0], "form") != "entry":
+        if not lst or symbol(lst[0], "form") != "entry":
             continue
         if len(lst) < 4:
             raise FStructError("(entry \"WORD\" CAT ... (constructor F))", line)
         headword = _string(lst[1], "headword")
-        category = _symbol(lst[2], "category")
+        category = symbol(lst[2], "category")
         trigger_attr, trigger_value = "PRED", headword
         entry_variant = None
         constraints = []
         template_node = None
         for part in lst[3:]:
             plist, pline = _expect_list(part, "entry clause")
-            tag = _symbol(plist[0], "entry clause")
+            tag = symbol(plist[0], "entry clause")
             if tag == "trigger":
-                trigger_attr = _symbol(plist[1], "attribute").upper()
+                trigger_attr = symbol(plist[1], "attribute").upper()
                 if trigger_attr not in ("PRED", "SPEC"):
                     raise FStructError("trigger attribute must be PRED or SPEC", pline)
                 trigger_value = (
                     _string(plist[2], "trigger value") if len(plist) > 2 else headword
                 )
             elif tag == "variant":
-                entry_variant = _symbol(plist[1], "variant")
+                entry_variant = symbol(plist[1], "variant")
                 if entry_variant not in ("intensional", "extensional"):
                     raise FStructError("variant is intensional or extensional", pline)
             elif tag == "syn":

@@ -195,70 +195,60 @@ def spine(t: MeaningTerm) -> tuple[MeaningTerm, list[MeaningTerm]]:
 
 
 # ---------------------------------------------------------------------------
-# de Bruijn plumbing
+# de Bruijn plumbing.  The traversals below dispatch on type() rather than
+# pattern matching (they are the unifier's inner loop) and return unchanged
+# subterms as the same object.
 
 
 def _shift(t: MeaningTerm, d: int, cutoff: int = 0) -> MeaningTerm:
-    match t:
-        case BVar(i):
-            return BVar(i + d) if i >= cutoff else t
-        case Abs(ty, b):
-            return Abs(ty, _shift(b, d, cutoff + 1))
-        case App(f, a):
-            return App(_shift(f, d, cutoff), _shift(a, d, cutoff))
-        case Cap(b):
-            return Cap(_shift(b, d, cutoff))
-        case Cup(b):
-            return Cup(_shift(b, d, cutoff))
-        case _:
-            return t
-
-
-def _subst_bvar(t: MeaningTerm, k: int, repl: MeaningTerm) -> MeaningTerm:
-    match t:
-        case BVar(i):
-            if i == k:
-                return _shift(repl, k)
-            return BVar(i - 1) if i > k else t
-        case Abs(ty, b):
-            return Abs(ty, _subst_bvar(b, k + 1, repl))
-        case App(f, a):
-            return App(_subst_bvar(f, k, repl), _subst_bvar(a, k, repl))
-        case Cap(b):
-            return Cap(_subst_bvar(b, k, repl))
-        case Cup(b):
-            return Cup(_subst_bvar(b, k, repl))
-        case _:
-            return t
+    cls = type(t)
+    if cls is BVar:
+        return BVar(t.index + d) if t.index >= cutoff else t
+    if cls is App:
+        f = _shift(t.fn, d, cutoff)
+        a = _shift(t.arg, d, cutoff)
+        return t if f is t.fn and a is t.arg else App(f, a)
+    if cls is Abs:
+        b = _shift(t.body, d, cutoff + 1)
+        return t if b is t.body else Abs(t.var_ty, b)
+    if cls is Cap or cls is Cup:
+        b = _shift(t.body, d, cutoff)
+        return t if b is t.body else cls(b)
+    return t
 
 
 def open_abs(t: Abs, repl: MeaningTerm) -> MeaningTerm:
-    """Instantiate the binder of an abstraction with `repl`."""
-    return _subst_bvar(t.body, 0, repl)
-
-
-def _close(t: MeaningTerm, name: str, depth: int) -> MeaningTerm:
-    match t:
-        case Var(n, _) | MetaVar(n, _) if n == name:
-            return BVar(depth)
-        case Abs(ty, b):
-            return Abs(ty, _close(b, name, depth + 1))
-        case App(f, a):
-            return App(_close(f, name, depth), _close(a, name, depth))
-        case Cap(b):
-            return Cap(_close(b, name, depth))
-        case Cup(b):
-            return Cup(_close(b, name, depth))
-        case _:
-            return t
+    """Instantiate the binder of a normal abstraction with the normal `repl`;
+    the result is normal."""
+    return _nf(t.body, None, 0, repl)
 
 
 def bind_vars(params: list[Var], body: MeaningTerm) -> MeaningTerm:
     """Abstract the named free variables out of `body`: bind_vars([x, y], b)
-    builds \\x. \\y. b with positional binding."""
-    t = body
+    builds \\x. \\y. b with positional binding, in one pass."""
+    n = len(params)
+    index = {v.name: n - 1 - i for i, v in enumerate(params)}
+
+    def close(t, depth):
+        cls = type(t)
+        if cls is Var or cls is MetaVar:
+            i = index.get(t.name)
+            return t if i is None else BVar(i + depth)
+        if cls is App:
+            f = close(t.fn, depth)
+            a = close(t.arg, depth)
+            return t if f is t.fn and a is t.arg else App(f, a)
+        if cls is Abs:
+            b = close(t.body, depth + 1)
+            return t if b is t.body else Abs(t.var_ty, b)
+        if cls is Cap or cls is Cup:
+            b = close(t.body, depth)
+            return t if b is t.body else cls(b)
+        return t
+
+    t = close(body, 0) if index else body
     for v in reversed(params):
-        t = Abs(v.ty, _close(t, v.name, 0))
+        t = Abs(v.ty, t)
     return t
 
 
@@ -297,17 +287,15 @@ def free_vars(term: MeaningTerm) -> set[str]:
     """Names of free variables and glue metavariables."""
     out: set[str] = set()
 
-    def go(t):
-        match t:
-            case Var(n, _) | MetaVar(n, _):
-                out.add(n)
-            case Abs(_, b) | Cap(b) | Cup(b):
-                go(b)
-            case App(f, a):
-                go(f)
-                go(a)
-            case _:
-                pass
+    def go(t):  # type() dispatch: bind runs this as its occurs check
+        cls = type(t)
+        if cls is App:
+            go(t.fn)
+            go(t.arg)
+        elif cls is Var or cls is MetaVar:
+            out.add(t.name)
+        elif cls is Abs or cls is Cap or cls is Cup:
+            go(t.body)
 
     go(term)
     return out
@@ -330,10 +318,6 @@ def _iter_leaves(term, cls) -> Iterator[str]:
             return
 
 
-def is_closed(term: MeaningTerm) -> bool:
-    return not free_vars(term)
-
-
 # ---------------------------------------------------------------------------
 # Reduction and normal forms
 #
@@ -342,30 +326,6 @@ def is_closed(term: MeaningTerm) -> bool:
 #   cupcap  !(^M)             -> M
 #   capcup  ^(!v)             -> v          (v a variable; see module docstring)
 #   eta     \x. f(x)          -> f          (x not free in f)
-
-
-def _children(t: MeaningTerm) -> list[MeaningTerm]:
-    match t:
-        case Abs(_, b) | Cap(b) | Cup(b):
-            return [b]
-        case App(f, a):
-            return [f, a]
-        case _:
-            return []
-
-
-def _rebuild(t: MeaningTerm, kids: list[MeaningTerm]) -> MeaningTerm:
-    match t:
-        case Abs(ty, _):
-            return Abs(ty, kids[0])
-        case Cap(_):
-            return Cap(kids[0])
-        case Cup(_):
-            return Cup(kids[0])
-        case App(_, _):
-            return App(kids[0], kids[1])
-        case _:
-            return t
 
 
 def _bvar_free(t: MeaningTerm, k: int) -> bool:
@@ -382,78 +342,62 @@ def _bvar_free(t: MeaningTerm, k: int) -> bool:
             return False
 
 
-def _redex_kind(t: MeaningTerm) -> Optional[str]:
-    match t:
-        case App(Abs(), _):
-            return "beta"
-        case Cup(Cap(_)):
-            return "cupcap"
-        case Cap(Cup(Var() | BVar())):
-            return "capcup"
-        case Abs(_, App(f, BVar(0))) if not _bvar_free(f, 0):
-            return "eta"
-        case _:
-            return None
+_BVAR0 = BVar(0)
 
 
-def redexes(t: MeaningTerm, path: tuple[int, ...] = ()) -> list[tuple[tuple[int, ...], str]]:
-    """All redex positions in `t`, preorder.  Paths index into _children."""
-    found = []
-    kind = _redex_kind(t)
-    if kind:
-        found.append((path, kind))
-    for i, c in enumerate(_children(t)):
-        found.extend(redexes(c, path + (i,)))
-    return found
+def _nf(t: MeaningTerm, resolve, k: int, a: Optional[MeaningTerm]) -> MeaningTerm:
+    """Normal form of `t`, built bottom-up in one pass.
 
-
-def _contract(t: MeaningTerm, kind: str) -> MeaningTerm:
-    match kind, t:
-        case "beta", App(Abs(_, b), a):
-            return _subst_bvar(b, 0, a)
-        case "cupcap", Cup(Cap(b)):
-            return b
-        case "capcup", Cap(Cup(v)):
-            return v
-        case "eta", Abs(_, App(f, _)):
-            return _shift(f, -1)
-    raise AssertionError(f"not a {kind} redex: {t!r}")
-
-
-def reduce_at(t: MeaningTerm, path: tuple[int, ...], kind: str) -> MeaningTerm:
-    if not path:
-        return _contract(t, kind)
-    kids = _children(t)
-    i = path[0]
-    kids[i] = reduce_at(kids[i], path[1:], kind)
-    return _rebuild(t, kids)
+    With `a` given, BVar k is replaced by `a` (indices above k drop by one);
+    with `resolve` given, each metavariable it maps to a term (normal and
+    without loose bound variables) is replaced by that term.  Every node is
+    rebuilt from normal children and contracted if that made it a redex, so
+    a beta redex is reduced where it appears, by the same pass: on a normal
+    `t` and `a` this is hereditary substitution.
+    """
+    cls = type(t)
+    if cls is App:
+        f = _nf(t.fn, resolve, k, a)
+        x = _nf(t.arg, resolve, k, a)
+        if type(f) is Abs:
+            return _nf(f.body, None, 0, x)
+        return t if f is t.fn and x is t.arg else App(f, x)
+    if cls is Abs:
+        b = _nf(t.body, resolve, k + 1, a)
+        if type(b) is App and b.arg == _BVAR0 and not _bvar_free(b.fn, 0):
+            return _shift(b.fn, -1)
+        return t if b is t.body else Abs(t.var_ty, b)
+    if cls is Cup:
+        b = _nf(t.body, resolve, k, a)
+        if type(b) is Cap:
+            return b.body
+        return t if b is t.body else Cup(b)
+    if cls is Cap:
+        b = _nf(t.body, resolve, k, a)
+        if type(b) is Cup and type(b.body) in (Var, BVar):
+            return b.body
+        return t if b is t.body else Cap(b)
+    if cls is BVar:
+        if a is None or t.index < k:
+            return t
+        return _shift(a, k) if t.index == k else BVar(t.index - 1)
+    if cls is MetaVar and resolve is not None:
+        value = resolve(t.name)
+        if value is not None:
+            return value
+    return t
 
 
 def normalize(term: MeaningTerm) -> MeaningTerm:
     """Unique normal form under beta, eta, and the ^/! reductions."""
-    match term:
-        case App(f, a):
-            f = normalize(f)
-            if isinstance(f, Abs):
-                return normalize(_subst_bvar(f.body, 0, a))
-            return App(f, normalize(a))
-        case Abs(ty, b):
-            b = normalize(b)
-            if isinstance(b, App) and b.arg == BVar(0) and not _bvar_free(b.fn, 0):
-                return _shift(b.fn, -1)
-            return Abs(ty, b)
-        case Cup(b):
-            b = normalize(b)
-            if isinstance(b, Cap):
-                return b.body
-            return Cup(b)
-        case Cap(b):
-            b = normalize(b)
-            if isinstance(b, Cup) and isinstance(b.body, (Var, BVar)):
-                return b.body
-            return Cap(b)
-        case _:
-            return term
+    return _nf(term, None, 0, None)
+
+
+def normalize_with(term: MeaningTerm, resolve) -> MeaningTerm:
+    """Normal form of `term` with every metavariable that `resolve` maps to a
+    term (normal, without loose bound variables) replaced by it; `resolve`
+    returns None for the rest.  One pass: resolving and reducing interleave."""
+    return _nf(term, resolve, 0, None)
 
 
 def alpha_equal(a: MeaningTerm, b: MeaningTerm) -> bool:

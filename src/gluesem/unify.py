@@ -41,6 +41,7 @@ from .terms import (
     bind_vars,
     free_vars,
     normalize,
+    normalize_with,
     open_abs,
     spine,
 )
@@ -116,14 +117,19 @@ class VarClass:
 class Substitution:
     """Triangular map from flex variables to terms / semantic structures.
 
-    Bindings may mention other bound variables; application expands them
+    Bindings may mention variables bound later; application resolves them
     recursively (the occurs check keeps the chains acyclic), so observable
-    application is idempotent: applying twice equals applying once.
+    application is idempotent: applying twice equals applying once.  Each
+    substitution memoizes the fully applied normal form of every binding it
+    resolves.  A child made by `bind` may resolve a chain differently, so it
+    starts with only its new binding; one made by `bind_sem` keeps the same
+    term bindings and shares the memo.
     """
 
-    def __init__(self, terms=None, sems=None):
+    def __init__(self, terms=None, sems=None, memo=None):
         self.terms: dict[str, MeaningTerm] = terms or {}
         self.sems: dict[str, SemTerm] = sems or {}
+        self._memo: dict[str, MeaningTerm] = memo if memo is not None else {}
 
     def __repr__(self):
         from .terms import print_term
@@ -135,28 +141,17 @@ class Substitution:
     def is_empty(self) -> bool:
         return not self.terms and not self.sems
 
-    def apply_term(self, t: MeaningTerm) -> MeaningTerm:
-        if not self.terms:
-            return t
-        return self._expand(t)
-
-    def _expand(self, t: MeaningTerm) -> MeaningTerm:
-        match t:
-            case MetaVar(n, _) if n in self.terms:
-                return self._expand(self.terms[n])
-            case Abs(ty, b):
-                return Abs(ty, self._expand(b))
-            case App(f, a):
-                return App(self._expand(f), self._expand(a))
-            case Cap(b):
-                return Cap(self._expand(b))
-            case Cup(b):
-                return Cup(self._expand(b))
-            case _:
-                return t
+    def _resolve(self, name: str) -> Optional[MeaningTerm]:
+        value = self._memo.get(name)
+        if value is None:
+            value = self.terms.get(name)
+            if value is not None:
+                value = self._memo[name] = normalize_with(value, self._resolve)
+        return value
 
     def nf(self, t: MeaningTerm) -> MeaningTerm:
-        return normalize(self.apply_term(t))
+        """Normal form of `t` with every bound variable replaced by its value."""
+        return normalize_with(t, self._resolve if self.terms else None)
 
     def walk_sem(self, s: SemTerm) -> SemTerm:
         while isinstance(s, SemVar) and s.name in self.sems:
@@ -165,17 +160,18 @@ class Substitution:
 
     def bind(self, name: str, value: MeaningTerm) -> "Substitution":
         assert name not in self.terms, f"{name} bound twice"
-        value = normalize(self.apply_term(value))
+        value = self.nf(value)
         assert name not in free_vars(value), f"occurs check slipped for {name}"
         terms = dict(self.terms)
         terms[name] = value
-        return Substitution(terms, self.sems)
+        # `value` mentions no bound variable, so it is its own normal form
+        return Substitution(terms, self.sems, {name: value})
 
     def bind_sem(self, name: str, value: SemTerm) -> "Substitution":
         value = self.walk_sem(value)
         sems = dict(self.sems)
         sems[name] = value
-        return Substitution(self.terms, sems)
+        return Substitution(self.terms, sems, self._memo)
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +351,7 @@ def _rewrite_flex(su, g: MetaVar, gargs, f: MetaVar, argvars: list[Var], classes
 def _flex_rigid(su, f: MetaVar, args, rhs, classes) -> Optional[Substitution]:
     argvars = _pattern_args(f, args)
     argnames = {v.name for v in argvars}
-    while True:
-        rhs = su.nf(rhs)
+    while True:  # rhs is normal under su
         try:
             found = _scan_rigid(rhs, f, argnames, classes)
         except _Fail:
@@ -365,6 +360,7 @@ def _flex_rigid(su, f: MetaVar, args, rhs, classes) -> Optional[Substitution]:
             break
         g, gargs = found
         su = _rewrite_flex(su, g, gargs, f, argvars, classes)
+        rhs = su.nf(rhs)
     value = bind_vars(argvars, rhs)
     return su.bind(f.name, value)
 

@@ -19,6 +19,7 @@ from gluesem.terms import (
     Const,
     Cup,
     E,
+    MetaVar,
     S,
     T,
     Var,
@@ -276,13 +277,220 @@ def _minimal(ty):
     raise AssertionError(f"cannot inhabit {ty!r}")
 
 
+# ---------------------------------------------------------------------------
+# Reference reduction: single redex contractions at explicit positions, and
+# the plain two-pass substitution the unifier once used (expand every bound
+# metavariable through the triangular chain, then normalize from scratch).
+# Written without the package's own traversals, so it can serve as an oracle
+# for them.
+#
+# Redex kinds:
+#   beta    (\x. b)(a)        -> b[x := a]
+#   cupcap  !(^M)             -> M
+#   capcup  ^(!v)             -> v          (v a variable)
+#   eta     \x. f(x)          -> f          (x not free in f)
+
+
+def _shift(t, d, cutoff=0):
+    match t:
+        case BVar(i):
+            return BVar(i + d) if i >= cutoff else t
+        case Abs(ty, b):
+            return Abs(ty, _shift(b, d, cutoff + 1))
+        case App(f, a):
+            return App(_shift(f, d, cutoff), _shift(a, d, cutoff))
+        case Cap(b):
+            return Cap(_shift(b, d, cutoff))
+        case Cup(b):
+            return Cup(_shift(b, d, cutoff))
+        case _:
+            return t
+
+
+def _subst_bvar(t, k, repl):
+    match t:
+        case BVar(i):
+            if i == k:
+                return _shift(repl, k)
+            return BVar(i - 1) if i > k else t
+        case Abs(ty, b):
+            return Abs(ty, _subst_bvar(b, k + 1, repl))
+        case App(f, a):
+            return App(_subst_bvar(f, k, repl), _subst_bvar(a, k, repl))
+        case Cap(b):
+            return Cap(_subst_bvar(b, k, repl))
+        case Cup(b):
+            return Cup(_subst_bvar(b, k, repl))
+        case _:
+            return t
+
+
+def _bvar_free(t, k):
+    match t:
+        case BVar(i):
+            return i == k
+        case Abs(_, b):
+            return _bvar_free(b, k + 1)
+        case App(f, a):
+            return _bvar_free(f, k) or _bvar_free(a, k)
+        case Cap(b) | Cup(b):
+            return _bvar_free(b, k)
+        case _:
+            return False
+
+
+def _children(t):
+    match t:
+        case Abs(_, b) | Cap(b) | Cup(b):
+            return [b]
+        case App(f, a):
+            return [f, a]
+        case _:
+            return []
+
+
+def _rebuild(t, kids):
+    match t:
+        case Abs(ty, _):
+            return Abs(ty, kids[0])
+        case Cap(_):
+            return Cap(kids[0])
+        case Cup(_):
+            return Cup(kids[0])
+        case App(_, _):
+            return App(kids[0], kids[1])
+        case _:
+            return t
+
+
+def _redex_kind(t):
+    match t:
+        case App(Abs(), _):
+            return "beta"
+        case Cup(Cap(_)):
+            return "cupcap"
+        case Cap(Cup(Var() | BVar())):
+            return "capcup"
+        case Abs(_, App(f, BVar(0))) if not _bvar_free(f, 0):
+            return "eta"
+        case _:
+            return None
+
+
+def redexes(t, path=()):
+    """All redex positions in `t`, preorder.  Paths index into _children."""
+    found = []
+    kind = _redex_kind(t)
+    if kind:
+        found.append((path, kind))
+    for i, c in enumerate(_children(t)):
+        found.extend(redexes(c, path + (i,)))
+    return found
+
+
+def _contract(t, kind):
+    match kind, t:
+        case "beta", App(Abs(_, b), a):
+            return _subst_bvar(b, 0, a)
+        case "cupcap", Cup(Cap(b)):
+            return b
+        case "capcup", Cap(Cup(v)):
+            return v
+        case "eta", Abs(_, App(f, _)):
+            return _shift(f, -1)
+    raise AssertionError(f"not a {kind} redex: {t!r}")
+
+
+def reduce_at(t, path, kind):
+    if not path:
+        return _contract(t, kind)
+    kids = _children(t)
+    i = path[0]
+    kids[i] = reduce_at(kids[i], path[1:], kind)
+    return _rebuild(t, kids)
+
+
 def random_reduction(rng: random.Random, term):
     """Reduce to normal form contracting randomly chosen redexes."""
-    from gluesem.terms import redexes, reduce_at
-
     while True:
         rs = redexes(term)
         if not rs:
             return term
         path, kind = rng.choice(rs)
         term = reduce_at(term, path, kind)
+
+
+def reference_normalize(term):
+    """Normal form by recursive descent: normalize the children, then
+    contract the node if that made it a redex (substituting the unnormalized
+    argument of a beta redex and normalizing the result again)."""
+    match term:
+        case App(f, a):
+            f = reference_normalize(f)
+            if isinstance(f, Abs):
+                return reference_normalize(_subst_bvar(f.body, 0, a))
+            return App(f, reference_normalize(a))
+        case Abs(ty, b):
+            b = reference_normalize(b)
+            if isinstance(b, App) and b.arg == BVar(0) and not _bvar_free(b.fn, 0):
+                return _shift(b.fn, -1)
+            return Abs(ty, b)
+        case Cup(b):
+            b = reference_normalize(b)
+            if isinstance(b, Cap):
+                return b.body
+            return Cup(b)
+        case Cap(b):
+            b = reference_normalize(b)
+            if isinstance(b, Cup) and isinstance(b.body, (Var, BVar)):
+                return b.body
+            return Cap(b)
+        case _:
+            return term
+
+
+def reference_nf(bindings, term):
+    """Apply the triangular `bindings` (name -> term) by re-walking the whole
+    chain at every bound metavariable, then normalize from scratch."""
+
+    def expand(t):
+        match t:
+            case MetaVar(n, _) if n in bindings:
+                return expand(bindings[n])
+            case Abs(ty, b):
+                return Abs(ty, expand(b))
+            case App(f, a):
+                return App(expand(f), expand(a))
+            case Cap(b):
+                return Cap(expand(b))
+            case Cup(b):
+                return Cup(expand(b))
+            case _:
+                return t
+
+    return reference_normalize(expand(term))
+
+
+def reference_bind_vars(params, body):
+    """Abstract the named variables one parameter at a time, innermost
+    first, one pass over the term per parameter."""
+
+    def close(t, name, depth):
+        match t:
+            case Var(n, _) | MetaVar(n, _) if n == name:
+                return BVar(depth)
+            case Abs(ty, b):
+                return Abs(ty, close(b, name, depth + 1))
+            case App(f, a):
+                return App(close(f, name, depth), close(a, name, depth))
+            case Cap(b):
+                return Cap(close(b, name, depth))
+            case Cup(b):
+                return Cup(close(b, name, depth))
+            case _:
+                return t
+
+    t = body
+    for v in reversed(params):
+        t = Abs(v.ty, close(t, v.name, 0))
+    return t

@@ -21,6 +21,7 @@ from gluesem.terms import (
     alpha_equal,
     app,
     arrow,
+    bind_vars,
     normalize,
 )
 from gluesem.unify import (
@@ -35,7 +36,14 @@ from gluesem.unify import (
     unify,
 )
 
-from helpers import free_named_terms
+from helpers import (
+    RANDOM_SIGNATURE,
+    free_named_terms,
+    random_term,
+    reference_bind_vars,
+    reference_nf,
+    reference_normalize,
+)
 
 APPOINT = Const("appoint", arrow(E, E, T))
 CONVINCE = Const("convince", arrow(E, E, T))
@@ -374,3 +382,136 @@ def test_unify_always_terminates_quickly():
     for _ in range(500):
         vc, f, lhs, rhs, _ = _random_pattern_problem(rng)
         unify([(lhs, rhs)], vc)
+
+
+# ---------------------------------------------------------------------------
+# Substitution.nf against the two-pass reference (expand the triangular
+# chain, then normalize from scratch)
+
+PV = Var("pv", PROP)  # a rigid intensional variable: ^(!pv) collapses to pv
+
+
+def _with_metas(rng, t, leaves):
+    """Replace about half the constants of `t` by a member of `leaves` of
+    the same type."""
+    match t:
+        case Const(_, ty):
+            choices = [v for v in leaves if v.ty == ty]
+            if choices and rng.random() < 0.5:
+                return rng.choice(choices)
+            return t
+        case Abs(ty, b):
+            return Abs(ty, _with_metas(rng, b, leaves))
+        case App(f, a):
+            return App(_with_metas(rng, f, leaves), _with_metas(rng, a, leaves))
+        case Cap(b):
+            return Cap(_with_metas(rng, b, leaves))
+        case Cup(b):
+            return Cup(_with_metas(rng, b, leaves))
+        case _:
+            return t
+
+
+def _random_chain(rng, n):
+    """n metavariables bound in order; the value of X_i mentions only X_j
+    with j > i, so each bind sees a chain that later binds extend (X -> Y,
+    then Y -> c).  Values are unnormalized random terms: metavariables land
+    at spine heads under beta redexes and under ^ and !."""
+    tys = list(RANDOM_SIGNATURE.values())
+    metas = [MetaVar(f"X{i}", rng.choice(tys)) for i in range(n)]
+    rigid = [Var("v", E), PV]
+    raw = []
+    for i, m in enumerate(metas):
+        value = random_term(rng, m.ty, 3)
+        raw.append((m.name, _with_metas(rng, value, metas[i + 1 :] + rigid)))
+    return metas, rigid, raw
+
+
+def test_nf_matches_two_pass_reference_on_random_terms():
+    rng = random.Random(4711)
+    pool = [T, E, Arrow(E, T), PROP, Arrow(Arrow(E, T), T)]
+    for _ in range(500):
+        term = random_term(rng, rng.choice(pool), 4)
+        assert Substitution().nf(term) == reference_normalize(term)
+        su = Substitution().bind("Z", BILL)
+        assert su.nf(term) == reference_normalize(term)
+
+
+def test_nf_matches_two_pass_reference_on_random_chains():
+    rng = random.Random(2004)
+    pool = list(RANDOM_SIGNATURE.values())
+    checked = 0
+    for _ in range(150):
+        metas, rigid, raw = _random_chain(rng, rng.randint(1, 6))
+        queries = [
+            _with_metas(rng, random_term(rng, rng.choice(pool), 4), metas + rigid)
+            for _ in range(4)
+        ] + metas
+        su = Substitution()
+        for k, (name, value) in enumerate(raw):
+            # query the parent first, so its memo is full when the child is made
+            for q in queries:
+                assert su.nf(q) == reference_nf(dict(raw[:k]), q)
+            su = su.bind(name, value)
+            for q in queries:
+                assert su.nf(q) == reference_nf(dict(raw[: k + 1]), q)
+                checked += 1
+    assert checked > 2000
+
+
+def test_nf_memo_is_not_inherited_by_bind():
+    x, y = MetaVar("X", E), MetaVar("Y", E)
+    parent = Substitution().bind("X", App(SUC, y))
+    assert parent.nf(App(SUC, x)) == App(SUC, App(SUC, y))  # memoizes X
+    child = parent.bind("Y", BILL)
+    assert child.nf(App(SUC, x)) == App(SUC, App(SUC, BILL))
+    assert parent.nf(x) == App(SUC, y)
+    # bind_sem keeps the term bindings, so what they resolve to carries over
+    sibling = parent.bind_sem("H", SemStruct("f", "ROOT"))
+    assert sibling.nf(x) == App(SUC, y)
+    assert sibling.bind("Y", HILLARY).nf(x) == App(SUC, HILLARY)
+
+
+def test_nf_reduces_redexes_created_at_spine_heads():
+    # S := \z. convince(Bill, z); P := ^voter; S(x) and (!P)(x) become redexes
+    x = Var("x", E)
+    su = Substitution().bind("S", Abs(E, app(CONVINCE, BILL, BVar(0))))
+    su = su.bind("P", Cap(VOTER))
+    both = Const("and", arrow(T, T, T))
+    s, p = MetaVar("S", Arrow(E, T)), MetaVar("P", PROP)
+    term = Abs(E, app(both, App(s, BVar(0)), App(Cup(p), x)))
+    assert su.nf(term) == reference_nf(su.terms, term)
+    assert su.nf(App(Cup(p), x)) == App(VOTER, x)
+    # ^(!Q) with Q := pv collapses to pv
+    su = su.bind("Q", PV)
+    assert su.nf(Cap(Cup(MetaVar("Q", PROP)))) == PV
+
+
+def test_nf_returns_unchanged_terms_as_the_same_object():
+    su = Substitution().bind("X", BILL)
+    term = Abs(E, app(APPOINT, BVar(0), MetaVar("Y", E)))
+    assert su.nf(term) is term
+    bound = App(VOTER, MetaVar("X", E))
+    assert su.nf(bound).fn is bound.fn
+
+
+def test_bind_vars_matches_per_parameter_reference():
+    rng = random.Random(1701)
+    frees = [Var("x", E), Var("y", E), MetaVar("Z", E), Var("w", Arrow(E, T))]
+    pool = [T, E, Arrow(E, T), PROP]
+    for _ in range(300):
+        body = _with_metas(rng, random_term(rng, rng.choice(pool), 4), frees)
+        params = rng.sample(frees, rng.randint(0, len(frees)))
+        assert bind_vars(params, body) == reference_bind_vars(params, body)
+
+
+def test_nf_shifts_arguments_substituted_under_binders():
+    # \w. (\y. \z. rel(z, y))(w) = \w. \z. rel(z, w): w moves under \z
+    rel = Const("rel", arrow(E, E, T))
+    inner = Abs(E, Abs(E, app(rel, BVar(0), BVar(1))))
+    term = Abs(E, App(inner, BVar(0)))
+    expected = Abs(E, Abs(E, app(rel, BVar(0), BVar(1))))
+    assert reference_normalize(term) == expected
+    assert Substitution().nf(term) == expected
+    su = Substitution().bind("F", inner)
+    assert su.nf(Abs(E, App(MetaVar("F", arrow(E, E, T)), BVar(0)))) == expected
