@@ -64,17 +64,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read(path) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
 def _in_file(path, fn):
+    """Run `fn`, which reads and parses `path`; any failure is an error naming the file."""
     try:
         return fn()
     except GlueError as e:
         raise GlueError(f"{path}: {e}") from e
+    except OSError as e:
+        raise GlueError(f"{path}: {e.strerror or e}") from e
+    except UnicodeDecodeError as e:
+        raise GlueError(f"{path}: not UTF-8 text (offset {e.start}: {e.reason})") from e
 
 
 def _run_readings(args) -> int:
-    with open(args.fstructure, encoding="utf-8") as fh:
-        text = fh.read()
-    doc = _in_file(args.fstructure, lambda: parse_fstructure(text))
+    doc = _in_file(args.fstructure, lambda: parse_fstructure(_read(args.fstructure)))
     lexicon = _in_file(
         args.lexicon, lambda: load_lexicon(args.lexicon, extensional=args.extensional)
     )
@@ -121,9 +129,9 @@ def _run_readings(args) -> int:
 
 def _run_prove(args) -> int:
     lexicon = _in_file(args.lexicon, lambda: load_lexicon(args.lexicon))
-    with open(args.formula, encoding="utf-8") as fh:
-        text = fh.read()
-    formula = _in_file(args.formula, lambda: parse_formula_document(text, lexicon.ctx))
+    formula = _in_file(
+        args.formula, lambda: parse_formula_document(_read(args.formula), lexicon.ctx)
+    )
     budget = SearchBudget(args.max_steps, args.max_depth)
     ok, derivation = check_theorem(formula, budget)
     if ok:
@@ -141,9 +149,6 @@ def main(argv=None) -> int:
         if args.command == "readings":
             return _run_readings(args)
         return _run_prove(args)
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except BudgetExhausted as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

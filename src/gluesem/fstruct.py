@@ -8,10 +8,9 @@ antecedent's projection through explicitly supplied links.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .terms import GlueError
+from .terms import GlueError, Record
 
 
 class FStructError(GlueError):
@@ -38,23 +37,33 @@ VAR = "VAR"
 RESTR = "RESTR"
 
 
-@dataclass(frozen=True)
-class SemStruct:
+class SemStruct(Record):
     """A concrete semantic structure: the `slot` projection of the
     f-structure named `owner`."""
 
-    owner: str
-    slot: str
+    __slots__ = ("owner", "slot")
+
+    def __init__(self, owner: str, slot: str):
+        self.owner, self.slot = owner, slot
+
+    def __eq__(self, other):
+        return (other.__class__ is SemStruct and self.owner == other.owner
+                and self.slot == other.slot)
 
     def __repr__(self):
         return f"{self.owner}_s" if self.slot == ROOT else f"({self.owner}_s {self.slot})"
 
 
-@dataclass(frozen=True)
-class SemVar:
+class SemVar(Record):
     """A glue variable ranging over semantic structures (H, G, ...)."""
 
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __eq__(self, other):
+        return other.__class__ is SemVar and self.name == other.name
 
     def __repr__(self):
         return self.name
@@ -63,16 +72,20 @@ class SemVar:
 SemTerm = Union[SemStruct, SemVar]
 
 
-@dataclass(frozen=True)
-class AnaphorLink:
-    pronoun: str
-    antecedent: str
+class AnaphorLink(Record):
+    __slots__ = ("pronoun", "antecedent")
+
+    def __init__(self, pronoun: str, antecedent: str):
+        self.pronoun, self.antecedent = pronoun, antecedent
 
 
-@dataclass
-class FStructure:
-    label: str
-    attrs: list[tuple[str, "FValue"]] = field(default_factory=list)
+class FStructure(Record):
+    __slots__ = ("label", "attrs")
+    __hash__ = None  # attrs grows while the document is parsed
+
+    def __init__(self, label: str, attrs: Optional[list[tuple[str, FValue]]] = None):
+        self.label = label
+        self.attrs = [] if attrs is None else attrs
 
     def get(self, attr: str) -> Optional["FValue"]:
         for a, v in self.attrs:
@@ -89,14 +102,17 @@ FValue = Union[str, FStructure]
 Path = tuple[str, ...]
 
 
-@dataclass
-class FDocument:
+class FDocument(Record):
     """A parsed f-structure file: the root structure, its label table and
     any anaphor links."""
 
-    root: FStructure
-    by_label: dict[str, FStructure]
-    links: list[AnaphorLink]
+    __slots__ = ("root", "by_label", "links")
+    __hash__ = None  # holds a dict and a list
+
+    def __init__(
+        self, root: FStructure, by_label: dict[str, FStructure], links: list[AnaphorLink]
+    ):
+        self.root, self.by_label, self.links = root, by_label, links
 
     def antecedent_of(self, label: str) -> Optional[str]:
         for link in self.links:
@@ -105,10 +121,15 @@ class FDocument:
         return None
 
     def nodes(self) -> list[FStructure]:
-        """All f-structures in document order (preorder)."""
+        """Every f-structure once, in document order (preorder); a structure
+        reached again through `(ref ...)` is not visited twice."""
         out = []
+        seen = set()
 
         def walk(fs):
+            if id(fs) in seen:
+                return
+            seen.add(id(fs))
             out.append(fs)
             for _, v in fs.attrs:
                 if isinstance(v, FStructure):
@@ -159,7 +180,9 @@ def resolve(anchor: FStructure, path: Path) -> FValue:
 #   (ant i g)
 #
 # Attribute names are case-insensitive (canonicalized to upper case); quoted
-# values are case-sensitive.  `(ref g)` refers back to an already-named node.
+# values are case-sensitive.  `(ref g)` refers back to an already-named node,
+# which then has two paths to it but is one structure; it may not name a
+# structure that encloses the reference.
 
 
 def _tokenize(text: str):
@@ -250,7 +273,9 @@ def symbol(node, what):
     return val
 
 
-def _build_fstruct(node, by_label) -> FStructure:
+def _build_fstruct(node, by_label, building) -> FStructure:
+    """Build one (fstruct ...) form; `building` holds the labels of the
+    structures that enclose it, which a (ref ...) may not name."""
     val, line = node
     if not isinstance(val, list) or not val or symbol(val[0], "fstruct") != "fstruct":
         raise FStructError("expected (fstruct LABEL ...)", line)
@@ -261,6 +286,7 @@ def _build_fstruct(node, by_label) -> FStructure:
         raise FStructError(f"duplicate label {label}", line)
     fs = FStructure(label)
     by_label[label] = fs
+    building.add(label)
     for attr_node in val[2:]:
         aval, aline = attr_node
         if not isinstance(aval, list) or len(aval) != 2:
@@ -272,12 +298,17 @@ def _build_fstruct(node, by_label) -> FStructure:
         if isinstance(vval, str) and vval.startswith('"'):
             fs.attrs.append((attr, vval[1:]))
         elif isinstance(vval, list) and vval and vval[0][0] == "ref":
+            if len(vval) != 2:
+                raise FStructError("expected (ref LABEL)", vline)
             ref = symbol(vval[1], "label")
+            if ref in building:
+                raise FStructError(f"reference to {ref}, which encloses it", vline)
             if ref not in by_label:
                 raise FStructError(f"reference to unknown label {ref}", vline)
             fs.attrs.append((attr, by_label[ref]))
         else:
-            fs.attrs.append((attr, _build_fstruct(aval[1], by_label)))
+            fs.attrs.append((attr, _build_fstruct(aval[1], by_label, building)))
+    building.remove(label)
     return fs
 
 
@@ -287,7 +318,7 @@ def parse_fstructure(text: str) -> FDocument:
     if not sexps:
         raise FStructError("empty document")
     by_label: dict[str, FStructure] = {}
-    root = _build_fstruct(sexps[0], by_label)
+    root = _build_fstruct(sexps[0], by_label, set())
     links = []
     for node in sexps[1:]:
         val, line = node

@@ -10,7 +10,6 @@ triggered entries, one occurrence each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from . import terms
@@ -40,6 +39,7 @@ from .terms import (
     MeaningTerm,
     MeaningType,
     MetaVar,
+    Record,
     TypingContext,
     elaborate,
     standard_context,
@@ -69,45 +69,54 @@ class IllTypedConstructor(GlueError):
 # Formulas
 
 
-@dataclass(frozen=True)
-class SigmaPath:
+class SigmaPath(Record):
     """Template-only sigma term: the `slot` projection of the f-structure
     reached from the anchor by `fpath`.  slot ANT resolves through the
     document's anaphor links."""
 
-    fpath: Path
-    slot: str
+    __slots__ = ("fpath", "slot")
+
+    def __init__(self, fpath: Path, slot: str):
+        self.fpath, self.slot = fpath, slot
 
 
-@dataclass(frozen=True)
-class Means:
-    sem: Union[SemTerm, SigmaPath]
-    term: MeaningTerm
-    ty: MeaningType
+class Means(Record):
+    __slots__ = ("sem", "term", "ty")
+
+    def __init__(self, sem: Union[SemTerm, SigmaPath], term: MeaningTerm, ty: MeaningType):
+        self.sem, self.term, self.ty = sem, term, ty
+
+    def __eq__(self, other):
+        return (other.__class__ is Means and self.sem == other.sem and self.ty == other.ty
+                and (self.term is other.term or self.term == other.term))
 
 
-@dataclass(frozen=True)
-class PropAtom:
-    name: str
+class PropAtom(Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
 
-@dataclass(frozen=True)
-class Tensor:
-    left: "GlueFormula"
-    right: "GlueFormula"
+class Tensor(Record):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: GlueFormula, right: GlueFormula):
+        self.left, self.right = left, right
 
 
-@dataclass(frozen=True)
-class Limp:
-    ant: "GlueFormula"
-    cons: "GlueFormula"
+class Limp(Record):
+    __slots__ = ("ant", "cons")
+
+    def __init__(self, ant: GlueFormula, cons: GlueFormula):
+        self.ant, self.cons = ant, cons
 
 
-@dataclass(frozen=True)
-class Forall:
-    var: str
-    kind: Union[MeaningType, str]  # a meaning type, or SEM
-    body: "GlueFormula"
+class Forall(Record):
+    __slots__ = ("var", "kind", "body")
+
+    def __init__(self, var: str, kind: Union[MeaningType, str], body: GlueFormula):
+        self.var, self.kind, self.body = var, kind, body  # kind: a meaning type, or SEM
 
 
 GlueFormula = Union[Means, PropAtom, Tensor, Limp, Forall]
@@ -202,22 +211,26 @@ def print_formula(f: GlueFormula) -> str:
 # Lexicon
 
 
-@dataclass(frozen=True)
-class LexEntry:
-    headword: str
-    category: str
-    trigger_attr: str  # PRED or SPEC
-    trigger_value: str
-    variant: Optional[str]  # None (both), "intensional" or "extensional"
-    constraints: tuple[tuple[Path, str], ...]
-    template: GlueFormula
+class LexEntry(Record):
+    # trigger_attr is PRED or SPEC; variant is None (both), "intensional" or
+    # "extensional"; constraints is a tuple of (path, value) pairs
+    __slots__ = ("headword", "category", "trigger_attr", "trigger_value", "variant",
+                 "constraints", "template")
+
+    def __init__(self, headword: str, category: str, trigger_attr: str, trigger_value: str,
+                 variant: Optional[str], constraints: tuple[tuple[Path, str], ...],
+                 template: GlueFormula):
+        self.headword, self.category = headword, category
+        self.trigger_attr, self.trigger_value = trigger_attr, trigger_value
+        self.variant, self.constraints, self.template = variant, constraints, template
 
 
-@dataclass
-class Lexicon:
-    entries: list[LexEntry]
-    ctx: TypingContext
-    extensional: bool = False
+class Lexicon(Record):
+    __slots__ = ("entries", "ctx", "extensional")
+    __hash__ = None  # holds a list and a dict
+
+    def __init__(self, entries: list[LexEntry], ctx: TypingContext, extensional: bool = False):
+        self.entries, self.ctx, self.extensional = entries, ctx, extensional
 
 
 def _expect_list(node, what):
@@ -527,11 +540,11 @@ def entry_matches(entry: LexEntry, node: FStructure) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Premise:
-    word: str
-    label: str
-    formula: GlueFormula
+class Premise(Record):
+    __slots__ = ("word", "label", "formula")
+
+    def __init__(self, word: str, label: str, formula: GlueFormula):
+        self.word, self.label, self.formula = word, label, formula
 
 
 def premises(doc: FDocument, lexicon: Lexicon) -> list[Premise]:

@@ -27,7 +27,6 @@ proofs, deduplicated up to renaming of bound variables.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
 from .fstruct import ROOT, SemStruct, SemTerm, SemVar
@@ -50,6 +49,7 @@ from .terms import (
     MeaningTerm,
     MeaningType,
     MetaVar,
+    Record,
     T,
     free_vars,
     print_term,
@@ -66,16 +66,18 @@ class UnsolvedVariable(GlueError):
     pass
 
 
-@dataclass(frozen=True)
-class SearchBudget:
-    max_steps: int = 100_000
-    max_depth: int = 40
+class SearchBudget(Record):
+    __slots__ = ("max_steps", "max_depth")
+
+    def __init__(self, max_steps: int = 100_000, max_depth: int = 40):
+        self.max_steps, self.max_depth = max_steps, max_depth
 
 
-@dataclass(frozen=True)
-class Sequent:
-    context: tuple[GlueFormula, ...]
-    goal: GlueFormula
+class Sequent(Record):
+    __slots__ = ("context", "goal")
+
+    def __init__(self, context: tuple[GlueFormula, ...], goal: GlueFormula):
+        self.context, self.goal = context, goal
 
 
 # What a focus ends at: (type, structure) for a meaning atom, with structure
@@ -104,53 +106,60 @@ def _head_signature(f: GlueFormula) -> HeadSignature:
     return None
 
 
-@dataclass(frozen=True)
-class Resource:
-    rid: int
-    formula: GlueFormula
-    tag: str
-    head: HeadSignature
-    dup: Optional[int]  # class of equal premise formulas; None for the rest
+class Resource(Record):
+    __slots__ = ("rid", "formula", "tag", "head", "dup")
+
+    # dup: the class of equal premise formulas; None for the rest
+    def __init__(self, rid: int, formula: GlueFormula, tag: str, head: HeadSignature,
+                 dup: Optional[int]):
+        self.rid, self.formula, self.tag, self.head, self.dup = rid, formula, tag, head, dup
 
 
-@dataclass(frozen=True)
-class Derivation:
-    rule: str  # Identity | TensorL | TensorR | LimpL | LimpR | PiL | PiR
-    info: str
-    children: tuple["Derivation", ...]
-    consumed: frozenset[int]
-    atom: Optional[GlueFormula] = None  # consumed atom, for Identity leaves
-    fresh: tuple[str, ...] = ()  # variables introduced at PiL nodes
-    rid: Optional[int] = None  # resource consumed, for Identity and TensorL
+class Derivation(Record):
+    # rule: Identity | TensorL | TensorR | LimpL | LimpR | PiL | PiR; atom: the
+    # consumed atom of an Identity leaf; fresh: the variables a PiL node
+    # introduces; rid: the resource an Identity or TensorL node consumes
+    __slots__ = ("rule", "info", "children", "consumed", "atom", "fresh", "rid")
 
-    def identity_leaves(self) -> list["Derivation"]:
-        if self.rule == "Identity":
-            return [self]
-        return [l for c in self.children for l in c.identity_leaves()]
+    def __init__(self, rule: str, info: str, children: tuple[Derivation, ...],
+                 consumed: frozenset[int], atom: Optional[GlueFormula] = None,
+                 fresh: tuple[str, ...] = (), rid: Optional[int] = None):
+        self.rule, self.info, self.children, self.consumed = rule, info, children, consumed
+        self.atom, self.fresh, self.rid = atom, fresh, rid
 
-
-@dataclass(frozen=True)
-class Reading:
-    term: MeaningTerm
-    text: str
-    derivation: Derivation
-    goal_sem: SemTerm
-    substitution: Substitution
+    def __eq__(self, other):
+        return (other.__class__ is Derivation and self.rule == other.rule
+                and self.info == other.info and self.rid == other.rid
+                and self.consumed == other.consumed and self.fresh == other.fresh
+                and self.atom == other.atom and self.children == other.children)
 
 
-@dataclass
-class SearchStats:
-    steps: int = 0
-    proofs: int = 0
-    head_rejects: int = 0  # resources skipped by the head filter
-    exhausted: bool = False
+class Reading(Record):
+    __slots__ = ("term", "text", "derivation", "goal_sem", "substitution")
+
+    def __init__(self, term: MeaningTerm, text: str, derivation: Derivation,
+                 goal_sem: SemTerm, substitution: Substitution):
+        self.term, self.text, self.derivation = term, text, derivation
+        self.goal_sem, self.substitution = goal_sem, substitution
 
 
-@dataclass
-class EnumerationResult:
-    readings: list[Reading]
-    stats: SearchStats
-    budget: SearchBudget
+class SearchStats(Record):
+    __slots__ = ("steps", "proofs", "head_rejects", "exhausted")
+    __hash__ = None  # counts grow during the search
+
+    # head_rejects: resources skipped by the head filter
+    def __init__(self, steps: int = 0, proofs: int = 0, head_rejects: int = 0,
+                 exhausted: bool = False):
+        self.steps, self.proofs, self.head_rejects = steps, proofs, head_rejects
+        self.exhausted = exhausted
+
+
+class EnumerationResult(Record):
+    __slots__ = ("readings", "stats", "budget")
+    __hash__ = None  # holds a list and the mutable stats
+
+    def __init__(self, readings: list[Reading], stats: SearchStats, budget: SearchBudget):
+        self.readings, self.stats, self.budget = readings, stats, budget
 
 
 def _flatten_tensor(f: GlueFormula) -> list[GlueFormula]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterator, Optional, Union
 
 
@@ -39,34 +39,83 @@ class UnboundName(GlueError):
         super().__init__(f"unbound name: {name}")
 
 
+class Record:
+    """Base of the package's value classes.
+
+    A record's fields are its `__slots__`, set once by its `__init__`, so
+    instances carry no `__dict__`.  Nothing assigns a field after
+    `__init__` except on `SearchStats`, whose counts grow during the search;
+    it and the records that hold mutable containers (f-structures,
+    documents, lexicons, results, the variable registry) declare
+    `__hash__ = None`.  `__match_args__` follows `__slots__`, so positional
+    `match` patterns see the constructor's field order.  Records of one
+    class with equal fields are equal and hash alike; records of different
+    classes are never equal.  Terms, types, semantic structures, `Means`
+    and `Derivation` are compared in the search's inner loops and define a
+    faster `__eq__` of their own: field by field, taking identical fields
+    (shared subterms) as equal without descending into them.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.__match_args__ = cls.__slots__
+        cls._key = attrgetter(*cls.__slots__)
+        if "__eq__" in cls.__dict__ and cls.__dict__.get("__hash__") is None:
+            cls.__hash__ = Record.__hash__  # defining __eq__ cleared it
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
 # ---------------------------------------------------------------------------
 # Types
 
 
-@dataclass(frozen=True)
-class Base:
-    name: str
+class Base(Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __eq__(self, other):
+        return other.__class__ is Base and self.name == other.name
 
     def __repr__(self):
         return self.name
 
 
-@dataclass(frozen=True)
-class Arrow:
-    left: "MeaningType"
-    right: "MeaningType"
+class Arrow(Record):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: MeaningType, right: MeaningType):
+        self.left, self.right = left, right
+
+    def __eq__(self, other):
+        return (other.__class__ is Arrow and (self.left is other.left or self.left == other.left)
+                and (self.right is other.right or self.right == other.right))
 
     def __repr__(self):
         l = f"({self.left!r})" if isinstance(self.left, Arrow) else repr(self.left)
         return f"{l} -> {self.right!r}"
 
 
-@dataclass(frozen=True)
-class TVar:
+class TVar(Record):
     """Type variable; appears only transiently while instantiating ^/! and
     unannotated binders."""
 
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
     def __repr__(self):
         return self.name
@@ -126,53 +175,93 @@ def parse_type(text: str) -> MeaningType:
 # Terms
 
 
-@dataclass(frozen=True)
-class Const:
-    name: str
-    ty: Optional[MeaningType]
+class Const(Record):
+    __slots__ = ("name", "ty")
+
+    def __init__(self, name: str, ty: Optional[MeaningType]):
+        self.name, self.ty = name, ty
+
+    def __eq__(self, other):
+        return (other.__class__ is Const and self.name == other.name
+                and (self.ty is other.ty or self.ty == other.ty))
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(Record):
     """Free named variable: eigenvariables and local constants in proofs."""
 
-    name: str
-    ty: MeaningType
+    __slots__ = ("name", "ty")
+
+    def __init__(self, name: str, ty: MeaningType):
+        self.name, self.ty = name, ty
+
+    def __eq__(self, other):
+        return (other.__class__ is Var and self.name == other.name
+                and (self.ty is other.ty or self.ty == other.ty))
 
 
-@dataclass(frozen=True)
-class MetaVar:
+class MetaVar(Record):
     """Glue-language variable (essentially existential / unification variable)."""
 
-    name: str
-    ty: MeaningType
+    __slots__ = ("name", "ty")
+
+    def __init__(self, name: str, ty: MeaningType):
+        self.name, self.ty = name, ty
+
+    def __eq__(self, other):
+        return (other.__class__ is MetaVar and self.name == other.name
+                and (self.ty is other.ty or self.ty == other.ty))
 
 
-@dataclass(frozen=True)
-class BVar:
-    index: int
+class BVar(Record):
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        self.index = index
+
+    def __eq__(self, other):
+        return other.__class__ is BVar and self.index == other.index
 
 
-@dataclass(frozen=True)
-class Abs:
-    var_ty: Optional[MeaningType]
-    body: "MeaningTerm"
+class Abs(Record):
+    __slots__ = ("var_ty", "body")
+
+    def __init__(self, var_ty: Optional[MeaningType], body: MeaningTerm):
+        self.var_ty, self.body = var_ty, body
+
+    def __eq__(self, other):
+        return (other.__class__ is Abs and (self.body is other.body or self.body == other.body)
+                and (self.var_ty is other.var_ty or self.var_ty == other.var_ty))
 
 
-@dataclass(frozen=True)
-class App:
-    fn: "MeaningTerm"
-    arg: "MeaningTerm"
+class App(Record):
+    __slots__ = ("fn", "arg")
+
+    def __init__(self, fn: MeaningTerm, arg: MeaningTerm):
+        self.fn, self.arg = fn, arg
+
+    def __eq__(self, other):
+        return (other.__class__ is App and (self.fn is other.fn or self.fn == other.fn)
+                and (self.arg is other.arg or self.arg == other.arg))
 
 
-@dataclass(frozen=True)
-class Cap:
-    body: "MeaningTerm"
+class Cap(Record):
+    __slots__ = ("body",)
+
+    def __init__(self, body: MeaningTerm):
+        self.body = body
+
+    def __eq__(self, other):
+        return other.__class__ is Cap and (self.body is other.body or self.body == other.body)
 
 
-@dataclass(frozen=True)
-class Cup:
-    body: "MeaningTerm"
+class Cup(Record):
+    __slots__ = ("body",)
+
+    def __init__(self, body: MeaningTerm):
+        self.body = body
+
+    def __eq__(self, other):
+        return other.__class__ is Cup and (self.body is other.body or self.body == other.body)
 
 
 MeaningTerm = Union[Const, Var, MetaVar, BVar, Abs, App, Cap, Cup]

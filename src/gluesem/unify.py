@@ -19,7 +19,6 @@ form most general.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .fstruct import SemTerm, SemVar
@@ -34,6 +33,7 @@ from .terms import (
     GlueError,
     MeaningTerm,
     MetaVar,
+    Record,
     S,
     Var,
     alpha_equal,
@@ -64,13 +64,17 @@ class InconsistentSubst(GlueError):
         super().__init__(f"variable {name} received conflicting bindings")
 
 
-@dataclass
-class VarClass:
+class VarClass(Record):
     """Classification of glue variables: flex or eigen, with birth stamps."""
 
-    kinds: dict[str, str] = field(default_factory=dict)
-    stamps: dict[str, int] = field(default_factory=dict)
-    _counter: itertools.count = field(default_factory=lambda: itertools.count(1))
+    __slots__ = ("kinds", "stamps", "_counter")
+    __hash__ = None  # grows as the search mints variables
+
+    def __init__(self, kinds: Optional[dict[str, str]] = None,
+                 stamps: Optional[dict[str, int]] = None, _counter=None):
+        self.kinds = {} if kinds is None else kinds
+        self.stamps = {} if stamps is None else stamps
+        self._counter = itertools.count(1) if _counter is None else _counter
 
     def classify(self, name: str, kind: str, ts: Optional[int] = None) -> int:
         if name in self.kinds and self.kinds[name] != kind:
@@ -284,29 +288,32 @@ def _needs_rewrite(g: MetaVar, gargs, f: MetaVar, argnames, classes) -> bool:
 def _scan_rigid(t, f: MetaVar, argnames: set[str], classes: VarClass):
     """Find the first flex subterm of `t` that must be raised, pruned or
     lowered before f can be bound to (an abstraction of) t.  Raises _Fail on
-    eigen escape or occurs violation.  Returns (g, g_args) or None."""
+    eigen escape or occurs violation.  Returns (g, g_args) or None.  Each
+    spine is split once and scanned head first, then argument by argument."""
     fts = classes.ts(f.name)
-    match t:
-        case Var(n, _):
-            if n not in argnames and classes.ts(n) > fts:
-                raise _Fail
-            return None
-        case MetaVar() | App() if isinstance(spine(t)[0], MetaVar):
-            head, args = spine(t)
+
+    def scan(t):
+        head, args = spine(t)
+        cls = type(head)
+        if cls is MetaVar:
             if head.name == f.name:
                 raise _Fail  # occurs check
             gargs = _mixed_pattern_args(head, args)
             if _needs_rewrite(head, gargs, f, argnames, classes):
                 return (head, gargs)
             return None
-        case App(fn, a):
-            return _scan_rigid(fn, f, argnames, classes) or _scan_rigid(
-                a, f, argnames, classes
-            )
-        case Abs(_, b) | Cap(b) | Cup(b):
-            return _scan_rigid(b, f, argnames, classes)
-        case _:
-            return None
+        if cls is Var:
+            if head.name not in argnames and classes.ts(head.name) > fts:
+                raise _Fail
+        elif cls is Abs or cls is Cap or cls is Cup:
+            args = [head.body, *args]
+        for a in args:
+            found = scan(a)
+            if found is not None:
+                return found
+        return None
+
+    return scan(t)
 
 
 def _rewrite_flex(su, g: MetaVar, gargs, f: MetaVar, argvars: list[Var], classes):
@@ -534,14 +541,8 @@ def unify(
     return su
 
 
-def apply(su: Substitution, target):
-    """Apply a substitution to a meaning term (formulas are handled by
-    glue.subst_formula)."""
-    return su.nf(target)
-
-
 def compose(s1: Substitution, s2: Substitution) -> Substitution:
-    """apply(compose(s1, s2), t) == apply(s2, apply(s1, t))."""
+    """compose(s1, s2).nf(t) == s2.nf(s1.nf(t))."""
     terms = {}
     for k, v in s1.terms.items():
         terms[k] = s2.nf(v)

@@ -208,3 +208,48 @@ def test_output_stable_under_premise_order(capsys):
             assert out == fh.read()
     finally:
         os.unlink(path)
+
+
+def test_reentrant_fstructure_gives_its_premises_once(capsys, tmp_path):
+    path = tmp_path / "topic.fstr"
+    path.write_text(
+        '(fstruct f (PRED "arrive") (SUBJ (fstruct g (PRED "John"))) (TOPIC (ref g)))\n'
+    )
+    code, out, _ = run(
+        capsys, "readings", "--fstructure", str(path), "--lexicon", "corpus/lexicon.glue"
+    )
+    assert (code, out) == (0, "arrive(John)\nreadings: 1\n")
+
+
+def test_cyclic_ref_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "cycle.fstr"
+    path.write_text('(fstruct f (PRED "arrive")\n  (SUBJ (ref f)))\n')
+    code, out, err = run(
+        capsys, "readings", "--fstructure", str(path), "--lexicon", "corpus/lexicon.glue"
+    )
+    assert code == 1 and out == ""
+    assert err == f"error: {path}: line 2: reference to f, which encloses it\n"
+
+
+@pytest.mark.parametrize("option", ["--fstructure", "--lexicon", "--formula"])
+@pytest.mark.parametrize("kind", ["directory", "not UTF-8"])
+def test_unreadable_input_is_an_input_error(capsys, tmp_path, option, kind):
+    if kind == "directory":
+        bad, reason = tmp_path, "Is a directory"
+    else:
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes('(fstruct f (PRED "café"))'.encode("latin-1"))
+        reason = "not UTF-8 text (offset 21: invalid continuation byte)"
+    files = {
+        "--fstructure": "corpus/bah.fstr",
+        "--lexicon": "corpus/lexicon.glue",
+        "--formula": "corpus/type-raising.glue",
+    }
+    files[option] = str(bad)
+    if option == "--formula":
+        argv = ["prove", "--lexicon", files["--lexicon"], "--formula", files["--formula"]]
+    else:
+        argv = ["readings", "--fstructure", files["--fstructure"], "--lexicon", files["--lexicon"]]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {bad}: {reason}\n"

@@ -122,3 +122,41 @@ def test_reentrancy_via_ref():
         '(fstruct f (SUBJ (fstruct g (PRED "Bill"))) (TOPIC (ref g)))'
     )
     assert resolve(doc.root, ("TOPIC",)) is resolve(doc.root, ("SUBJ",))
+
+
+def test_reentrant_structure_is_one_node():
+    doc = parse_fstructure(
+        '(fstruct f (PRED "arrive") (SUBJ (fstruct g (PRED "John")))\n'
+        "  (TOPIC (ref g)) (ADJ (fstruct h (PRED \"quickly\") (OF (ref g)))))"
+    )
+    assert [n.label for n in doc.nodes()] == ["f", "g", "h"]
+    assert doc.nodes()[1] is doc.by_label["g"]
+
+
+def test_reentrant_premises_are_given_once():
+    from gluesem.glue import load_lexicon, premises
+
+    lexicon = load_lexicon("corpus/lexicon.glue")
+    plain = parse_fstructure('(fstruct f (PRED "arrive") (SUBJ (fstruct g (PRED "John"))))')
+    shared = parse_fstructure(
+        '(fstruct f (PRED "arrive") (SUBJ (fstruct g (PRED "John"))) (TOPIC (ref g)))'
+    )
+    assert premises(shared, lexicon) == premises(plain, lexicon)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '(fstruct f (PRED "arrive")\n  (SUBJ (ref f)))',
+        '(fstruct f (PRED "arrive")\n  (SUBJ (fstruct g (PRED "John") (TOPIC (ref f)))))',
+        '(fstruct f (PRED "arrive")\n  (SUBJ (fstruct g (PRED "John") (SELF (ref g)))))',
+    ],
+)
+def test_ref_to_an_enclosing_structure_is_rejected(text):
+    with pytest.raises(FStructError, match="line 2: reference to [fg], which encloses it"):
+        parse_fstructure(text)
+
+
+def test_ref_needs_one_label():
+    with pytest.raises(FStructError, match=r"line 2: expected \(ref LABEL\)"):
+        parse_fstructure('(fstruct f (PRED "arrive")\n  (SUBJ (ref)))')
