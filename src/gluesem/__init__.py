@@ -8,7 +8,6 @@ from .fstruct import (
     SemStruct,
     SemVar,
     parse_fstructure,
-    print_fstructure,
     resolve,
     sigma,
     sigma_ant,
@@ -51,13 +50,10 @@ from .terms import (
     alpha_equal,
     free_vars,
     normalize,
-    parse_term,
     parse_type,
     print_term,
     standard_context,
-    substitute,
-    typecheck,
 )
-from .unify import NonPatternError, Substitution, VarClass, compose, unify
+from .unify import NonPatternError, Substitution, VarClass
 
 __all__ = [name for name in dir() if not name.startswith("_")]

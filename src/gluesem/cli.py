@@ -1,21 +1,11 @@
-"""Command-line driver.
+"""Command-line driver for `glue readings` and `glue prove`.
 
-    glue readings --fstructure F --lexicon L [--goal LABEL] [--goal-type T]
-                  [--trace] [--json] [--extensional] [--explicit-parens]
-                  [--max-steps N] [--max-depth N]
-    glue prove    --lexicon L --formula PHI [--trace] [--max-steps N]
-                  [--max-depth N]
-
-Exit status for `readings`: 0 with at least one reading, 2 with none
-(functional incompleteness or incoherence), 3 when the search budget ran out,
-1 on input errors.  `prove` exits 0 when the formula is derivable and 2 when
-it is not.
+USAGE holds the synopsis and the exit statuses; `glue --help` prints it (a
+constant rather than this docstring, which `python -OO` strips).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 
 from .fstruct import parse_fstructure
@@ -29,39 +19,70 @@ from .prover import (
 )
 from .terms import GlueError, parse_type, print_term
 
+USAGE = """\
+usage:
+    glue readings --fstructure F --lexicon L [--goal LABEL] [--goal-type T]
+                  [--trace] [--json] [--extensional] [--explicit-parens]
+                  [--max-steps N] [--max-depth N]
+    glue prove    --lexicon L --formula PHI [--trace] [--max-steps N]
+                  [--max-depth N]
 
-def _add_budget_args(sub):
-    sub.add_argument("--max-steps", type=int, default=100_000, metavar="N")
-    sub.add_argument("--max-depth", type=int, default=40, metavar="N")
-    sub.add_argument("--trace", action="store_true", help="print one proof tree per result")
+Options are spelled in full and take their value as `--opt VALUE` or
+`--opt=VALUE`.  N is a non-negative integer (defaults: 100000 steps, depth
+40).
+
+Exit status for `readings`: 0 with at least one reading, 2 with none
+(functional incompleteness or incoherence), 3 when the search budget ran out,
+1 on input errors, a malformed command line included.  `prove` exits 0 when
+the formula is derivable and 2 when it is not.
+"""
+
+# Each command's options with their defaults: False marks a flag, None a
+# required option, and every other option takes a value.
+_BUDGET = {"--max-steps": "100000", "--max-depth": "40", "--trace": False}
+_OPTIONS = {
+    "readings": {
+        "--fstructure": None, "--lexicon": None, "--goal": "", "--goal-type": "t",
+        "--json": False, "--extensional": False, "--explicit-parens": False, **_BUDGET,
+    },
+    "prove": {"--lexicon": None, "--formula": None, **_BUDGET},
+}
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="glue",
-        description="Enumerate sentence readings by linear-logic proof search.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    readings = sub.add_parser("readings", help="derive all readings of an f-structure")
-    readings.add_argument("--fstructure", required=True, metavar="FILE")
-    readings.add_argument("--lexicon", required=True, metavar="FILE")
-    readings.add_argument("--goal", metavar="LABEL", help="goal f-structure label (default: root)")
-    readings.add_argument("--goal-type", default="t", metavar="TYPE")
-    readings.add_argument("--json", action="store_true", dest="as_json")
-    readings.add_argument(
-        "--extensional",
-        action="store_true",
-        help="use the extensional determiner constructors",
-    )
-    readings.add_argument("--explicit-parens", action="store_true")
-    _add_budget_args(readings)
-
-    prove = sub.add_parser("prove", help="check derivability of a closed glue formula")
-    prove.add_argument("--lexicon", required=True, metavar="FILE")
-    prove.add_argument("--formula", required=True, metavar="FILE")
-    _add_budget_args(prove)
-    return parser
+def _parse_args(argv: list[str]):
+    """The command and its options, or None when the command line asks for
+    help; a malformed command line raises GlueError."""
+    if "-h" in argv or "--help" in argv:
+        return None
+    if not argv or argv[0] not in _OPTIONS:
+        got = f", got {argv[0]!r}" if argv else ""
+        raise GlueError(f"expected a command, readings or prove{got}")
+    command, table = argv[0], _OPTIONS[argv[0]]
+    opts = dict(table)
+    rest = iter(argv[1:])
+    for arg in rest:
+        name, eq, value = arg.partition("=")
+        if name not in table:
+            what = "option" if arg.startswith("-") else "argument"
+            raise GlueError(f"{command}: unknown {what} {name!r}")
+        if table[name] is False:
+            if eq:
+                raise GlueError(f"{name} takes no value")
+            value = True
+        elif not eq:
+            value = next(rest, None)
+            if value is None:
+                raise GlueError(f"{name} needs a value")
+        opts[name] = value
+    for name, value in opts.items():
+        if value is None:
+            raise GlueError(f"{command}: {name} is required")
+    for name in ("--max-steps", "--max-depth"):
+        value = opts[name]
+        if not (value.isascii() and value.isdigit()):
+            raise GlueError(f"{name}: expected a non-negative integer, got {value!r}")
+        opts[name] = int(value)
+    return command, opts
 
 
 def _read(path) -> str:
@@ -81,22 +102,25 @@ def _in_file(path, fn):
         raise GlueError(f"{path}: not UTF-8 text (offset {e.start}: {e.reason})") from e
 
 
-def _run_readings(args) -> int:
-    doc = _in_file(args.fstructure, lambda: parse_fstructure(_read(args.fstructure)))
-    lexicon = _in_file(
-        args.lexicon, lambda: load_lexicon(args.lexicon, extensional=args.extensional)
-    )
-    budget = SearchBudget(args.max_steps, args.max_depth)
-    goal_type = parse_type(args.goal_type)
+def _run_readings(opts) -> int:
+    fpath, lpath = opts["--fstructure"], opts["--lexicon"]
+    doc = _in_file(fpath, lambda: parse_fstructure(_read(fpath)))
+    lexicon = _in_file(lpath, lambda: load_lexicon(lpath, extensional=opts["--extensional"]))
+    budget = SearchBudget(opts["--max-steps"], opts["--max-depth"])
+    goal_type = parse_type(opts["--goal-type"])
     result, prems = readings_for_document(
-        doc, lexicon, goal_label=args.goal, budget=budget, goal_type=goal_type
+        doc, lexicon, goal_label=opts["--goal"] or None, budget=budget, goal_type=goal_type
     )
-    texts = [print_term(r.term, explicit_parens=args.explicit_parens) for r in result.readings]
+    texts = [print_term(r.term, explicit_parens=opts["--explicit-parens"])
+             for r in result.readings]
+    stats = result.stats
 
-    if args.as_json:
+    if opts["--json"]:
+        import json
+
         payload = {
-            "fstructure": args.fstructure,
-            "goal": {"label": args.goal or doc.root.label, "type": args.goal_type},
+            "fstructure": fpath,
+            "goal": {"label": opts["--goal"] or doc.root.label, "type": opts["--goal-type"]},
             "premises": [
                 {"word": p.word, "label": p.label, "formula": print_formula(p.formula)}
                 for p in prems
@@ -106,37 +130,38 @@ def _run_readings(args) -> int:
             "budget": {
                 "max_steps": budget.max_steps,
                 "max_depth": budget.max_depth,
-                "steps_used": result.stats.steps,
-                "head_rejects": result.stats.head_rejects,
-                "exhausted": result.stats.exhausted,
+                "steps_used": stats.steps,
+                "head_rejects": stats.head_rejects,
+                "exhausted": stats.exhausted,
+                "limit": stats.limit,
             },
         }
         print(json.dumps(payload, indent=2))
     else:
         for text, reading in zip(texts, result.readings):
             print(text)
-            if args.trace:
+            if opts["--trace"]:
                 print(render_trace(reading.derivation, reading.substitution))
                 print()
-        if result.stats.exhausted:
-            print("warning: search budget exhausted; results may be incomplete", file=sys.stderr)
+        if stats.exhausted:
+            print(f"warning: search budget exhausted ({stats.limit}); results may be incomplete",
+                  file=sys.stderr)
         print(f"readings: {len(texts)}")
 
-    if result.stats.exhausted:
+    if stats.exhausted:
         return 3
     return 0 if texts else 2
 
 
-def _run_prove(args) -> int:
-    lexicon = _in_file(args.lexicon, lambda: load_lexicon(args.lexicon))
-    formula = _in_file(
-        args.formula, lambda: parse_formula_document(_read(args.formula), lexicon.ctx)
-    )
-    budget = SearchBudget(args.max_steps, args.max_depth)
+def _run_prove(opts) -> int:
+    lpath, fpath = opts["--lexicon"], opts["--formula"]
+    lexicon = _in_file(lpath, lambda: load_lexicon(lpath))
+    formula = _in_file(fpath, lambda: parse_formula_document(_read(fpath), lexicon.ctx))
+    budget = SearchBudget(opts["--max-steps"], opts["--max-depth"])
     ok, derivation = check_theorem(formula, budget)
     if ok:
         print("provable")
-        if args.trace and derivation is not None:
+        if opts["--trace"] and derivation is not None:
             print(render_trace(derivation))
         return 0
     print("not provable")
@@ -144,11 +169,13 @@ def _run_prove(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "readings":
-            return _run_readings(args)
-        return _run_prove(args)
+        parsed = _parse_args(sys.argv[1:] if argv is None else list(argv))
+        if parsed is None:
+            print(USAGE, end="")
+            return 0
+        command, opts = parsed
+        return _run_readings(opts) if command == "readings" else _run_prove(opts)
     except BudgetExhausted as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

@@ -332,26 +332,3 @@ def parse_fstructure(text: str) -> FDocument:
             raise FStructError(f"ant link pronoun {pro} lacks PRED \"pro\"", line)
         links.append(AnaphorLink(pro, ant))
     return FDocument(root, by_label, links)
-
-
-def print_fstructure(doc: FDocument) -> str:
-    """Inverse of parse_fstructure, up to label-preserving isomorphism."""
-    printed: set[str] = set()
-
-    def go(fs: FStructure, indent: str) -> str:
-        if fs.label in printed:
-            return f"(ref {fs.label})"
-        printed.add(fs.label)
-        parts = [f"(fstruct {fs.label}"]
-        inner = indent + "  "
-        for attr, v in fs.attrs:
-            if isinstance(v, FStructure):
-                parts.append(f"\n{inner}({attr} {go(v, inner)})")
-            else:
-                parts.append(f"\n{inner}({attr} \"{v}\")")
-        return "".join(parts) + ")"
-
-    out = go(doc.root, "")
-    for link in doc.links:
-        out += f"\n(ant {link.pronoun} {link.antecedent})"
-    return out + "\n"

@@ -58,8 +58,9 @@ from .unify import Substitution, VarClass, solve, solve_sem
 
 
 class BudgetExhausted(GlueError):
-    def __init__(self, what):
-        super().__init__(f"search budget exhausted ({what})")
+    def __init__(self, limit, value):
+        self.limit = limit  # "max-steps" or "max-depth"
+        super().__init__(f"search budget exhausted ({limit} {value})")
 
 
 class UnsolvedVariable(GlueError):
@@ -118,20 +119,23 @@ class Resource(Record):
 class Derivation(Record):
     # rule: Identity | TensorL | TensorR | LimpL | LimpR | PiL | PiR; atom: the
     # consumed atom of an Identity leaf; fresh: the variables a PiL node
-    # introduces; rid: the resource an Identity or TensorL node consumes
-    __slots__ = ("rule", "info", "children", "consumed", "atom", "fresh", "rid")
+    # introduces; rid: the resource an Identity or TensorL node consumes;
+    # ant: the antecedent a LimpL node proves, printed only by render_trace
+    __slots__ = ("rule", "info", "children", "consumed", "atom", "fresh", "rid", "ant")
 
     def __init__(self, rule: str, info: str, children: tuple[Derivation, ...],
                  consumed: frozenset[int], atom: Optional[GlueFormula] = None,
-                 fresh: tuple[str, ...] = (), rid: Optional[int] = None):
+                 fresh: tuple[str, ...] = (), rid: Optional[int] = None,
+                 ant: Optional[GlueFormula] = None):
         self.rule, self.info, self.children, self.consumed = rule, info, children, consumed
-        self.atom, self.fresh, self.rid = atom, fresh, rid
+        self.atom, self.fresh, self.rid, self.ant = atom, fresh, rid, ant
 
     def __eq__(self, other):
         return (other.__class__ is Derivation and self.rule == other.rule
                 and self.info == other.info and self.rid == other.rid
                 and self.consumed == other.consumed and self.fresh == other.fresh
-                and self.atom == other.atom and self.children == other.children)
+                and self.atom == other.atom and self.ant == other.ant
+                and self.children == other.children)
 
 
 class Reading(Record):
@@ -144,14 +148,19 @@ class Reading(Record):
 
 
 class SearchStats(Record):
-    __slots__ = ("steps", "proofs", "head_rejects", "exhausted")
+    __slots__ = ("steps", "proofs", "head_rejects", "limit")
     __hash__ = None  # counts grow during the search
 
-    # head_rejects: resources skipped by the head filter
+    # head_rejects: resources skipped by the head filter; limit: the budget
+    # limit that ran out, "max-steps" or "max-depth", or None
     def __init__(self, steps: int = 0, proofs: int = 0, head_rejects: int = 0,
-                 exhausted: bool = False):
+                 limit: Optional[str] = None):
         self.steps, self.proofs, self.head_rejects = steps, proofs, head_rejects
-        self.exhausted = exhausted
+        self.limit = limit
+
+    @property
+    def exhausted(self) -> bool:
+        return self.limit is not None
 
 
 class EnumerationResult(Record):
@@ -183,9 +192,9 @@ class Prover:
     def _step(self, depth: int):
         self.stats.steps += 1
         if self.stats.steps > self.budget.max_steps:
-            raise BudgetExhausted(f"max-steps {self.budget.max_steps}")
+            raise BudgetExhausted("max-steps", self.budget.max_steps)
         if depth > self.budget.max_depth:
-            raise BudgetExhausted(f"max-depth {self.budget.max_depth}")
+            raise BudgetExhausted("max-depth", self.budget.max_depth)
 
     def _resource(self, formula, premise, tag) -> Resource:
         # premises are closed, so two premises with equal formulas stay
@@ -281,10 +290,7 @@ class Prover:
             # innermost implication first: pendings were collected outermost-in
             for ant_d, pending in zip(reversed(pending_ds), reversed(pendings)):
                 node = Derivation(
-                    "LimpL",
-                    print_formula(pending),
-                    (ant_d, node),
-                    ant_d.consumed | node.consumed,
+                    "LimpL", "", (ant_d, node), ant_d.consumed | node.consumed, ant=pending
                 )
             if fresh_names:
                 node = Derivation(
@@ -478,8 +484,8 @@ def enumerate_readings(
             text = print_term(term)
             if text not in found:
                 found[text] = Reading(term, text, d, goal_sem, su)
-    except BudgetExhausted:
-        stats.exhausted = True
+    except BudgetExhausted as e:
+        stats.limit = e.limit
     readings = [found[k] for k in sorted(found)]
     return EnumerationResult(readings, stats, budget)
 
@@ -521,7 +527,8 @@ def render_trace(d: Derivation, su: Optional[Substitution] = None) -> str:
         return None
 
     def fmt(n: Derivation) -> str:
-        text = f"{n.rule}: {n.info}".rstrip(": ")
+        info = n.info if n.ant is None else print_formula(n.ant)
+        text = f"{n.rule}: {info}".rstrip(": ")
         if n.fresh and su is not None:
             pairs = []
             for name in n.fresh:

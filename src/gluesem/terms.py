@@ -108,20 +108,7 @@ class Arrow(Record):
         return f"{l} -> {self.right!r}"
 
 
-class TVar(Record):
-    """Type variable; appears only transiently while instantiating ^/! and
-    unannotated binders."""
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def __repr__(self):
-        return self.name
-
-
-MeaningType = Union[Base, Arrow, TVar]
+MeaningType = Union[Base, Arrow]
 
 E = Base("e")
 T = Base("t")
@@ -341,15 +328,6 @@ def bind_vars(params: list[Var], body: MeaningTerm) -> MeaningTerm:
     return t
 
 
-def substitute(term: MeaningTerm, name: str, repl: MeaningTerm) -> MeaningTerm:
-    """Capture-avoiding substitution of `repl` for the free variable `name`.
-
-    Bound variables are positional, so capture cannot occur; named frees in
-    `repl` survive untouched.
-    """
-    return subst_map(term, {name: repl})
-
-
 def subst_map(term: MeaningTerm, mapping: dict[str, MeaningTerm]) -> MeaningTerm:
     if not mapping:
         return term
@@ -496,55 +474,8 @@ def alpha_equal(a: MeaningTerm, b: MeaningTerm) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Typechecking.  Binders may be unannotated in surface syntax; a small
-# unification pass instantiates them, along with the polymorphic types of
-# ^ and !.
-
-
-class _TyUnifier:
-    def __init__(self):
-        self.sub: dict[str, MeaningType] = {}
-        self._n = itertools.count()
-
-    def fresh(self) -> TVar:
-        return TVar(f"t{next(self._n)}")
-
-    def resolve(self, ty: MeaningType) -> MeaningType:
-        while isinstance(ty, TVar) and ty.name in self.sub:
-            ty = self.sub[ty.name]
-        return ty
-
-    def deep(self, ty: MeaningType) -> MeaningType:
-        ty = self.resolve(ty)
-        if isinstance(ty, Arrow):
-            return Arrow(self.deep(ty.left), self.deep(ty.right))
-        return ty
-
-    def unify(self, a: MeaningType, b: MeaningType, where) -> None:
-        a, b = self.resolve(a), self.resolve(b)
-        if a == b:
-            return
-        if isinstance(a, TVar):
-            if self._occurs(a.name, b):
-                raise TypeMismatch(where, a, b)
-            self.sub[a.name] = b
-            return
-        if isinstance(b, TVar):
-            self.unify(b, a, where)
-            return
-        if isinstance(a, Arrow) and isinstance(b, Arrow):
-            self.unify(a.left, b.left, where)
-            self.unify(a.right, b.right, where)
-            return
-        raise TypeMismatch(where, a, b)
-
-    def _occurs(self, name: str, ty: MeaningType) -> bool:
-        ty = self.resolve(ty)
-        if isinstance(ty, TVar):
-            return ty.name == name
-        if isinstance(ty, Arrow):
-            return self._occurs(name, ty.left) or self._occurs(name, ty.right)
-        return False
+# Typechecking.  Every binder carries its type and every constant takes its
+# type from the context, so a term's type is synthesized bottom-up.
 
 
 TypingContext = dict[str, MeaningType]
@@ -584,95 +515,52 @@ def standard_context(extensional: bool = False) -> TypingContext:
     return ctx
 
 
-def _infer(t, ctx, env, uni: _TyUnifier, annotate: bool):
-    """Returns (elaborated term, type).  `env` is the stack of binder types."""
-    match t:
-        case Const(name, ty):
-            declared = ctx.get(name)
-            if ty is None:
-                if declared is None:
-                    raise UnboundName(name)
-                return t if not annotate else Const(name, declared), declared
-            if declared is not None:
-                uni.unify(ty, declared, name)
-            return t, ty
-        case Var(name, ty) | MetaVar(name, ty):
-            if ty is None:
-                raise UnboundName(name)
-            return t, ty
-        case BVar(i):
-            if i >= len(env):
-                raise GlueError(f"loose bound variable {i}")
-            return t, env[i]
-        case Abs(ty, b):
-            vt = ty if ty is not None else uni.fresh()
-            b2, bt = _infer(b, ctx, [vt] + env, uni, annotate)
-            return Abs(vt, b2), Arrow(vt, bt)
-        case App(f, a):
-            f2, ft = _infer(f, ctx, env, uni, annotate)
-            a2, at_ = _infer(a, ctx, env, uni, annotate)
-            res = uni.fresh()
-            uni.unify(ft, Arrow(at_, res), print_term(t))
-            return App(f2, a2), res
-        case Cap(b):
-            b2, bt = _infer(b, ctx, env, uni, annotate)
-            return Cap(b2), Arrow(S, bt)
-        case Cup(b):
-            b2, bt = _infer(b, ctx, env, uni, annotate)
-            res = uni.fresh()
-            uni.unify(bt, Arrow(S, res), print_term(t))
-            return Cup(b2), res
-    raise AssertionError(f"bad term {t!r}")
-
-
-def _zonk(t, uni: _TyUnifier):
-    match t:
-        case Const(n, ty):
-            return Const(n, uni.deep(ty) if ty is not None else None)
-        case Var(n, ty):
-            return Var(n, uni.deep(ty))
-        case MetaVar(n, ty):
-            return MetaVar(n, uni.deep(ty))
-        case Abs(ty, b):
-            ty = uni.deep(ty)
-            if _has_tvar(ty):
-                raise TypeMismatch(print_term(t), "a ground binder type", ty)
-            return Abs(ty, _zonk(b, uni))
-        case App(f, a):
-            return App(_zonk(f, uni), _zonk(a, uni))
-        case Cap(b):
-            return Cap(_zonk(b, uni))
-        case Cup(b):
-            return Cup(_zonk(b, uni))
-        case _:
-            return t
-
-
-def _has_tvar(ty: MeaningType) -> bool:
-    if isinstance(ty, TVar):
-        return True
-    if isinstance(ty, Arrow):
-        return _has_tvar(ty.left) or _has_tvar(ty.right)
-    return False
-
-
 def elaborate(term: MeaningTerm, ctx: TypingContext) -> tuple[MeaningTerm, MeaningType]:
-    """Typecheck, fill in constant types from `ctx` and infer unannotated
-    binders.  Returns the annotated term and its principal type."""
-    uni = _TyUnifier()
-    t2, ty = _infer(term, ctx, [], uni, annotate=True)
-    return _zonk(t2, uni), uni.deep(ty)
+    """Typecheck `term`, whose binders all carry their types, and fill in
+    constant types from `ctx`.  Returns the annotated term and its type;
+    raises TypeMismatch or UnboundName."""
 
+    def syn(t, env):
+        cls = type(t)
+        if cls is App:
+            f, ft = syn(t.fn, env)
+            a, at = syn(t.arg, env)
+            if type(ft) is not Arrow:
+                raise TypeMismatch(print_term(t), "a function type", ft)
+            if ft.left != at:
+                raise TypeMismatch(print_term(t), ft.left, at)
+            return App(f, a), ft.right
+        if cls is Abs:
+            if t.var_ty is None:
+                raise TypeMismatch(print_term(t), "a binder type", None)
+            b, bt = syn(t.body, (t.var_ty,) + env)
+            return Abs(t.var_ty, b), Arrow(t.var_ty, bt)
+        if cls is Cap:
+            b, bt = syn(t.body, env)
+            return Cap(b), Arrow(S, bt)
+        if cls is Cup:
+            b, bt = syn(t.body, env)
+            if type(bt) is not Arrow or bt.left != S:
+                raise TypeMismatch(print_term(t), "an intension type s -> a", bt)
+            return Cup(b), bt.right
+        if cls is BVar:
+            if t.index >= len(env):
+                raise GlueError(f"loose bound variable {t.index}")
+            return t, env[t.index]
+        if cls is Const:
+            declared = ctx.get(t.name)
+            if t.ty is None:
+                if declared is None:
+                    raise UnboundName(t.name)
+                return Const(t.name, declared), declared
+            if declared is not None and declared != t.ty:
+                raise TypeMismatch(t.name, t.ty, declared)
+            return t, t.ty
+        if t.ty is None:  # Var, MetaVar
+            raise UnboundName(t.name)
+        return t, t.ty
 
-def typecheck(term: MeaningTerm, ctx: Optional[TypingContext] = None) -> MeaningType:
-    """Principal type of `term`; raises TypeMismatch / UnboundName."""
-    uni = _TyUnifier()
-    _, ty = _infer(term, ctx or {}, [], uni, annotate=False)
-    ty = uni.deep(ty)
-    if _has_tvar(ty):
-        # e.g. a bare unapplied binder with no constraining use
-        raise TypeMismatch(print_term(term), "a ground type", ty)
-    return ty
+    return syn(term, ())
 
 
 # ---------------------------------------------------------------------------
@@ -736,117 +624,3 @@ def print_term(term: MeaningTerm, explicit_parens: bool = False) -> str:
     used0 = free_vars(term)
     text, _ = go(term, [], set(used0))
     return text
-
-
-# ---------------------------------------------------------------------------
-# Surface-syntax parser: f(a, b), \x. body, ^M, !M, optional binder
-# annotations \x:e. body.  Identifiers may contain hyphens (conv-with).
-
-
-# identifiers may contain hyphens (conv-with) but never swallow the -> arrow
-_TOKEN = re.compile(r"\s*([A-Za-z_](?:[A-Za-z0-9_']|-(?!>))*|->|[\\^!():.,]|$)")
-
-
-class _TermParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.toks: list[str] = []
-        p = 0
-        while p < len(text):
-            m = _TOKEN.match(text, p)
-            if not m or m.end() == m.start():
-                raise GlueError(f"bad character in term at {text[p:p + 10]!r}")
-            if m.group(1):
-                self.toks.append(m.group(1))
-            p = m.end()
-            if not m.group(1):
-                break
-
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def next(self):
-        tok = self.peek()
-        if tok is None:
-            raise GlueError(f"unexpected end of term: {self.text!r}")
-        self.pos += 1
-        return tok
-
-    def expect(self, tok):
-        got = self.next()
-        if got != tok:
-            raise GlueError(f"expected {tok!r}, got {got!r} in {self.text!r}")
-
-    def term(self, bound):
-        if self.peek() == "\\":
-            self.next()
-            name = self.next()
-            ty = None
-            if self.peek() == ":":
-                self.next()
-                ty = self.type_expr()
-            self.expect(".")
-            body = self.term([name] + bound)
-            return Abs(ty, body)
-        return self.prefix(bound)
-
-    def prefix(self, bound):
-        tok = self.peek()
-        if tok in ("^", "!"):
-            self.next()
-            inner = self.term(bound) if self.peek() == "\\" else self.prefix(bound)
-            return Cap(inner) if tok == "^" else Cup(inner)
-        return self.postfix(bound)
-
-    def postfix(self, bound):
-        t = self.atom(bound)
-        while self.peek() == "(":
-            self.next()
-            args = [self.term(bound)]
-            while self.peek() == ",":
-                self.next()
-                args.append(self.term(bound))
-            self.expect(")")
-            t = app(t, *args)
-        return t
-
-    def atom(self, bound):
-        tok = self.next()
-        if tok == "(":
-            t = self.term(bound)
-            self.expect(")")
-            return t
-        if not re.match(r"[A-Za-z_]", tok):
-            raise GlueError(f"unexpected token {tok!r} in {self.text!r}")
-        if tok in bound:
-            return BVar(bound.index(tok))
-        return Const(tok, None)
-
-    def type_expr(self):
-        left = self.type_atom()
-        if self.peek() == "->":
-            self.next()
-            return Arrow(left, self.type_expr())
-        return left
-
-    def type_atom(self):
-        tok = self.next()
-        if tok == "(":
-            ty = self.type_expr()
-            self.expect(")")
-            return ty
-        if tok in ("e", "t", "s"):
-            return Base(tok)
-        raise GlueError(f"unknown type {tok!r} in {self.text!r}")
-
-
-def parse_term(text: str, ctx: TypingContext) -> MeaningTerm:
-    """Parse surface syntax and elaborate against `ctx`.  Free identifiers
-    must be constants of the context (readings are closed terms)."""
-    p = _TermParser(text)
-    raw = p.term([])
-    if p.peek() is not None:
-        raise GlueError(f"trailing input in term: {text!r}")
-    term, _ = elaborate(raw, ctx)
-    return normalize(term)

@@ -58,12 +58,6 @@ class NonPatternError(GlueError):
     shipped lexicon this indicates a malformed meaning constructor."""
 
 
-class InconsistentSubst(GlueError):
-    def __init__(self, name):
-        self.name = name
-        super().__init__(f"variable {name} received conflicting bindings")
-
-
 class VarClass(Record):
     """Classification of glue variables: flex or eigen, with birth stamps."""
 
@@ -519,46 +513,3 @@ def solve_sem(
             return None  # eigen structure would escape its scope
         return su.bind_sem(var.name, val)
     return None
-
-
-# ---------------------------------------------------------------------------
-# Public operations
-
-
-def unify(
-    equations: list[tuple[MeaningTerm, MeaningTerm]],
-    classes: Optional[VarClass] = None,
-    subst: Optional[Substitution] = None,
-) -> Optional[Substitution]:
-    """Most general unifier of the meaning-term equations within the pattern
-    fragment, or None when rigid heads clash or a check fails."""
-    su = subst or Substitution()
-    classes = classes or VarClass()
-    for l, r in equations:
-        su = solve(su, l, r, classes)
-        if su is None:
-            return None
-    return su
-
-
-def compose(s1: Substitution, s2: Substitution) -> Substitution:
-    """compose(s1, s2).nf(t) == s2.nf(s1.nf(t))."""
-    terms = {}
-    for k, v in s1.terms.items():
-        terms[k] = s2.nf(v)
-    for k, v in s2.terms.items():
-        if k in terms:
-            if not alpha_equal(terms[k], s2.nf(v)):
-                raise InconsistentSubst(k)
-        else:
-            terms[k] = v
-    sems = {}
-    for k, v in s1.sems.items():
-        sems[k] = s2.walk_sem(v)
-    for k, v in s2.sems.items():
-        if k in sems:
-            if sems[k] != s2.walk_sem(v):
-                raise InconsistentSubst(k)
-        else:
-            sems[k] = v
-    return Substitution(terms, sems)

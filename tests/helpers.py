@@ -1,32 +1,47 @@
-"""Independent oracles and generators used across the test suite.
+"""Independent oracles, generators and test-only API used across the suite.
 
-Nothing here goes through the package's proof-search or unification code
-paths: the sequent decision procedure enumerates multiset splits directly,
-and the term enumerator builds normal forms by brute force.
+Nothing in the oracles goes through the package's proof-search or
+unification code paths: the sequent decision procedure enumerates multiset
+splits directly, the term enumerator builds normal forms by brute force and
+the reference typechecker infers types by unification.  The surface-syntax
+term parser, named substitution, f-structure printing and equation-list
+unification live here too: only tests use them, so the package does not
+ship them.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
+import re
 
+from gluesem.fstruct import FStructure
 from gluesem.glue import Limp, PropAtom, Tensor
 from gluesem.terms import (
     Abs,
     App,
     Arrow,
+    Base,
     BVar,
     Cap,
     Const,
     Cup,
     E,
+    GlueError,
     MetaVar,
+    Record,
     S,
     T,
+    TypeMismatch,
+    UnboundName,
     Var,
     alpha_equal,
     app,
     normalize,
+    print_term,
+    subst_map,
 )
+from gluesem.unify import Substitution, VarClass, solve
 
 # ---------------------------------------------------------------------------
 # Brute-force decision procedure for the propositional tensor fragment.
@@ -494,3 +509,355 @@ def reference_bind_vars(params, body):
     for v in reversed(params):
         t = Abs(v.ty, close(t, v.name, 0))
     return t
+
+
+# ---------------------------------------------------------------------------
+# Reference typechecker: unification-based type inference.  Unlike
+# `gluesem.terms.elaborate`, which synthesizes types from annotated binders,
+# it also infers the types of unannotated binders (the surface syntax below
+# allows them), so it serves as the oracle the synthesis is checked against.
+
+
+class TVar(Record):
+    """Type variable; appears only transiently while instantiating ^/! and
+    unannotated binders."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __repr__(self):
+        return self.name
+
+
+class _TyUnifier:
+    def __init__(self):
+        self.sub = {}
+        self._n = itertools.count()
+
+    def fresh(self) -> TVar:
+        return TVar(f"t{next(self._n)}")
+
+    def resolve(self, ty):
+        while isinstance(ty, TVar) and ty.name in self.sub:
+            ty = self.sub[ty.name]
+        return ty
+
+    def deep(self, ty):
+        ty = self.resolve(ty)
+        if isinstance(ty, Arrow):
+            return Arrow(self.deep(ty.left), self.deep(ty.right))
+        return ty
+
+    def unify(self, a, b, where) -> None:
+        a, b = self.resolve(a), self.resolve(b)
+        if a == b:
+            return
+        if isinstance(a, TVar):
+            if self._occurs(a.name, b):
+                raise TypeMismatch(where, a, b)
+            self.sub[a.name] = b
+            return
+        if isinstance(b, TVar):
+            self.unify(b, a, where)
+            return
+        if isinstance(a, Arrow) and isinstance(b, Arrow):
+            self.unify(a.left, b.left, where)
+            self.unify(a.right, b.right, where)
+            return
+        raise TypeMismatch(where, a, b)
+
+    def _occurs(self, name: str, ty) -> bool:
+        ty = self.resolve(ty)
+        if isinstance(ty, TVar):
+            return ty.name == name
+        if isinstance(ty, Arrow):
+            return self._occurs(name, ty.left) or self._occurs(name, ty.right)
+        return False
+
+
+def _infer(t, ctx, env, uni: _TyUnifier, annotate: bool):
+    """Returns (elaborated term, type).  `env` is the stack of binder types."""
+    match t:
+        case Const(name, ty):
+            declared = ctx.get(name)
+            if ty is None:
+                if declared is None:
+                    raise UnboundName(name)
+                return t if not annotate else Const(name, declared), declared
+            if declared is not None:
+                uni.unify(ty, declared, name)
+            return t, ty
+        case Var(name, ty) | MetaVar(name, ty):
+            if ty is None:
+                raise UnboundName(name)
+            return t, ty
+        case BVar(i):
+            if i >= len(env):
+                raise GlueError(f"loose bound variable {i}")
+            return t, env[i]
+        case Abs(ty, b):
+            vt = ty if ty is not None else uni.fresh()
+            b2, bt = _infer(b, ctx, [vt] + env, uni, annotate)
+            return Abs(vt, b2), Arrow(vt, bt)
+        case App(f, a):
+            f2, ft = _infer(f, ctx, env, uni, annotate)
+            a2, at_ = _infer(a, ctx, env, uni, annotate)
+            res = uni.fresh()
+            uni.unify(ft, Arrow(at_, res), print_term(t))
+            return App(f2, a2), res
+        case Cap(b):
+            b2, bt = _infer(b, ctx, env, uni, annotate)
+            return Cap(b2), Arrow(S, bt)
+        case Cup(b):
+            b2, bt = _infer(b, ctx, env, uni, annotate)
+            res = uni.fresh()
+            uni.unify(bt, Arrow(S, res), print_term(t))
+            return Cup(b2), res
+    raise AssertionError(f"bad term {t!r}")
+
+
+def _zonk(t, uni: _TyUnifier):
+    match t:
+        case Const(n, ty):
+            return Const(n, uni.deep(ty) if ty is not None else None)
+        case Var(n, ty):
+            return Var(n, uni.deep(ty))
+        case MetaVar(n, ty):
+            return MetaVar(n, uni.deep(ty))
+        case Abs(ty, b):
+            ty = uni.deep(ty)
+            if _has_tvar(ty):
+                raise TypeMismatch(print_term(t), "a ground binder type", ty)
+            return Abs(ty, _zonk(b, uni))
+        case App(f, a):
+            return App(_zonk(f, uni), _zonk(a, uni))
+        case Cap(b):
+            return Cap(_zonk(b, uni))
+        case Cup(b):
+            return Cup(_zonk(b, uni))
+        case _:
+            return t
+
+
+def _has_tvar(ty) -> bool:
+    if isinstance(ty, TVar):
+        return True
+    if isinstance(ty, Arrow):
+        return _has_tvar(ty.left) or _has_tvar(ty.right)
+    return False
+
+
+def reference_elaborate(term, ctx):
+    """Typecheck, fill in constant types from `ctx` and infer unannotated
+    binders.  Returns the annotated term and its principal type."""
+    uni = _TyUnifier()
+    t2, ty = _infer(term, ctx, [], uni, annotate=True)
+    return _zonk(t2, uni), uni.deep(ty)
+
+
+def typecheck(term, ctx=None):
+    """Principal type of `term`; raises TypeMismatch / UnboundName."""
+    uni = _TyUnifier()
+    _, ty = _infer(term, ctx or {}, [], uni, annotate=False)
+    ty = uni.deep(ty)
+    if _has_tvar(ty):
+        # e.g. a bare unapplied binder with no constraining use
+        raise TypeMismatch(print_term(term), "a ground type", ty)
+    return ty
+
+
+# ---------------------------------------------------------------------------
+# Surface-syntax parser for meaning terms: f(a, b), \x. body, ^M, !M,
+# optional binder annotations \x:e. body.  Identifiers may contain hyphens
+# (conv-with).  Tests write expected readings in this syntax; binders may be
+# unannotated, so parsing elaborates with the inference checker above.
+
+
+# identifiers may contain hyphens (conv-with) but never swallow the -> arrow
+_TOKEN = re.compile(r"\s*([A-Za-z_](?:[A-Za-z0-9_']|-(?!>))*|->|[\\^!():.,]|$)")
+
+
+class _TermParser:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+        self.toks: list[str] = []
+        p = 0
+        while p < len(text):
+            m = _TOKEN.match(text, p)
+            if not m or m.end() == m.start():
+                raise GlueError(f"bad character in term at {text[p:p + 10]!r}")
+            if m.group(1):
+                self.toks.append(m.group(1))
+            p = m.end()
+            if not m.group(1):
+                break
+
+    def peek(self):
+        return self.toks[self.pos] if self.pos < len(self.toks) else None
+
+    def next(self):
+        tok = self.peek()
+        if tok is None:
+            raise GlueError(f"unexpected end of term: {self.text!r}")
+        self.pos += 1
+        return tok
+
+    def expect(self, tok):
+        got = self.next()
+        if got != tok:
+            raise GlueError(f"expected {tok!r}, got {got!r} in {self.text!r}")
+
+    def term(self, bound):
+        if self.peek() == "\\":
+            self.next()
+            name = self.next()
+            ty = None
+            if self.peek() == ":":
+                self.next()
+                ty = self.type_expr()
+            self.expect(".")
+            body = self.term([name] + bound)
+            return Abs(ty, body)
+        return self.prefix(bound)
+
+    def prefix(self, bound):
+        tok = self.peek()
+        if tok in ("^", "!"):
+            self.next()
+            inner = self.term(bound) if self.peek() == "\\" else self.prefix(bound)
+            return Cap(inner) if tok == "^" else Cup(inner)
+        return self.postfix(bound)
+
+    def postfix(self, bound):
+        t = self.atom(bound)
+        while self.peek() == "(":
+            self.next()
+            args = [self.term(bound)]
+            while self.peek() == ",":
+                self.next()
+                args.append(self.term(bound))
+            self.expect(")")
+            t = app(t, *args)
+        return t
+
+    def atom(self, bound):
+        tok = self.next()
+        if tok == "(":
+            t = self.term(bound)
+            self.expect(")")
+            return t
+        if not re.match(r"[A-Za-z_]", tok):
+            raise GlueError(f"unexpected token {tok!r} in {self.text!r}")
+        if tok in bound:
+            return BVar(bound.index(tok))
+        return Const(tok, None)
+
+    def type_expr(self):
+        left = self.type_atom()
+        if self.peek() == "->":
+            self.next()
+            return Arrow(left, self.type_expr())
+        return left
+
+    def type_atom(self):
+        tok = self.next()
+        if tok == "(":
+            ty = self.type_expr()
+            self.expect(")")
+            return ty
+        if tok in ("e", "t", "s"):
+            return Base(tok)
+        raise GlueError(f"unknown type {tok!r} in {self.text!r}")
+
+
+def parse_term(text: str, ctx):
+    """Parse surface syntax and elaborate against `ctx`.  Free identifiers
+    must be constants of the context (readings are closed terms)."""
+    p = _TermParser(text)
+    raw = p.term([])
+    if p.peek() is not None:
+        raise GlueError(f"trailing input in term: {text!r}")
+    term, _ = reference_elaborate(raw, ctx)
+    return normalize(term)
+
+
+# ---------------------------------------------------------------------------
+# Operations the engine itself never runs, kept as test vocabulary: named
+# substitution, f-structure printing, and unification of equation lists
+# with composition of the resulting substitutions.
+
+
+def substitute(term, name: str, repl):
+    """Capture-avoiding substitution of `repl` for the free variable `name`.
+
+    Bound variables are positional, so capture cannot occur; named frees in
+    `repl` survive untouched.
+    """
+    return subst_map(term, {name: repl})
+
+
+def print_fstructure(doc) -> str:
+    """Inverse of parse_fstructure, up to label-preserving isomorphism."""
+    printed: set[str] = set()
+
+    def go(fs, indent: str) -> str:
+        if fs.label in printed:
+            return f"(ref {fs.label})"
+        printed.add(fs.label)
+        parts = [f"(fstruct {fs.label}"]
+        inner = indent + "  "
+        for attr, v in fs.attrs:
+            if isinstance(v, FStructure):
+                parts.append(f"\n{inner}({attr} {go(v, inner)})")
+            else:
+                parts.append(f"\n{inner}({attr} \"{v}\")")
+        return "".join(parts) + ")"
+
+    out = go(doc.root, "")
+    for link in doc.links:
+        out += f"\n(ant {link.pronoun} {link.antecedent})"
+    return out + "\n"
+
+
+class InconsistentSubst(GlueError):
+    def __init__(self, name):
+        self.name = name
+        super().__init__(f"variable {name} received conflicting bindings")
+
+
+def unify(equations, classes=None, subst=None):
+    """Most general unifier of the meaning-term equations within the pattern
+    fragment, or None when rigid heads clash or a check fails."""
+    su = subst or Substitution()
+    classes = classes or VarClass()
+    for l, r in equations:
+        su = solve(su, l, r, classes)
+        if su is None:
+            return None
+    return su
+
+
+def compose(s1, s2):
+    """compose(s1, s2).nf(t) == s2.nf(s1.nf(t))."""
+    terms = {}
+    for k, v in s1.terms.items():
+        terms[k] = s2.nf(v)
+    for k, v in s2.terms.items():
+        if k in terms:
+            if not alpha_equal(terms[k], s2.nf(v)):
+                raise InconsistentSubst(k)
+        else:
+            terms[k] = v
+    sems = {}
+    for k, v in s1.sems.items():
+        sems[k] = s2.walk_sem(v)
+    for k, v in s2.sems.items():
+        if k in sems:
+            if sems[k] != s2.walk_sem(v):
+                raise InconsistentSubst(k)
+        else:
+            sems[k] = v
+    return Substitution(terms, sems)

@@ -20,14 +20,17 @@ from gluesem.prover import (
     prove_sequent,
     readings_for_document,
 )
-from gluesem.terms import normalize, parse_term, print_term, typecheck
+from gluesem.terms import normalize, print_term
 
 from helpers import (
     RANDOM_SIGNATURE,
     free_named_terms,
     mill_provable,
+    parse_term,
     random_reduction,
     random_term,
+    typecheck,
+    unify,
 )
 
 LEX = load_lexicon("corpus/lexicon.glue")
@@ -248,7 +251,7 @@ def test_criterion_10c_unifier_soundness_and_generality():
             app,
             free_meta_vars,
         )
-        from gluesem.unify import EIGEN, FLEX, Substitution, VarClass, unify
+        from gluesem.unify import EIGEN, FLEX, Substitution, VarClass
 
         rng = random.Random(140699)
         solved = 0
@@ -310,8 +313,8 @@ def test_criterion_10d_linearity_accounting():
                 seen = []
 
                 def walk(n):
-                    if n.rule in ("Identity", "TensorL"):
-                        seen.append(int(n.info.rsplit("#", 1)[1]))
+                    if n.rid is not None:  # an Identity or TensorL node
+                        seen.append(n.rid)
                     for c in n.children:
                         walk(c)
 

@@ -1,12 +1,19 @@
 """Command-line driver tests: exit codes, golden outputs, JSON round trips."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import gluesem
 from gluesem.cli import main
 from gluesem.glue import load_lexicon
-from gluesem.terms import alpha_equal, parse_term
+from gluesem.terms import alpha_equal
+
+from helpers import parse_term
 
 GOLDEN_RUNS = [
     ("bah", [], 0),
@@ -166,6 +173,19 @@ def test_depth_budget_also_exits_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("limit,value", [("max-steps", "25"), ("max-depth", "4")])
+def test_exhaustion_names_the_limit(capsys, limit, value):
+    argv = readings_args("conversation-every-unicorn", [f"--{limit}", value])
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out.endswith("readings: 0\n")
+    assert err == f"warning: search budget exhausted ({limit}); results may be incomplete\n"
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 3
+    assert json.loads(out)["budget"]["limit"] == limit
+    code, out, _ = run(capsys, *readings_args("conversation-every-unicorn", ["--json"]))
+    assert code == 0 and json.loads(out)["budget"]["limit"] is None
+
+
 def test_prove_budget_exhaustion_exits_3(capsys):
     code, _, err = run(
         capsys, "prove", "--lexicon", "corpus/lexicon.glue",
@@ -253,3 +273,81 @@ def test_unreadable_input_is_an_input_error(capsys, tmp_path, option, kind):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err == f"error: {bad}: {reason}\n"
+
+
+PROVE_ARGS = ["prove", "--lexicon", "corpus/lexicon.glue", "--formula", "corpus/type-raising.glue"]
+
+
+def assert_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["bah"],
+    ["readings", "--lexicon", "corpus/lexicon.glue"],
+    ["prove", "--lexicon", "corpus/lexicon.glue"],
+    readings_args("bah", ["--bogus"]),
+    readings_args("bah", ["--lex", "corpus/lexicon.glue"]),  # no abbreviations
+    readings_args("bah", ["--formula", "corpus/type-raising.glue"]),
+    readings_args("bah", ["stray"]),
+    readings_args("bah", ["--max-steps", "many"]),
+    readings_args("bah", ["--max-steps"]),
+    readings_args("bah", ["--trace=yes"]),
+], ids=["none", "no-command", "missing-readings-flag", "missing-prove-flag", "unknown-flag",
+        "abbreviated-flag", "other-command-flag", "positional", "non-integer", "no-value",
+        "flag-with-value"])
+def test_usage_errors_are_input_errors(capsys, argv):
+    assert_usage_error(capsys, argv)
+
+
+@pytest.mark.parametrize("flag", ["--max-steps", "--max-depth"])
+@pytest.mark.parametrize("command", ["readings", "prove"])
+def test_negative_budgets_are_input_errors(capsys, command, flag):
+    base = readings_args("bah") if command == "readings" else PROVE_ARGS
+    assert_usage_error(capsys, [*base, flag, "-1"])
+    assert_usage_error(capsys, [*base, f"{flag}=-1"])
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["readings", "-h"], PROVE_ARGS + ["--help"]])
+def test_help_exits_0(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage:") and "glue readings --fstructure" in out
+
+
+def test_help_survives_stripped_docstrings():
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(pathlib.Path(gluesem.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-OO", "-m", "gluesem.cli", "--help"],
+                         capture_output=True, text=True, env=env)
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout.startswith("usage:")
+
+
+def test_option_values_may_follow_an_equals_sign(capsys):
+    code, out, _ = run(capsys, "readings", "--fstructure=corpus/bah.fstr",
+                       "--lexicon=corpus/lexicon.glue", "--max-steps=100")
+    assert code == 0
+    with open("corpus/golden/bah.out", encoding="utf-8") as fh:
+        assert out == fh.read()
+
+
+def test_readings_import_neither_argparse_nor_json():
+    # -S: only what the package itself imports, not site customisations
+    src = str(pathlib.Path(gluesem.__file__).resolve().parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); from gluesem.cli import main; "
+        "code = main(['readings', '--fstructure', 'corpus/seeks-a-unicorn.fstr', "
+        "'--lexicon', 'corpus/lexicon.glue']); "
+        "print(code, sorted(m for m in ('argparse', 'json') if m in sys.modules))"
+    )
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    lines = out.stdout.splitlines()
+    assert lines[-2] == "readings: 2"
+    assert lines[-1] == "0 []"

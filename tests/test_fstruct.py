@@ -10,11 +10,12 @@ from gluesem.fstruct import (
     NoAntecedent,
     SemStruct,
     parse_fstructure,
-    print_fstructure,
     resolve,
     sigma,
     sigma_ant,
 )
+
+from helpers import print_fstructure
 
 BAH = """
 ; Bill appointed Hillary.

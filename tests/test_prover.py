@@ -17,6 +17,7 @@ from gluesem.glue import (
     parse_formula_document,
     premises,
 )
+from gluesem import prover
 from gluesem.prover import (
     Prover,
     SearchBudget,
@@ -38,7 +39,7 @@ from gluesem.terms import (
     App,
 )
 
-from helpers import mill_provable
+from helpers import mill_provable, typecheck
 
 A = PropAtom("A")
 B = PropAtom("B")
@@ -235,7 +236,7 @@ def test_each_reading_is_closed_normal_and_propositional():
     ]:
         result, _ = readings_for_document(doc_for(name), lex)
         for r in result.readings:
-            from gluesem.terms import free_vars, normalize, typecheck
+            from gluesem.terms import free_vars, normalize
 
             assert not free_vars(r.term)
             assert normalize(r.term) == r.term
@@ -248,6 +249,27 @@ def test_derivations_are_retained_and_traceable():
     assert "Identity" in trace
     assert "appointed[f]" in trace
     assert "LimpL" in trace
+
+
+def test_trace_text_is_made_only_when_rendered(monkeypatch):
+    calls = []
+    real = prover.print_formula
+    monkeypatch.setattr(prover, "print_formula", lambda f: calls.append(f) or real(f))
+    result, _ = readings_for_document(doc_for("conversation-every-unicorn"), LEX)
+    assert calls == []
+    limps = []
+
+    def walk(n):
+        if n.rule == "LimpL":
+            limps.append(n)
+        for c in n.children:
+            walk(c)
+
+    walk(result.readings[0].derivation)
+    lines = render_trace(result.readings[0].derivation).splitlines()
+    assert limps and [l.strip() for l in lines if l.strip().startswith("LimpL:")] == [
+        f"LimpL: {real(n.ant)}" for n in limps
+    ]
 
 
 def test_determinism_across_runs():

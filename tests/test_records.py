@@ -3,7 +3,6 @@ structures: slotted instances, positional match patterns in constructor
 order, equality that hashes consistently and never crosses classes, and a
 repr that tells unequal terms apart (tests/helpers.py deduplicates by it)."""
 
-import importlib
 import inspect
 import os
 import pathlib
@@ -14,7 +13,7 @@ import sys
 import pytest
 
 import gluesem
-from gluesem import fstruct, glue, prover, terms
+from gluesem import fstruct, glue, prover, terms, unify
 from gluesem.fstruct import SemStruct, SemVar
 from gluesem.glue import Forall, Limp, Means, PropAtom, SigmaPath, Tensor
 from gluesem.terms import (
@@ -30,14 +29,12 @@ from gluesem.terms import (
     MetaVar,
     Record,
     T,
-    TVar,
     Var,
     normalize,
 )
 
-from helpers import random_term
-
-unify = importlib.import_module("gluesem.unify")  # the package exports a function of that name
+import helpers
+from helpers import TVar, random_term
 
 # one instance of every node class, built twice so that equal objects are
 # never the same object
@@ -75,7 +72,8 @@ def all_records():
 
 
 def test_every_record_class_is_in_the_package():
-    modules = {terms, fstruct, glue, prover, unify}
+    # helpers: TVar, the type variable of the reference typechecker
+    modules = {terms, fstruct, glue, prover, unify, helpers}
     found = {cls for cls in all_records() if sys.modules[cls.__module__] in modules}
     assert set(NODES) <= found
     # the remaining records: lexicon, document and search bookkeeping

@@ -24,15 +24,19 @@ from gluesem.terms import (
     arrow,
     free_vars,
     normalize,
-    parse_term,
     parse_type,
     print_term,
     standard_context,
+)
+
+from helpers import (
+    RANDOM_SIGNATURE,
+    parse_term,
+    random_reduction,
+    random_term,
     substitute,
     typecheck,
 )
-
-from helpers import RANDOM_SIGNATURE, random_reduction, random_term
 
 CTX = standard_context()
 

@@ -27,22 +27,23 @@ from gluesem.terms import (
 from gluesem.unify import (
     EIGEN,
     FLEX,
-    InconsistentSubst,
     NonPatternError,
     Substitution,
     VarClass,
-    compose,
     solve_sem,
-    unify,
 )
 
 from helpers import (
     RANDOM_SIGNATURE,
+    InconsistentSubst,
+    compose,
     free_named_terms,
     random_term,
     reference_bind_vars,
     reference_nf,
     reference_normalize,
+    typecheck,
+    unify,
 )
 
 APPOINT = Const("appoint", arrow(E, E, T))
@@ -291,8 +292,6 @@ def _random_pattern_problem(rng):
         return app(CONVINCE, build_e(depth - 1), build_e(depth - 1))
 
     rhs = build_t(3) if rng.random() < 0.6 else build_e(3)
-    from gluesem.terms import typecheck
-
     rty = typecheck(rhs, {})
     f = MetaVar("F", arrow(*([v.ty for v in args] + [rty])))
     lhs = app(f, *args)
