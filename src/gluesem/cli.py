@@ -132,6 +132,7 @@ def _run_readings(opts) -> int:
                 "max_depth": budget.max_depth,
                 "steps_used": stats.steps,
                 "head_rejects": stats.head_rejects,
+                "equations": stats.equations,
                 "exhausted": stats.exhausted,
                 "limit": stats.limit,
             },

@@ -2,12 +2,22 @@
 
 The search is goal-directed: invertible rules (PiR, LimpR, TensorL) are
 applied eagerly, and when the goal is atomic one context formula is focused
-and decomposed down to its head, which must unify with the goal.  Context
+and decomposed down to its head, which must match the goal.  Context
 splitting is threaded lazily: each subproof consumes what it needs from the
 resources it is handed and returns the leftovers, and a proof of the whole
 sequent is one that leaves nothing over.  Universals focused on the left
 introduce fresh flex variables; universals proved on the right introduce
 fresh eigenvariables whose scope is policed by the unifier's timestamps.
+
+A proof fixes its meaning (the Curry-Howard reading of glue: Dalrymple,
+Gupta, Lamping & Saraswat 1999), so meanings are solved in a second phase.
+The search matches a focused head against an atomic goal by type and
+semantic structure only and records their meaning equation, unsolved, on the
+substitution.  Once a proof leaves nothing over, its equations are solved in
+the order they were made, reusing the solutions of those it shares with the
+previous proof: each equation on a complete proof is solved once, and none
+on a dead branch.  A proof whose equations fail is dropped, and only an
+equation on a complete proof can raise NonPatternError.
 
 Focusing is indexed by head.  When a resource is made, the atom a focus on
 it would end at (after stripping its quantifiers and implications) is
@@ -18,7 +28,7 @@ resource whose signature cannot unify with it (a type clash, an atom of the
 other kind, or two rigid structures that differ under the current
 substitution) before any quantifier is instantiated, so such a resource
 costs no search step.  This is the head filter of Hepple's (1996)
-first-order compilation; it rejects only what the unifier would reject.
+first-order compilation; it rejects only what the atom match would reject.
 
 Readings are the normalized meaning terms of the goal structure across all
 proofs, deduplicated up to renaming of bound variables.
@@ -148,15 +158,16 @@ class Reading(Record):
 
 
 class SearchStats(Record):
-    __slots__ = ("steps", "proofs", "head_rejects", "limit")
+    __slots__ = ("steps", "proofs", "head_rejects", "equations", "limit")
     __hash__ = None  # counts grow during the search
 
-    # head_rejects: resources skipped by the head filter; limit: the budget
-    # limit that ran out, "max-steps" or "max-depth", or None
+    # head_rejects: resources skipped by the head filter; equations: meaning
+    # equations solved on complete proofs; limit: the budget limit that ran
+    # out, "max-steps" or "max-depth", or None
     def __init__(self, steps: int = 0, proofs: int = 0, head_rejects: int = 0,
-                 limit: Optional[str] = None):
+                 equations: int = 0, limit: Optional[str] = None):
         self.steps, self.proofs, self.head_rejects = steps, proofs, head_rejects
-        self.limit = limit
+        self.equations, self.limit = equations, limit
 
     @property
     def exhausted(self) -> bool:
@@ -397,9 +408,7 @@ class Prover:
         if f.ty != goal.ty:
             return None  # the type subscript of the meaning relation must agree
         su2 = solve_sem(su, f.sem, goal.sem, self.classes)
-        if su2 is None:
-            return None
-        return solve(su2, f.term, goal.term, self.classes)
+        return None if su2 is None else su2.defer(f.term, goal.term)
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +432,42 @@ def check_linearity(d: Derivation, ctx: tuple[Resource, ...]) -> None:
     assert premise_rids <= set(seen), "a premise escaped consumption"
 
 
+def _complete_proofs(
+    prover: Prover, ctx: tuple[Resource, ...], goal: GlueFormula
+) -> Iterator[tuple[Substitution, Derivation]]:
+    """The proofs of ctx |- goal that consume every resource and whose
+    meaning equations have a solution, with that solution."""
+    # the previous proof's equations, oldest first, each with the solution of
+    # it and all older ones (None from the first that fails).  Depth-first
+    # search completes the proofs below one equation one after another, so
+    # an equation the current proof does not share is never needed again.
+    solved: list[tuple[Optional[tuple], Optional[Substitution]]] = [(None, Substitution())]
+    for su, leftover, d in prover.prove(Substitution(), ctx, goal, 0):
+        if leftover:
+            continue
+        if su.eqs is not None:
+            cells, cell = [], su.eqs
+            while cell is not None:
+                cells.append(cell)
+                cell = cell[2]
+            cells.reverse()
+            n = 1  # keep what this proof shares with the previous one
+            while n < len(solved) and n <= len(cells) and solved[n][0] is cells[n - 1]:
+                n += 1
+            del solved[n:]
+            out = solved[-1][1]
+            for cell in cells[n - 1 :]:
+                if out is None:
+                    break
+                prover.stats.equations += 1
+                out = solve(out, cell[0], cell[1], prover.classes)
+                solved.append((cell, out))
+            if out is None:
+                continue
+            su = Substitution(out.terms, su.sems, out._memo)
+        yield su, d
+
+
 def prove_sequent(
     sequent: Sequent, budget: SearchBudget = SearchBudget()
 ) -> Iterator[tuple[Substitution, Derivation]]:
@@ -432,10 +477,7 @@ def prove_sequent(
         prover._resource(f, i, f"ctx{i}")
         for i, f in enumerate(sequent.context)
     )
-    for su, leftover, d in prover.prove(Substitution(), ctx, sequent.goal, 0):
-        if leftover:
-            continue
-        yield su, d
+    yield from _complete_proofs(prover, ctx, sequent.goal)
 
 
 def check_theorem(
@@ -475,9 +517,7 @@ def enumerate_readings(
     found: dict[str, Reading] = {}
     stats = prover.stats
     try:
-        for su, leftover, d in prover.prove(Substitution(), ctx, goal, 0):
-            if leftover:
-                continue
+        for su, d in _complete_proofs(prover, ctx, goal):
             stats.proofs += 1
             check_linearity(d, ctx)
             term = extract_meaning(su, goal_var)

@@ -120,14 +120,19 @@ class Substitution:
     application is idempotent: applying twice equals applying once.  Each
     substitution memoizes the fully applied normal form of every binding it
     resolves.  A child made by `bind` may resolve a chain differently, so it
-    starts with only its new binding; one made by `bind_sem` keeps the same
-    term bindings and shares the memo.
+    starts with only its new binding; one made by `bind_sem` or `defer` keeps
+    the same term bindings and shares the memo.
+
+    `eqs` holds the meaning equations recorded by `defer` and not yet
+    solved, newest first, as a persistent list of `(left, right, older)`
+    cells: substitutions that extend one another share their common tail.
     """
 
-    def __init__(self, terms=None, sems=None, memo=None):
+    def __init__(self, terms=None, sems=None, memo=None, eqs=None):
         self.terms: dict[str, MeaningTerm] = terms or {}
         self.sems: dict[str, SemTerm] = sems or {}
         self._memo: dict[str, MeaningTerm] = memo if memo is not None else {}
+        self.eqs: Optional[tuple] = eqs
 
     def __repr__(self):
         from .terms import print_term
@@ -163,13 +168,17 @@ class Substitution:
         terms = dict(self.terms)
         terms[name] = value
         # `value` mentions no bound variable, so it is its own normal form
-        return Substitution(terms, self.sems, {name: value})
+        return Substitution(terms, self.sems, {name: value}, self.eqs)
 
     def bind_sem(self, name: str, value: SemTerm) -> "Substitution":
         value = self.walk_sem(value)
         sems = dict(self.sems)
         sems[name] = value
-        return Substitution(self.terms, sems, self._memo)
+        return Substitution(self.terms, sems, self._memo, self.eqs)
+
+    def defer(self, l: MeaningTerm, r: MeaningTerm) -> "Substitution":
+        """This substitution with the equation l = r recorded, unsolved."""
+        return Substitution(self.terms, self.sems, self._memo, (l, r, self.eqs))
 
 
 # ---------------------------------------------------------------------------

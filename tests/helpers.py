@@ -3,7 +3,9 @@
 Nothing in the oracles goes through the package's proof-search or
 unification code paths: the sequent decision procedure enumerates multiset
 splits directly, the term enumerator builds normal forms by brute force and
-the reference typechecker infers types by unification.  The surface-syntax
+the reference typechecker infers types by unification.  The eager prover
+solves each meaning equation where the search makes it, as the prover did
+before it deferred them to complete proofs.  The surface-syntax
 term parser, named substitution, f-structure printing and equation-list
 unification live here too: only tests use them, so the package does not
 ship them.
@@ -15,8 +17,9 @@ import itertools
 import random
 import re
 
+from gluesem import prover
 from gluesem.fstruct import FStructure
-from gluesem.glue import Limp, PropAtom, Tensor
+from gluesem.glue import Limp, Means, PropAtom, Tensor
 from gluesem.terms import (
     Abs,
     App,
@@ -41,7 +44,7 @@ from gluesem.terms import (
     print_term,
     subst_map,
 )
-from gluesem.unify import Substitution, VarClass, solve
+from gluesem.unify import Substitution, VarClass, solve, solve_sem
 
 # ---------------------------------------------------------------------------
 # Brute-force decision procedure for the propositional tensor fragment.
@@ -111,6 +114,42 @@ def _mill(ctx, goal, memo) -> bool:
                 ):
                     return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# Eager reference prover: the differential oracle for deferred meanings.
+
+
+class EagerProver(prover.Prover):
+    """Solves the meaning equation at every atom match, so a failing equation
+    prunes its branch where it is made and none is left for the end."""
+
+    def _unify_atoms(self, su, f, goal):
+        if isinstance(f, PropAtom) and isinstance(goal, PropAtom):
+            return su if f.name == goal.name else None
+        if not (isinstance(f, Means) and isinstance(goal, Means)) or f.ty != goal.ty:
+            return None
+        su2 = solve_sem(su, f.sem, goal.sem, self.classes)
+        return None if su2 is None else solve(su2, f.term, goal.term, self.classes)
+
+
+def with_prover(cls, run):
+    """`run()` with every prover the package's entry points make being a
+    `cls`; returns its result and the last prover's stats."""
+    made = []
+
+    class Recording(cls):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    shipped = prover.Prover
+    prover.Prover = Recording
+    try:
+        result = run()
+    finally:
+        prover.Prover = shipped
+    return result, made[-1].stats
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,31 @@ def test_prove_underivable_exits_2(capsys, tmp_path):
     assert out.strip() == "not provable"
 
 
+def test_prove_meaning_clash_exits_2(capsys, tmp_path):
+    # structures and types match; only the meanings Bill and Hillary clash
+    f = tmp_path / "clash.glue"
+    f.write_text("(forall ((G sem)) (limp (means G Bill e) (means G Hillary e)))")
+    code, out, _ = run(capsys, "prove", "--lexicon", "corpus/lexicon.glue",
+                       "--formula", str(f))
+    assert (code, out) == (2, "not provable\n")
+
+
+def test_non_pattern_meaning_is_an_input_error(capsys, tmp_path):
+    # the only proof equates the goal meaning with P(X): P applied to a
+    # unification variable lies outside the pattern fragment
+    lex = tmp_path / "odd.glue"
+    lex.write_text(
+        '(entry "Bill" NP (trigger PRED) (constructor (means (sig up) Bill e)))\n'
+        '(entry "sleep" V (trigger PRED) (constructor (forall ((X e) (P (-> e t)))\n'
+        '  (limp (means (sig (path up SUBJ)) X e) (means (sig up) (P X) t)))))\n'
+    )
+    fstr = tmp_path / "sleeps.fstr"
+    fstr.write_text('(fstruct f (PRED "sleep") (SUBJ (fstruct g (PRED "Bill"))))')
+    code, out, err = run(capsys, "readings", "--fstructure", str(fstr), "--lexicon", str(lex))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "pattern" in err and err.count("\n") == 1
+
+
 def test_prove_linear_identity(capsys, tmp_path):
     f = tmp_path / "id.glue"
     f.write_text("(limp (atom A) (atom A))")
@@ -88,6 +113,7 @@ def test_json_round_trip(capsys):
     assert payload["count"] == 2
     assert payload["budget"]["exhausted"] is False
     assert payload["budget"]["head_rejects"] > 0
+    assert 0 < payload["budget"]["equations"] < payload["budget"]["steps_used"]
     assert len(payload["premises"]) == 4
     lex = load_lexicon("corpus/lexicon.glue")
     for text in payload["readings"]:

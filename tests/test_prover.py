@@ -39,7 +39,7 @@ from gluesem.terms import (
     App,
 )
 
-from helpers import mill_provable, typecheck
+from helpers import EagerProver, mill_provable, typecheck, with_prover
 
 A = PropAtom("A")
 B = PropAtom("B")
@@ -226,6 +226,109 @@ def test_head_filter_rejects_only_failing_focuses(monkeypatch):
         assert (on.proofs, on_texts) == (off.proofs, off_texts), name
         assert on.steps < off.steps, name
         assert on.head_rejects > 0 and off.head_rejects == 0, name
+
+
+def scope_doc(dets, noun="unicorn"):
+    """Bill seeks D0 conversation with D1 conversation with ... Dk noun."""
+    k = len(dets) - 1
+    inner = f'(fstruct n{k} (SPEC "{dets[k]}") (PRED "{noun}"))'
+    for i in reversed(range(k)):
+        inner = f'(fstruct n{i} (SPEC "{dets[i]}") (PRED "conversation") (OBL-WITH {inner}))'
+    return parse_fstructure(
+        f'(fstruct f (PRED "seek") (SUBJ (fstruct g (PRED "Bill"))) (OBJ {inner}))'
+    )
+
+
+def rule_tree(d):
+    return d.rule, d.rid, tuple(rule_tree(c) for c in d.children)
+
+
+def readings_run(prems, goal_sem, goal_type=T):
+    def run():
+        result = enumerate_readings(prems, goal_sem, goal_type=goal_type)
+        return [(r.text, rule_tree(r.derivation)) for r in result.readings]
+
+    return run
+
+
+def sequent_run(sequent):
+    return lambda: [rule_tree(d) for _, d in prove_sequent(sequent)]
+
+
+_DETS = ("a", "every", "the")
+_gs, _hs, _ks = SemStruct("g", ROOT), SemStruct("h", ROOT), SemStruct("k", ROOT)
+_Y, _Z = MetaVar("Y", E), MetaVar("Z", E)
+_BILL, _HILLARY = (Means(_gs, Const(n, E), E) for n in ("Bill", "Hillary"))
+# structure and type match everywhere, but the meaning equations fail
+REJECTED = [
+    # Bill = Hillary: a constant clash
+    sequent_run(Sequent((_BILL,), _HILLARY)),
+    # the same clash at a focus whose antecedent the skeleton search goes on
+    # to prove
+    sequent_run(Sequent((Limp(A, _BILL), A), _HILLARY)),
+    # the goal meaning, made before the eigenvariable x, would have to be x:
+    # Y := M, Z := Y, then M = x lets x escape its scope
+    readings_run(
+        [
+            Premise("p", "h", Forall("Y", E, Limp(
+                Forall("x", E, Limp(Means(_ks, MetaVar("x", E), E), Means(_gs, _Y, E))),
+                Means(_hs, _Y, E)))),
+            Premise("q", "g", Forall("Z", E, Limp(Means(_ks, _Z, E), Means(_gs, _Z, E)))),
+        ],
+        _hs,
+        E,
+    ),
+]
+
+
+def test_deferred_meanings_match_the_eager_prover():
+    # every shipped input: the same proofs, readings, derivations and steps
+    # as solving each meaning equation where the search makes it
+    runs = []
+    for name in CORPUS:
+        for lex in (LEX, LEX_EXT):
+            doc = doc_for(name)
+            runs.append(readings_run(premises(doc, lex), SemStruct(doc.root.label, ROOT)))
+    for name, lex, n_modifiers in MODIFIED:
+        prems = premises(doc_for(name), lex) + [MODIFIER] * n_modifiers
+        runs.append(readings_run(prems, _fs))
+    for k in range(4):
+        for i in range(len(_DETS)):
+            doc = scope_doc([_DETS[(i + j) % len(_DETS)] for j in range(k + 1)])
+            runs.append(readings_run(premises(doc, LEX), SemStruct("f", ROOT)))
+    with open("corpus/type-raising.glue", encoding="utf-8") as fh:
+        raising = parse_formula_document(fh.read(), LEX.ctx)
+    runs.append(sequent_run(Sequent((), raising)))
+    for run in runs:
+        eager, eager_stats = with_prover(EagerProver, run)
+        deferred, stats = with_prover(Prover, run)
+        assert deferred == eager
+        assert (stats.proofs, stats.steps) == (eager_stats.proofs, eager_stats.steps)
+
+
+def test_failing_meaning_equations_drop_the_proof():
+    # the skeleton search finds these proofs; solving their meanings rejects
+    # them, as the eager prover does at the focus, in as many steps or more
+    extra = []
+    for run in REJECTED:
+        eager, eager_stats = with_prover(EagerProver, run)
+        deferred, stats = with_prover(Prover, run)
+        assert deferred == eager == []
+        assert stats.proofs == 0 and stats.equations > 0
+        extra.append(stats.steps - eager_stats.steps)
+    assert min(extra) >= 0 and max(extra) > 0
+    assert check_theorem(Limp(_BILL, _HILLARY))[0] is False
+    assert check_theorem(Limp(_BILL, _BILL))[0] is True
+
+
+def test_equations_count_the_meanings_solved(monkeypatch):
+    baseline = reading_texts("conversation-every-unicorn")
+    calls = []
+    real = prover.solve
+    monkeypatch.setattr(prover, "solve", lambda *args: calls.append(args) or real(*args))
+    result, _ = readings_for_document(doc_for("conversation-every-unicorn"), LEX)
+    assert [r.text for r in result.readings] == baseline
+    assert len(calls) == result.stats.equations < result.stats.steps
 
 
 def test_each_reading_is_closed_normal_and_propositional():
