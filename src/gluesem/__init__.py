@@ -52,7 +52,6 @@ from .terms import (
     normalize,
     parse_type,
     print_term,
-    standard_context,
 )
 from .unify import NonPatternError, Substitution, VarClass
 

@@ -13,7 +13,8 @@ from .glue import load_lexicon, parse_formula_document, print_formula
 from .prover import (
     BudgetExhausted,
     SearchBudget,
-    check_theorem,
+    Sequent,
+    prove_sequent,
     readings_for_document,
     render_trace,
 )
@@ -159,11 +160,10 @@ def _run_prove(opts) -> int:
     lexicon = _in_file(lpath, lambda: load_lexicon(lpath))
     formula = _in_file(fpath, lambda: parse_formula_document(_read(fpath), lexicon.ctx))
     budget = SearchBudget(opts["--max-steps"], opts["--max-depth"])
-    ok, derivation = check_theorem(formula, budget)
-    if ok:
+    for su, derivation in prove_sequent(Sequent((), formula), budget):
         print("provable")
-        if opts["--trace"] and derivation is not None:
-            print(render_trace(derivation))
+        if opts["--trace"]:
+            print(render_trace(derivation, su))
         return 0
     print("not provable")
     return 2

@@ -46,10 +46,6 @@ class SemStruct(Record):
     def __init__(self, owner: str, slot: str):
         self.owner, self.slot = owner, slot
 
-    def __eq__(self, other):
-        return (other.__class__ is SemStruct and self.owner == other.owner
-                and self.slot == other.slot)
-
     def __repr__(self):
         return f"{self.owner}_s" if self.slot == ROOT else f"({self.owner}_s {self.slot})"
 
@@ -61,9 +57,6 @@ class SemVar(Record):
 
     def __init__(self, name: str):
         self.name = name
-
-    def __eq__(self, other):
-        return other.__class__ is SemVar and self.name == other.name
 
     def __repr__(self):
         return self.name

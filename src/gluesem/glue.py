@@ -42,12 +42,13 @@ from .terms import (
     Record,
     TypingContext,
     elaborate,
-    standard_context,
-    subst_map,
+    free_vars,
+    normalize_with,
 )
 from .unify import Substitution
 
 SEM = "sem"  # binder kind for quantification over semantic structures
+VARIANTS = ("intensional", "extensional")  # indexed by `extensional`
 
 
 class NoEntry(GlueError):
@@ -85,10 +86,6 @@ class Means(Record):
 
     def __init__(self, sem: Union[SemTerm, SigmaPath], term: MeaningTerm, ty: MeaningType):
         self.sem, self.term, self.ty = sem, term, ty
-
-    def __eq__(self, other):
-        return (other.__class__ is Means and self.sem == other.sem and self.ty == other.ty
-                and (self.term is other.term or self.term == other.term))
 
 
 class PropAtom(Record):
@@ -137,10 +134,15 @@ def map_formula(f: GlueFormula, on_means) -> GlueFormula:
 
 
 def inst_term_var(f: GlueFormula, name: str, value: MeaningTerm) -> GlueFormula:
-    """Replace the quantified meaning variable `name` throughout."""
-    return map_formula(
-        f, lambda m: Means(m.sem, subst_map(m.term, {name: value}), m.ty)
-    )
+    """Replace the quantified meaning variable `name` throughout by the atom
+    `value`; an atom whose normal term does not mention `name` is kept."""
+    resolve = lambda n: value if n == name else None
+
+    def on_means(m):
+        term = normalize_with(m.term, resolve)
+        return m if term is m.term else Means(m.sem, term, m.ty)
+
+    return map_formula(f, on_means)
 
 
 def inst_sem_var(f: GlueFormula, name: str, value: SemTerm) -> GlueFormula:
@@ -167,7 +169,7 @@ def formula_free_vars(f: GlueFormula, bound=frozenset()) -> set[str]:
     variables) of a formula."""
     match f:
         case Means(sem, term, _):
-            out = {n for n in terms.free_meta_vars(term) if n not in bound}
+            out = free_vars(term) - bound
             if isinstance(sem, SemVar) and sem.name not in bound:
                 out.add(sem.name)
             return out
@@ -240,11 +242,37 @@ def _expect_list(node, what):
     return val, line
 
 
+def _form(node, usage: str):
+    """The parts and line of the list `node`, whose synopsis is `usage`: one
+    part per word, where a [WORD] is optional and a trailing ... allows any
+    number more.  Any other length is an error quoting the synopsis."""
+    lst, line = _expect_list(node, usage)
+    words = usage.count(" ") + 1
+    more = usage.endswith("...)")
+    if len(lst) < words - usage.count("[") - more or len(lst) > words and not more:
+        raise FStructError(f"expected {usage}", line)
+    return lst, line
+
+
+def _head(lst, line, what):
+    """The symbol that opens the form `lst`."""
+    if not lst:
+        raise FStructError(f"expected {what}", line)
+    return symbol(lst[0], what)
+
+
 def _string(node, what):
     val, line = node
     if not isinstance(val, str) or not val.startswith('"'):
         raise FStructError(f"expected quoted {what}", line)
     return val[1:]
+
+
+def _variant(node) -> str:
+    lst, line = _form(node, "(variant NAME)")
+    if symbol(lst[0], "variant") != "variant" or lst[1][0] not in VARIANTS:
+        raise FStructError("expected (variant intensional) or (variant extensional)", line)
+    return lst[1][0]
 
 
 def _parse_type_sexp(node) -> Union[MeaningType, str]:
@@ -255,10 +283,12 @@ def _parse_type_sexp(node) -> Union[MeaningType, str]:
         if val in ("e", "t", "s"):
             return Base(val)
         raise FStructError(f"unknown type {val!r}", line)
-    if not val or symbol(val[0], "->") != "->":
-        raise FStructError("expected (-> T T ...)", line)
+    usage = "(-> TYPE TYPE ...)"
+    _form(node, usage)
+    if symbol(val[0], usage) != "->":
+        raise FStructError(f"expected {usage}", line)
     tys = [_parse_type_sexp(n) for n in val[1:]]
-    if len(tys) < 2 or any(t == SEM for t in tys):
+    if SEM in tys:
         raise FStructError("bad arrow type", line)
     return terms.arrow(*tys)
 
@@ -269,21 +299,19 @@ def _parse_sem_sexp(node, binders) -> Union[SigmaPath, SemVar]:
         if binders.get(val) == SEM:
             return SemVar(val)
         raise FStructError(f"unbound structure variable {val!r}", line)
-    if not val:
-        raise FStructError("empty sigma term", line)
-    head = symbol(val[0], "sigma operator")
+    head = _head(val, line, "sigma operator")
     if head == "sig":
-        if len(val) != 2:
-            raise FStructError("(sig F) takes one argument", line)
-        fval, fline = val[1]
-        if fval == "up":
+        _form(node, "(sig F)")
+        if val[1][0] == "up":
             return SigmaPath((), ROOT)
-        flist, _ = _expect_list(val[1], "(path up ATTR ...)")
-        if not flist or symbol(flist[0], "path") != "path" or symbol(flist[1], "up") != "up":
-            raise FStructError("expected (path up ATTR ...)", fline)
+        usage = "(path up [ATTR] ...)"
+        flist, fline = _form(val[1], usage)
+        if symbol(flist[0], usage) != "path" or symbol(flist[1], usage) != "up":
+            raise FStructError(f"expected {usage}", fline)
         attrs = tuple(symbol(n, "attribute").upper() for n in flist[2:])
         return SigmaPath(attrs, ROOT)
     if head in ("svar", "srestr", "sant"):
+        _form(node, f"({head} SIGMA)")
         inner = _parse_sem_sexp(val[1], binders)
         if not isinstance(inner, SigmaPath) or inner.slot != ROOT:
             raise FStructError(f"({head} ...) needs a (sig ...) argument", line)
@@ -306,14 +334,13 @@ def _parse_term_sexp(node, binders, lam_bound) -> MeaningTerm:
     if not val:
         raise FStructError("empty term", line)
     head_val = val[0][0]
-    if head_val == "cap":
-        return terms.Cap(_parse_term_sexp(val[1], binders, lam_bound))
-    if head_val == "cup":
-        return terms.Cup(_parse_term_sexp(val[1], binders, lam_bound))
+    if head_val in ("cap", "cup"):
+        _form(node, f"({head_val} TERM)")
+        body = _parse_term_sexp(val[1], binders, lam_bound)
+        return terms.Cap(body) if head_val == "cap" else terms.Cup(body)
     if head_val == "lam":
-        blist, bline = _expect_list(val[1], "(var TYPE)")
-        if len(blist) != 2:
-            raise FStructError("lambda binder is (var TYPE)", bline)
+        _form(node, "(lam BINDER BODY)")
+        blist, bline = _form(val[1], "(VAR TYPE)")
         name = symbol(blist[0], "variable")
         ty = _parse_type_sexp(blist[1])
         if ty == SEM:
@@ -324,23 +351,28 @@ def _parse_term_sexp(node, binders, lam_bound) -> MeaningTerm:
     return terms.app(fn, *[_parse_term_sexp(n, binders, lam_bound) for n in val[1:]])
 
 
+_CONNECTIVES = {
+    "forall": "(forall BINDERS BODY)",
+    "limp": "(limp ANT CONS)",
+    "tensor": "(tensor A B ...)",
+    "means": "(means SEM TERM TYPE)",
+    "atom": "(atom NAME)",
+}
+
+
 def parse_formula_sexp(node, binders=None) -> GlueFormula:
     """Parse a glue formula from its s-expression form."""
     binders = dict(binders or {})
-    val, line = node
-    lst, _ = _expect_list(node, "glue formula")
-    if not lst:
-        raise FStructError("empty formula", line)
-    head = symbol(lst[0], "connective")
+    lst, line = _expect_list(node, "glue formula")
+    head = _head(lst, line, "connective")
+    if head not in _CONNECTIVES:
+        raise FStructError(f"unknown connective {head!r}", line)
+    _form(node, _CONNECTIVES[head])
     if head == "forall":
         blist, _ = _expect_list(lst[1], "binder list")
-        if len(lst) != 3:
-            raise FStructError("(forall BINDERS BODY)", line)
         names = []
         for b in blist:
-            pair, bline = _expect_list(b, "(VAR TYPE)")
-            if len(pair) != 2:
-                raise FStructError("binder is (VAR TYPE)", bline)
+            pair, bline = _form(b, "(VAR TYPE)")
             name = symbol(pair[0], "variable")
             if name in binders:
                 raise FStructError(f"shadowed quantifier variable {name}", bline)
@@ -351,31 +383,23 @@ def parse_formula_sexp(node, binders=None) -> GlueFormula:
             body = Forall(name, binders[name], body)
         return body
     if head == "limp":
-        if len(lst) != 3:
-            raise FStructError("(limp ANT CONS)", line)
         return Limp(
             parse_formula_sexp(lst[1], binders), parse_formula_sexp(lst[2], binders)
         )
     if head == "tensor":
-        if len(lst) < 3:
-            raise FStructError("(tensor A B ...)", line)
         parts = [parse_formula_sexp(n, binders) for n in lst[1:]]
         out = parts[-1]
         for p in reversed(parts[:-1]):
             out = Tensor(p, out)
         return out
     if head == "means":
-        if len(lst) != 4:
-            raise FStructError("(means SEM TERM TYPE)", line)
         sem = _parse_sem_sexp(lst[1], binders)
         ty = _parse_type_sexp(lst[3])
         if ty == SEM:
             raise FStructError("atom type cannot be sem", line)
         term = _parse_term_sexp(lst[2], binders, [])
         return Means(sem, term, ty)
-    if head == "atom":
-        return PropAtom(symbol(lst[1], "atom name"))
-    raise FStructError(f"unknown connective {head!r}", line)
+    return PropAtom(symbol(lst[1], "atom name"))
 
 
 def _check_template(entry_name: str, f: GlueFormula, ctx: TypingContext) -> GlueFormula:
@@ -398,18 +422,27 @@ def _check_template(entry_name: str, f: GlueFormula, ctx: TypingContext) -> Glue
     return map_formula(f, on_means)
 
 
+_CLAUSES = {
+    "trigger": "(trigger ATTR [VALUE])",
+    "variant": "(variant NAME)",
+    "syn": "(syn SIGMA VALUE)",
+    "constructor": "(constructor FORMULA)",
+}
+
+
 def parse_lexicon(text: str, extensional: bool = False) -> Lexicon:
-    """Parse a lexicon document.  Entries carrying a (variant ...) tag other
-    than the selected one are skipped; (const NAME TYPE) forms extend the
-    typing context."""
-    variant = "extensional" if extensional else "intensional"
-    ctx = standard_context(extensional)
+    """Parse a lexicon document.  (const NAME TYPE) forms declare the
+    constants that constructors may use; entries and constants carrying a
+    (variant ...) tag other than the selected one are skipped."""
+    variant = VARIANTS[extensional]
+    ctx: TypingContext = {}
     sexps = read_sexps(text)
     for node in sexps:
         lst, line = _expect_list(node, "lexicon form")
         if lst and symbol(lst[0], "form") == "const":
-            if len(lst) != 3:
-                raise FStructError("(const NAME TYPE)", line)
+            _form(node, "(const NAME TYPE [VARIANT])")
+            if len(lst) == 4 and _variant(lst[3]) != variant:
+                continue
             name = symbol(lst[1], "constant name")
             ty = _parse_type_sexp(lst[2])
             if ty == SEM:
@@ -423,8 +456,7 @@ def parse_lexicon(text: str, extensional: bool = False) -> Lexicon:
         lst, line = _expect_list(node, "lexicon form")
         if not lst or symbol(lst[0], "form") != "entry":
             continue
-        if len(lst) < 4:
-            raise FStructError("(entry \"WORD\" CAT ... (constructor F))", line)
+        _form(node, '(entry "WORD" CAT CLAUSE ...)')
         headword = _string(lst[1], "headword")
         category = symbol(lst[2], "category")
         trigger_attr, trigger_value = "PRED", headword
@@ -433,7 +465,10 @@ def parse_lexicon(text: str, extensional: bool = False) -> Lexicon:
         template_node = None
         for part in lst[3:]:
             plist, pline = _expect_list(part, "entry clause")
-            tag = symbol(plist[0], "entry clause")
+            tag = _head(plist, pline, "entry clause")
+            if tag not in _CLAUSES:
+                raise FStructError(f"unknown entry clause {tag!r}", pline)
+            _form(part, _CLAUSES[tag])
             if tag == "trigger":
                 trigger_attr = symbol(plist[1], "attribute").upper()
                 if trigger_attr not in ("PRED", "SPEC"):
@@ -442,16 +477,12 @@ def parse_lexicon(text: str, extensional: bool = False) -> Lexicon:
                     _string(plist[2], "trigger value") if len(plist) > 2 else headword
                 )
             elif tag == "variant":
-                entry_variant = symbol(plist[1], "variant")
-                if entry_variant not in ("intensional", "extensional"):
-                    raise FStructError("variant is intensional or extensional", pline)
+                entry_variant = _variant(part)
             elif tag == "syn":
                 sem = _parse_sem_sexp(plist[1], {})
                 constraints.append((sem.fpath, _string(plist[2], "value")))
-            elif tag == "constructor":
-                template_node = plist[1]
             else:
-                raise FStructError(f"unknown entry clause {tag!r}", pline)
+                template_node = plist[1]
         if template_node is None:
             raise FStructError(f"entry {headword!r} has no constructor", line)
         if entry_variant is not None and entry_variant != variant:

@@ -39,6 +39,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Optional, Union
 
+from . import glue
 from .fstruct import ROOT, SemStruct, SemTerm, SemVar
 from .glue import (
     Forall,
@@ -131,21 +132,13 @@ class Derivation(Record):
     # consumed atom of an Identity leaf; fresh: the variables a PiL node
     # introduces; rid: the resource an Identity or TensorL node consumes;
     # ant: the antecedent a LimpL node proves, printed only by render_trace
-    __slots__ = ("rule", "info", "children", "consumed", "atom", "fresh", "rid", "ant")
+    __slots__ = ("rule", "info", "children", "atom", "fresh", "rid", "ant")
 
     def __init__(self, rule: str, info: str, children: tuple[Derivation, ...],
-                 consumed: frozenset[int], atom: Optional[GlueFormula] = None,
-                 fresh: tuple[str, ...] = (), rid: Optional[int] = None,
-                 ant: Optional[GlueFormula] = None):
-        self.rule, self.info, self.children, self.consumed = rule, info, children, consumed
+                 atom: Optional[GlueFormula] = None, fresh: tuple[str, ...] = (),
+                 rid: Optional[int] = None, ant: Optional[GlueFormula] = None):
+        self.rule, self.info, self.children = rule, info, children
         self.atom, self.fresh, self.rid, self.ant = atom, fresh, rid, ant
-
-    def __eq__(self, other):
-        return (other.__class__ is Derivation and self.rule == other.rule
-                and self.info == other.info and self.rid == other.rid
-                and self.consumed == other.consumed and self.fresh == other.fresh
-                and self.atom == other.atom and self.ant == other.ant
-                and self.children == other.children)
 
 
 class Reading(Record):
@@ -226,29 +219,21 @@ class Prover:
                 if kind == SEM:
                     v: object = self.classes.fresh_sem_eigen(var)
                     inst = inst_sem_var(body, var, v)
-                    vname = v.name
                 else:
                     v = self.classes.fresh_eigen(var, kind)
                     inst = inst_term_var(body, var, v)
-                    vname = v.name
                 for su2, left2, d2 in self.prove(su, ctx, inst, depth + 1):
-                    yield su2, left2, Derivation(
-                        "PiR", f"{var} := {vname}", (d2,), d2.consumed
-                    )
+                    yield su2, left2, Derivation("PiR", f"{var} := {v.name}", (d2,))
             case Limp(ant, cons):
                 res = self._resource(ant, None, "assumption")
                 for su2, left2, d2 in self.prove(su, ctx + (res,), cons, depth + 1):
                     if any(r.rid == res.rid for r in left2):
                         continue  # linear assumption left unused
-                    yield su2, left2, Derivation(
-                        "LimpR", f"assume {res.tag}#{res.rid}", (d2,), d2.consumed
-                    )
+                    yield su2, left2, Derivation("LimpR", f"assume {res.tag}#{res.rid}", (d2,))
             case Tensor(left, right):
                 for su1, mid, d1 in self.prove(su, ctx, left, depth + 1):
                     for su2, out, d2 in self.prove(su1, mid, right, depth + 1):
-                        yield su2, out, Derivation(
-                            "TensorR", "", (d1, d2), d1.consumed | d2.consumed
-                        )
+                        yield su2, out, Derivation("TensorR", "", (d1, d2))
             case Means() | PropAtom():
                 seen = set()
                 for i, res in enumerate(ctx):
@@ -300,31 +285,17 @@ class Prover:
         def wrap(node: Derivation, pending_ds: list[Derivation]) -> Derivation:
             # innermost implication first: pendings were collected outermost-in
             for ant_d, pending in zip(reversed(pending_ds), reversed(pendings)):
-                node = Derivation(
-                    "LimpL", "", (ant_d, node), ant_d.consumed | node.consumed, ant=pending
-                )
+                node = Derivation("LimpL", "", (ant_d, node), ant=pending)
             if fresh_names:
-                node = Derivation(
-                    "PiL",
-                    f"{res.tag}: {', '.join(fresh_names)}",
-                    (node,),
-                    node.consumed,
-                    fresh=tuple(fresh_names),
-                )
+                node = Derivation("PiL", f"{res.tag}: {', '.join(fresh_names)}", (node,),
+                                  fresh=tuple(fresh_names))
             return node
 
         if isinstance(f, (Means, PropAtom)):
             su2 = self._unify_atoms(su, f, goal)
             if su2 is None:
                 return
-            leaf = Derivation(
-                "Identity",
-                f"{res.tag}#{res.rid}",
-                (),
-                frozenset([res.rid]),
-                atom=f,
-                rid=res.rid,
-            )
+            leaf = Derivation("Identity", f"{res.tag}#{res.rid}", (), atom=f, rid=res.rid)
             for su3, left3, pending_ds in self._prove_pendings(
                 su2, ctx, pendings, depth
             ):
@@ -342,13 +313,7 @@ class Prover:
                     # it feed some other formula's antecedent would cross the
                     # context split of this implication
                     continue
-                node = Derivation(
-                    "TensorL",
-                    f"{res.tag}#{res.rid}",
-                    (d2,),
-                    d2.consumed | frozenset([res.rid]),
-                    rid=res.rid,
-                )
+                node = Derivation("TensorL", f"{res.tag}#{res.rid}", (d2,), rid=res.rid)
                 for su3, left3, pending_ds in self._prove_pendings(
                     su2, left2, pendings, depth
                 ):
@@ -365,9 +330,6 @@ class Prover:
     ):
         """Prove the collected antecedents left to right on the remaining
         resources."""
-        if not pendings:
-            yield su, ctx, []
-            return
 
         def chain(su, avail, idx):
             if idx == len(pendings):
@@ -537,9 +499,7 @@ def readings_for_document(
     budget: SearchBudget = SearchBudget(),
     goal_type: MeaningType = T,
 ) -> tuple[EnumerationResult, list[Premise]]:
-    from .glue import premises
-
-    prems = premises(doc, lexicon)
+    prems = glue.premises(doc, lexicon)  # looked up per call: wrappers see it
     label = goal_label or doc.root.label
     if label not in doc.by_label:
         raise GlueError(f"goal label {label!r} not in document")

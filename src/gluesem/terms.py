@@ -50,10 +50,9 @@ class Record:
     `__hash__ = None`.  `__match_args__` follows `__slots__`, so positional
     `match` patterns see the constructor's field order.  Records of one
     class with equal fields are equal and hash alike; records of different
-    classes are never equal.  Terms, types, semantic structures, `Means`
-    and `Derivation` are compared in the search's inner loops and define a
-    faster `__eq__` of their own: field by field, taking identical fields
-    (shared subterms) as equal without descending into them.
+    classes are never equal.  Records with several fields compare their
+    field tuples, which take identical fields (shared subterms) as equal
+    without descending into them.
     """
 
     __slots__ = ()
@@ -62,8 +61,6 @@ class Record:
         super().__init_subclass__(**kwargs)
         cls.__match_args__ = cls.__slots__
         cls._key = attrgetter(*cls.__slots__)
-        if "__eq__" in cls.__dict__ and cls.__dict__.get("__hash__") is None:
-            cls.__hash__ = Record.__hash__  # defining __eq__ cleared it
 
     def __eq__(self, other):
         return other.__class__ is self.__class__ and self._key(self) == self._key(other)
@@ -86,9 +83,6 @@ class Base(Record):
     def __init__(self, name: str):
         self.name = name
 
-    def __eq__(self, other):
-        return other.__class__ is Base and self.name == other.name
-
     def __repr__(self):
         return self.name
 
@@ -98,10 +92,6 @@ class Arrow(Record):
 
     def __init__(self, left: MeaningType, right: MeaningType):
         self.left, self.right = left, right
-
-    def __eq__(self, other):
-        return (other.__class__ is Arrow and (self.left is other.left or self.left == other.left)
-                and (self.right is other.right or self.right == other.right))
 
     def __repr__(self):
         l = f"({self.left!r})" if isinstance(self.left, Arrow) else repr(self.left)
@@ -168,10 +158,6 @@ class Const(Record):
     def __init__(self, name: str, ty: Optional[MeaningType]):
         self.name, self.ty = name, ty
 
-    def __eq__(self, other):
-        return (other.__class__ is Const and self.name == other.name
-                and (self.ty is other.ty or self.ty == other.ty))
-
 
 class Var(Record):
     """Free named variable: eigenvariables and local constants in proofs."""
@@ -180,10 +166,6 @@ class Var(Record):
 
     def __init__(self, name: str, ty: MeaningType):
         self.name, self.ty = name, ty
-
-    def __eq__(self, other):
-        return (other.__class__ is Var and self.name == other.name
-                and (self.ty is other.ty or self.ty == other.ty))
 
 
 class MetaVar(Record):
@@ -194,19 +176,12 @@ class MetaVar(Record):
     def __init__(self, name: str, ty: MeaningType):
         self.name, self.ty = name, ty
 
-    def __eq__(self, other):
-        return (other.__class__ is MetaVar and self.name == other.name
-                and (self.ty is other.ty or self.ty == other.ty))
-
 
 class BVar(Record):
     __slots__ = ("index",)
 
     def __init__(self, index: int):
         self.index = index
-
-    def __eq__(self, other):
-        return other.__class__ is BVar and self.index == other.index
 
 
 class Abs(Record):
@@ -215,20 +190,12 @@ class Abs(Record):
     def __init__(self, var_ty: Optional[MeaningType], body: MeaningTerm):
         self.var_ty, self.body = var_ty, body
 
-    def __eq__(self, other):
-        return (other.__class__ is Abs and (self.body is other.body or self.body == other.body)
-                and (self.var_ty is other.var_ty or self.var_ty == other.var_ty))
-
 
 class App(Record):
     __slots__ = ("fn", "arg")
 
     def __init__(self, fn: MeaningTerm, arg: MeaningTerm):
         self.fn, self.arg = fn, arg
-
-    def __eq__(self, other):
-        return (other.__class__ is App and (self.fn is other.fn or self.fn == other.fn)
-                and (self.arg is other.arg or self.arg == other.arg))
 
 
 class Cap(Record):
@@ -237,18 +204,12 @@ class Cap(Record):
     def __init__(self, body: MeaningTerm):
         self.body = body
 
-    def __eq__(self, other):
-        return other.__class__ is Cap and (self.body is other.body or self.body == other.body)
-
 
 class Cup(Record):
     __slots__ = ("body",)
 
     def __init__(self, body: MeaningTerm):
         self.body = body
-
-    def __eq__(self, other):
-        return other.__class__ is Cup and (self.body is other.body or self.body == other.body)
 
 
 MeaningTerm = Union[Const, Var, MetaVar, BVar, Abs, App, Cap, Cup]
@@ -328,28 +289,6 @@ def bind_vars(params: list[Var], body: MeaningTerm) -> MeaningTerm:
     return t
 
 
-def subst_map(term: MeaningTerm, mapping: dict[str, MeaningTerm]) -> MeaningTerm:
-    if not mapping:
-        return term
-
-    def go(t, depth):
-        match t:
-            case Var(n, _) | MetaVar(n, _) if n in mapping:
-                return _shift(mapping[n], depth)
-            case Abs(ty, b):
-                return Abs(ty, go(b, depth + 1))
-            case App(f, a):
-                return App(go(f, depth), go(a, depth))
-            case Cap(b):
-                return Cap(go(b, depth))
-            case Cup(b):
-                return Cup(go(b, depth))
-            case _:
-                return t
-
-    return go(term, 0)
-
-
 def free_vars(term: MeaningTerm) -> set[str]:
     """Names of free variables and glue metavariables."""
     out: set[str] = set()
@@ -366,23 +305,6 @@ def free_vars(term: MeaningTerm) -> set[str]:
 
     go(term)
     return out
-
-
-def free_meta_vars(term: MeaningTerm) -> set[str]:
-    return {n for n in _iter_leaves(term, MetaVar)}
-
-
-def _iter_leaves(term, cls) -> Iterator[str]:
-    match term:
-        case _ if isinstance(term, cls):
-            yield term.name
-        case Abs(_, b) | Cap(b) | Cup(b):
-            yield from _iter_leaves(b, cls)
-        case App(f, a):
-            yield from _iter_leaves(f, cls)
-            yield from _iter_leaves(a, cls)
-        case _:
-            return
 
 
 # ---------------------------------------------------------------------------
@@ -481,40 +403,6 @@ def alpha_equal(a: MeaningTerm, b: MeaningTerm) -> bool:
 TypingContext = dict[str, MeaningType]
 
 
-def standard_context(extensional: bool = False) -> TypingContext:
-    """Constants used across the shipped lexicon and corpus.
-
-    Determiners are relations between properties; under the extensional
-    lexicon variant they relate bare e -> t properties instead.
-    """
-    gq = arrow(arrow(S, arrow(E, T)), arrow(S, arrow(E, T)), T)
-    if extensional:
-        gq = arrow(arrow(E, T), arrow(E, T), T)
-    ctx: TypingContext = {
-        "Bill": E,
-        "Hillary": E,
-        "Al": E,
-        "John": E,
-        "voter": arrow(E, T),
-        "candidate": arrow(E, T),
-        "manager": arrow(E, T),
-        "unicorn": arrow(E, T),
-        "sink": arrow(E, T),
-        "arrive": arrow(E, T),
-        "appoint": arrow(E, E, T),
-        "convince": arrow(E, E, T),
-        "devour": arrow(E, E, T),
-        "admirer": arrow(E, E, T),
-        "conv-with": arrow(E, E, T),
-        "every": gq,
-        "a": gq,
-        "the": gq,
-        # an NP-meaning intension as second argument: e -> (s -> GQ) -> t
-        "seek": arrow(E, Arrow(S, arrow(arrow(S, arrow(E, T)), T)), T),
-    }
-    return ctx
-
-
 def elaborate(term: MeaningTerm, ctx: TypingContext) -> tuple[MeaningTerm, MeaningType]:
     """Typecheck `term`, whose binders all carry their types, and fill in
     constant types from `ctx`.  Returns the annotated term and its type;
@@ -582,12 +470,6 @@ def _name_pool(ty) -> Iterator[str]:
 
 
 def print_term(term: MeaningTerm, explicit_parens: bool = False) -> str:
-    def fresh_name(ty, used):
-        for n in _name_pool(ty):
-            if n not in used:
-                return n
-        raise AssertionError
-
     def go(t, names, used):
         # returns (text, kind) with kind in {atom, app, prefix, lam}
         match t:
@@ -596,17 +478,15 @@ def print_term(term: MeaningTerm, explicit_parens: bool = False) -> str:
             case BVar(i):
                 return (names[i] if i < len(names) else f"#{i}"), "atom"
             case Abs(ty, b):
-                n = fresh_name(ty, used)
+                n = next(n for n in _name_pool(ty) if n not in used)
                 body, _ = go(b, [n] + names, used | {n})
                 return f"\\{n}. {body}", "lam"
             case Cap(b) | Cup(b):
                 op = "^" if isinstance(t, Cap) else "!"
-                inner, kind = go(b, names, used)
-                if kind == "app" or kind == "atom" or kind == "prefix":
-                    if kind == "app" and explicit_parens:
-                        inner = f"({inner})"
-                    return f"{op}{inner}", "prefix"
-                return f"{op}{inner}", "prefix"  # lambda body extends right
+                inner, kind = go(b, names, used)  # a lambda body extends right
+                if kind == "app" and explicit_parens:
+                    inner = f"({inner})"
+                return f"{op}{inner}", "prefix"
             case App(_, _):
                 head, args = spine(t)
                 htext, hkind = go(head, names, used)

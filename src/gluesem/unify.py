@@ -43,6 +43,7 @@ from .terms import (
     normalize,
     normalize_with,
     open_abs,
+    print_term,
     spine,
 )
 
@@ -78,25 +79,22 @@ class VarClass(Record):
         self.stamps[name] = stamp
         return stamp
 
+    def _fresh(self, hint: str, kind: str, ts: Optional[int] = None) -> str:
+        name = f"{hint}{'?' if kind == FLEX else '!'}{next(self._counter)}"
+        self.classify(name, kind, ts)
+        return name
+
     def fresh_flex(self, hint: str, ty, ts: Optional[int] = None) -> MetaVar:
-        name = f"{hint}?{next(self._counter)}"
-        self.classify(name, FLEX, ts if ts is not None else next(self._counter))
-        return MetaVar(name, ty)
+        return MetaVar(self._fresh(hint, FLEX, ts), ty)
 
     def fresh_eigen(self, hint: str, ty) -> Var:
-        name = f"{hint}!{next(self._counter)}"
-        self.classify(name, EIGEN)
-        return Var(name, ty)
+        return Var(self._fresh(hint, EIGEN), ty)
 
     def fresh_sem_flex(self, hint: str) -> SemVar:
-        name = f"{hint}?{next(self._counter)}"
-        self.classify(name, FLEX)
-        return SemVar(name)
+        return SemVar(self._fresh(hint, FLEX))
 
     def fresh_sem_eigen(self, hint: str) -> SemVar:
-        name = f"{hint}!{next(self._counter)}"
-        self.classify(name, EIGEN)
-        return SemVar(name)
+        return SemVar(self._fresh(hint, EIGEN))
 
     def kind(self, name: str, default: str) -> str:
         return self.kinds.get(name, default)
@@ -135,8 +133,6 @@ class Substitution:
         self.eqs: Optional[tuple] = eqs
 
     def __repr__(self):
-        from .terms import print_term
-
         items = [f"{k} -> {print_term(v)}" for k, v in self.terms.items()]
         items += [f"{k} -> {v!r}" for k, v in self.sems.items()]
         return "{" + ", ".join(items) + "}"
@@ -201,6 +197,26 @@ def _find_cup_flex(t: MeaningTerm) -> Optional[MetaVar]:
             return None
 
 
+def _fresh_over(classes: VarClass, g: MetaVar, arg_tys, result_ty, ts: int) -> MetaVar:
+    """A fresh flex variable named after g, of type arg_tys -> result_ty."""
+    for ty in reversed(arg_tys):
+        result_ty = Arrow(ty, result_ty)
+    return classes.fresh_flex(g.name.split("?")[0], result_ty, ts=ts)
+
+
+def _abstract(arg_tys, body: MeaningTerm) -> MeaningTerm:
+    """\\z1 ... zn. body, with binders of the types arg_tys; in `body`, zi
+    is BVar(n - i)."""
+    for ty in reversed(arg_tys):
+        body = Abs(ty, body)
+    return body
+
+
+def _bvars(n: int, kept) -> list[BVar]:
+    """The bound variables of `_abstract` over n binders at the positions kept."""
+    return [BVar(n - 1 - i) for i in kept]
+
+
 def _reparam_cup(su: Substitution, g: MetaVar, classes: VarClass) -> Substitution:
     """Bind g = \\z... ^g'(z...) so (!g)(x...) spines become plain patterns."""
     arg_tys = []
@@ -210,66 +226,33 @@ def _reparam_cup(su: Substitution, g: MetaVar, classes: VarClass) -> Substitutio
             raise NonPatternError(f"! applied to non-intensional flex {g.name}")
         arg_tys.append(ty.left)
         ty = ty.right
-    inner_ty = ty.right
-    fresh_ty = inner_ty
-    for at in reversed(arg_tys):
-        fresh_ty = Arrow(at, fresh_ty)
-    g2 = classes.fresh_flex(g.name.split("?")[0], fresh_ty, ts=classes.ts(g.name))
     n = len(arg_tys)
-    body = app(g2, *[BVar(n - 1 - i) for i in range(n)])
-    value: MeaningTerm = Cap(body)
-    for at in reversed(arg_tys):
-        value = Abs(at, value)
-    return su.bind(g.name, value)
+    g2 = _fresh_over(classes, g, arg_tys, ty.right, classes.ts(g.name))
+    return su.bind(g.name, _abstract(arg_tys, Cap(app(g2, *_bvars(n, range(n))))))
 
 
-def _pattern_args(f: MetaVar, args: list[MeaningTerm]) -> list[Var]:
-    seen = set()
-    out = []
-    for a in args:
-        if not isinstance(a, Var) or a.name in seen:
-            raise NonPatternError(
-                f"{f.name} applied to non-pattern arguments "
-                f"(outside the decidable fragment)"
-            )
-        seen.add(a.name)
-        out.append(a)
-    return out
-
-
-def _mixed_pattern_args(f: MetaVar, args: list[MeaningTerm]):
-    """Pattern arguments inside a rigid right-hand side: distinct eigens or
-    locally bound variables."""
-    seen = set()
-    out = []
-    for a in args:
-        key = ("v", a.name) if isinstance(a, Var) else ("b", getattr(a, "index", None))
-        if not isinstance(a, (Var, BVar)) or key in seen:
-            raise NonPatternError(
-                f"{f.name} applied to non-pattern arguments "
-                f"(outside the decidable fragment)"
-            )
-        seen.add(key)
-        out.append(a)
-    return out
+def _pattern_args(f: MetaVar, args: list[MeaningTerm], kinds=(Var,)) -> list:
+    """The arguments `args` of f, checked to be distinct eigens (inside a
+    rigid right-hand side, kinds=(Var, BVar) also admits locally bound
+    variables)."""
+    if any(type(a) not in kinds for a in args) or len(set(args)) < len(args):
+        raise NonPatternError(
+            f"{f.name} applied to non-pattern arguments (outside the decidable fragment)"
+        )
+    return args
 
 
 class _Fail(Exception):
     """Internal: the current equation has no solution."""
 
 
-def _result_ty(ty, n):
+def _split_ty(ty, n):
+    """The first n argument types of the function type `ty`, and the rest."""
+    args = []
     for _ in range(n):
+        args.append(ty.left)
         ty = ty.right
-    return ty
-
-
-def _arg_tys(ty, n):
-    out = []
-    for _ in range(n):
-        out.append(ty.left)
-        ty = ty.right
-    return out
+    return args, ty
 
 
 def _needs_rewrite(g: MetaVar, gargs, f: MetaVar, argnames, classes) -> bool:
@@ -301,7 +284,7 @@ def _scan_rigid(t, f: MetaVar, argnames: set[str], classes: VarClass):
         if cls is MetaVar:
             if head.name == f.name:
                 raise _Fail  # occurs check
-            gargs = _mixed_pattern_args(head, args)
+            gargs = _pattern_args(head, args, (Var, BVar))
             if _needs_rewrite(head, gargs, f, argnames, classes):
                 return (head, gargs)
             return None
@@ -340,22 +323,10 @@ def _rewrite_flex(su, g: MetaVar, gargs, f: MetaVar, argvars: list[Var], classes
         if classes.ts(n) < gts
     ]
     n = len(gargs)
-    orig_tys = _arg_tys(g.ty, n)
-    new_ty = _result_ty(g.ty, n)
-    for v in reversed(raised):
-        new_ty = Arrow(v.ty, new_ty)
-    for i in reversed(kept_idx):
-        new_ty = Arrow(orig_tys[i], new_ty)
-    g2 = classes.fresh_flex(g.name.split("?")[0], new_ty, ts=min(fts, gts))
-    body = app(
-        g2,
-        *[BVar(n - 1 - i) for i in kept_idx],
-        *[v for v in raised],
-    )
-    value: MeaningTerm = body
-    for ty in reversed(orig_tys):
-        value = Abs(ty, value)
-    return su.bind(g.name, value)
+    orig_tys, result_ty = _split_ty(g.ty, n)
+    new_args = [orig_tys[i] for i in kept_idx] + [v.ty for v in raised]
+    g2 = _fresh_over(classes, g, new_args, result_ty, min(fts, gts))
+    return su.bind(g.name, _abstract(orig_tys, app(g2, *_bvars(n, kept_idx), *raised)))
 
 
 def _flex_rigid(su, f: MetaVar, args, rhs, classes) -> Optional[Substitution]:
@@ -385,16 +356,9 @@ def _flex_flex(su, f: MetaVar, fargs, g: MetaVar, gargs, classes):
         if len(kept) == len(fvars):
             return su
         n = len(fvars)
-        orig_tys = _arg_tys(f.ty, n)
-        new_ty = _result_ty(f.ty, n)
-        for i in reversed(kept):
-            new_ty = Arrow(orig_tys[i], new_ty)
-        h = classes.fresh_flex(f.name.split("?")[0], new_ty, ts=classes.ts(f.name))
-        body = app(h, *[BVar(n - 1 - i) for i in kept])
-        value: MeaningTerm = body
-        for ty in reversed(orig_tys):
-            value = Abs(ty, value)
-        return su.bind(f.name, value)
+        orig_tys, result_ty = _split_ty(f.ty, n)
+        h = _fresh_over(classes, f, [orig_tys[i] for i in kept], result_ty, classes.ts(f.name))
+        return su.bind(f.name, _abstract(orig_tys, app(h, *_bvars(n, kept))))
     if not fvars and not gvars:
         if classes.ts(f.name) < classes.ts(g.name):
             f, g = g, f  # bind the younger to the older
@@ -407,22 +371,13 @@ def _flex_flex(su, f: MetaVar, fargs, g: MetaVar, gargs, classes):
     # variable over the arguments they can each still see
     gnames = {v.name for v in gvars}
     shared = [v for v in fvars if v.name in gnames]
-    res_ty = _result_ty(f.ty, len(fvars))
-    h_ty = res_ty
-    for v in reversed(shared):
-        h_ty = Arrow(v.ty, h_ty)
-    h = classes.fresh_flex(
-        f.name.split("?")[0], h_ty, ts=min(classes.ts(f.name), classes.ts(g.name))
-    )
+    h = _fresh_over(classes, f, [v.ty for v in shared], _split_ty(f.ty, len(fvars))[1],
+                    min(classes.ts(f.name), classes.ts(g.name)))
 
     def binding(params, ty):
-        n = len(params)
-        idx = {v.name: n - 1 - i for i, v in enumerate(params)}
-        body = app(h, *[BVar(idx[v.name]) for v in shared])
-        value: MeaningTerm = body
-        for pty in reversed(_arg_tys(ty, n)):
-            value = Abs(pty, value)
-        return value
+        at = {v.name: i for i, v in enumerate(params)}
+        kept = [at[v.name] for v in shared]
+        return _abstract(_split_ty(ty, len(params))[0], app(h, *_bvars(len(params), kept)))
 
     su = su.bind(f.name, binding(fvars, f.ty))
     return su.bind(g.name, binding(gvars, g.ty))

@@ -42,7 +42,6 @@ from gluesem.terms import (
     app,
     normalize,
     print_term,
-    subst_map,
 )
 from gluesem.unify import Substitution, VarClass, solve, solve_sem
 
@@ -827,6 +826,37 @@ def parse_term(text: str, ctx):
 # Operations the engine itself never runs, kept as test vocabulary: named
 # substitution, f-structure printing, and unification of equation lists
 # with composition of the resulting substitutions.
+
+
+def subst_map(term, mapping):
+    """`term` with each free variable or metavariable named in `mapping`
+    replaced by its value, rebuilding every node; no reduction."""
+
+    def go(t, depth):
+        match t:
+            case Var(n, _) | MetaVar(n, _) if n in mapping:
+                return _shift(mapping[n], depth)
+            case Abs(ty, b):
+                return Abs(ty, go(b, depth + 1))
+            case App(f, a):
+                return App(go(f, depth), go(a, depth))
+            case Cap(b) | Cup(b):
+                return type(t)(go(b, depth))
+        return t
+
+    return go(term, 0)
+
+
+def free_meta_vars(term) -> set[str]:
+    """Names of the glue metavariables of `term`."""
+    match term:
+        case MetaVar(n, _):
+            return {n}
+        case Abs(_, b) | Cap(b) | Cup(b):
+            return free_meta_vars(b)
+        case App(f, a):
+            return free_meta_vars(f) | free_meta_vars(a)
+    return set()
 
 
 def substitute(term, name: str, repl):

@@ -24,6 +24,7 @@ from gluesem.terms import normalize, print_term
 
 from helpers import (
     RANDOM_SIGNATURE,
+    free_meta_vars,
     free_named_terms,
     mill_provable,
     parse_term,
@@ -249,7 +250,6 @@ def test_criterion_10c_unifier_soundness_and_generality():
             Var,
             alpha_equal,
             app,
-            free_meta_vars,
         )
         from gluesem.unify import EIGEN, FLEX, Substitution, VarClass
 

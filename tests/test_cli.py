@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import pathlib
 import subprocess
 import sys
@@ -86,6 +87,7 @@ def test_non_pattern_meaning_is_an_input_error(capsys, tmp_path):
     # unification variable lies outside the pattern fragment
     lex = tmp_path / "odd.glue"
     lex.write_text(
+        '(const Bill e)\n'
         '(entry "Bill" NP (trigger PRED) (constructor (means (sig up) Bill e)))\n'
         '(entry "sleep" V (trigger PRED) (constructor (forall ((X e) (P (-> e t)))\n'
         '  (limp (means (sig (path up SUBJ)) X e) (means (sig up) (P X) t)))))\n'
@@ -94,7 +96,8 @@ def test_non_pattern_meaning_is_an_input_error(capsys, tmp_path):
     fstr.write_text('(fstruct f (PRED "sleep") (SUBJ (fstruct g (PRED "Bill"))))')
     code, out, err = run(capsys, "readings", "--fstructure", str(fstr), "--lexicon", str(lex))
     assert code == 1 and out == ""
-    assert err.startswith("error:") and "pattern" in err and err.count("\n") == 1
+    assert err.startswith("error:") and "non-pattern arguments" in err
+    assert err.count("\n") == 1
 
 
 def test_prove_linear_identity(capsys, tmp_path):
@@ -139,6 +142,54 @@ def test_trace_mentions_substituted_resources(capsys):
     assert code == 0
     assert "Identity: Bill[g]" in out
     assert "PiL: appointed[f]" in out
+
+
+def test_prove_trace_shows_solutions_and_atoms(capsys):
+    code, out, _ = run(
+        capsys, "prove", "--lexicon", "corpus/lexicon.glue",
+        "--formula", "corpus/type-raising.glue", "--trace",
+    )
+    assert code == 0 and out.startswith("provable\n")
+    lines = out.splitlines()
+    assert any(re.search(r"PiL: assumption: x\?\d+ := Z!\d+$", l) for l in lines)
+    identities = [l for l in lines if "Identity:" in l]
+    assert len(identities) == 2
+    assert all(re.search(r"   \|- \S+ ~>_[et] ", l) for l in identities)
+
+
+# One malformed form per line; each used to end in an IndexError traceback.
+MALFORMED_LEXICON_FORMS = [
+    '(entry "Bill" NP (trigger) (constructor (means (sig up) Bill e)))',
+    '(entry "Bill" NP (variant) (constructor (means (sig up) Bill e)))',
+    '(entry "Bill" NP (syn) (constructor (means (sig up) Bill e)))',
+    '(entry "Bill" NP () (constructor (means (sig up) Bill e)))',
+    '(entry "Bill" NP (constructor))',
+    '(entry "Bill" NP (constructor (means (svar) Bill e)))',
+    '(entry "Bill" NP (constructor (means (sig (path)) Bill e)))',
+    '(entry "Bill" NP (constructor (means (sig up) (cap) e)))',
+    '(entry "Bill" NP (constructor (means (sig up) (lam) e)))',
+    '(entry "Bill" NP (constructor (means (sig up) (lam (x e)) e)))',
+    '(entry "Bill" NP (constructor (atom)))',
+    '(entry "Bill" NP (constructor (forall)))',
+]
+
+
+@pytest.mark.parametrize(
+    "command,text",
+    [("readings", form) for form in MALFORMED_LEXICON_FORMS]
+    + [("prove", "(forall)"), ("prove", "(atom)")],
+)
+def test_malformed_forms_are_one_line_errors(capsys, tmp_path, command, text):
+    bad = tmp_path / "bad.glue"
+    if command == "readings":
+        bad.write_text(f"(const Bill e)\n{text}\n")
+        argv = ["readings", "--fstructure", "corpus/bah.fstr", "--lexicon", str(bad)]
+    else:
+        bad.write_text(f"\n{text}\n")
+        argv = ["prove", "--lexicon", "corpus/lexicon.glue", "--formula", str(bad)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {bad}: line 2: ") and err.count("\n") == 1
 
 
 def test_explicit_parens_flag(capsys):

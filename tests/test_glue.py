@@ -1,5 +1,7 @@
 """Lexicon and premise-construction tests."""
 
+import random
+
 import pytest
 
 from gluesem.fstruct import ROOT, SemStruct, parse_fstructure
@@ -12,13 +14,17 @@ from gluesem.glue import (
     NoEntry,
     Tensor,
     formula_free_vars,
+    inst_term_var,
     instantiate,
     load_lexicon,
+    map_formula,
     parse_lexicon,
     premises,
     print_formula,
 )
-from gluesem.terms import Const, E
+from gluesem.terms import Abs, App, Arrow, Cap, Const, Cup, E, MetaVar, T, Var, normalize
+
+from helpers import free_meta_vars, random_term, subst_map
 
 LEXICON_PATH = "corpus/lexicon.glue"
 
@@ -71,10 +77,12 @@ def test_templates_typecheck_in_both_variants(lex, lex_ext):
 
 def test_ill_typed_constructor_rejected():
     bad = """
+    (const Bill e)
+    (const appoint (-> e e t))
     (entry "broken" V (trigger PRED)
       (constructor (means (sig up) (appoint Bill) t)))
     """
-    with pytest.raises(IllTypedConstructor):
+    with pytest.raises(IllTypedConstructor, match="declares type t but .* has type e -> t"):
         parse_lexicon(bad)
 
 
@@ -207,3 +215,66 @@ def test_const_declarations_extend_context():
     )
     assert lex2.ctx["giraffe"] is not None
     assert any(e.headword == "giraffe" for e in lex2.entries)
+
+
+# ---------------------------------------------------------------------------
+# instantiating a quantified meaning variable
+
+
+def _with_var(t, x, rng):
+    """`t` with some constants of x's type replaced by x."""
+    match t:
+        case Const(_, ty) if ty == x.ty and rng.random() < 0.5:
+            return x
+        case Abs(ty, b):
+            return Abs(ty, _with_var(b, x, rng))
+        case App(f, a):
+            return App(_with_var(f, x, rng), _with_var(a, x, rng))
+        case Cap(b) | Cup(b):
+            return type(t)(_with_var(b, x, rng))
+    return t
+
+
+def _random_template(rng, x, depth=3):
+    """A random formula whose atoms hold normal terms, some mentioning x."""
+    if depth == 0 or rng.random() < 0.3:
+        ty = rng.choice([E, T, Arrow(E, T)])
+        term = normalize(_with_var(random_term(rng, ty, 3), x, rng))
+        return Means(SemStruct(f"f{rng.randrange(3)}", ROOT), term, ty)
+    kind = rng.choice([Tensor, Limp, Forall])
+    if kind is Forall:
+        return Forall("Y", E, _random_template(rng, x, depth - 1))
+    return kind(_random_template(rng, x, depth - 1), _random_template(rng, x, depth - 1))
+
+
+def _atoms(f):
+    match f:
+        case Means():
+            return [f]
+        case Tensor(a, b) | Limp(a, b):
+            return _atoms(a) + _atoms(b)
+        case Forall(_, _, b):
+            return _atoms(b)
+    return []
+
+
+def test_inst_term_var_agrees_with_named_substitution():
+    kept = changed = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        x = MetaVar("X", rng.choice([E, Arrow(E, T)]))
+        value = rng.choice([Var("X!9", x.ty), MetaVar("X?9", x.ty)])
+        f = _random_template(rng, x)
+        out = inst_term_var(f, "X", value)
+        oracle = map_formula(
+            f, lambda m: Means(m.sem, normalize(subst_map(m.term, {"X": value})), m.ty)
+        )
+        assert out == oracle
+        for before, after in zip(_atoms(f), _atoms(out)):
+            if "X" in free_meta_vars(before.term):
+                changed += 1
+                assert "X" not in free_meta_vars(after.term)
+            else:
+                kept += 1
+                assert after is before
+    assert kept > 100 and changed > 100

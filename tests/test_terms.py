@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from gluesem.glue import load_lexicon
 from gluesem.terms import (
     Abs,
     App,
@@ -26,7 +27,6 @@ from gluesem.terms import (
     normalize,
     parse_type,
     print_term,
-    standard_context,
 )
 
 from helpers import (
@@ -38,7 +38,7 @@ from helpers import (
     typecheck,
 )
 
-CTX = standard_context()
+CTX = load_lexicon("corpus/lexicon.glue").ctx
 
 
 def t(text):
@@ -165,7 +165,7 @@ def test_alpha_distinguishes_structure():
 
 
 def test_the_two_scope_readings_differ():
-    ext = standard_context(extensional=True)
+    ext = load_lexicon("corpus/lexicon.glue", extensional=True).ctx
     wide = parse_term("every(candidate, \\x. a(manager, \\y. appoint(x, y)))", ext)
     narrow = parse_term("a(manager, \\y. every(candidate, \\x. appoint(x, y)))", ext)
     assert not alpha_equal(wide, narrow)

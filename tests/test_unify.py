@@ -37,6 +37,7 @@ from helpers import (
     RANDOM_SIGNATURE,
     InconsistentSubst,
     compose,
+    free_meta_vars,
     free_named_terms,
     random_term,
     reference_bind_vars,
@@ -337,7 +338,7 @@ def test_unifier_generality_against_enumeration():
                 continue
             # cand solves the equation: it must be an instance of the mgu
             inst_vc = VarClass()
-            for name in _meta_names(mgu_binding):
+            for name in free_meta_vars(mgu_binding):
                 inst_vc.classify(name, FLEX)
             assert unify([(mgu_binding, cand)], inst_vc, Substitution()) is not None, (
                 f"solution {cand} does not factor through {mgu_binding}"
@@ -350,12 +351,6 @@ def _args_of(lhs):
         args.append(lhs.arg)
         lhs = lhs.fn
     return list(reversed(args))
-
-
-def _meta_names(t):
-    from gluesem.terms import free_meta_vars
-
-    return free_meta_vars(t)
 
 
 def test_escape_property_randomized():
