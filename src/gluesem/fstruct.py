@@ -8,6 +8,7 @@ antecedent's projection through explicitly supplied links.
 
 from __future__ import annotations
 
+import re
 from typing import Optional, Union
 
 from .terms import GlueError, Record
@@ -178,42 +179,10 @@ def resolve(anchor: FStructure, path: Path) -> FValue:
 # structure that encloses the reference.
 
 
-def _tokenize(text: str):
-    toks = []  # (token, line)
-    line = 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            i += 1
-        elif c.isspace():
-            i += 1
-        elif c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c in "()":
-            toks.append((c, line))
-            i += 1
-        elif c == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                if text[j] == "\n":
-                    raise FStructError("unterminated string", line)
-                j += 1
-            if j >= n:
-                raise FStructError("unterminated string", line)
-            toks.append(('"' + text[i + 1:j], line))
-            i = j + 1
-        else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in '();"':
-                j += 1
-            toks.append((text[i:j], line))
-            i = j
-    return toks
-
+# One token: a parenthesis, a string (kept as its text with the opening
+# quote as a marker), a `;` comment, a symbol, or an opening quote that no
+# closing quote on the same line matches.
+_TOKEN = re.compile(r'([()])|("[^"]*)"|;.*|([^\s();"]+)|(")')
 
 # Lists may nest this deep and no deeper.  Every parser and every recursive
 # pass over what they build (f-structures, formulas, terms) recurses once or
@@ -221,41 +190,36 @@ def _tokenize(text: str):
 MAX_NESTING = 100
 
 
-def _read_sexp(toks, pos):
-    """Generic s-expression reader shared with the lexicon format.  Returns
-    (tree, next_pos); strings keep a leading '\"' marker."""
-    stack: list[tuple[list, int]] = []  # the open lists, innermost last
-    while True:
-        if pos >= len(toks):
-            if stack:
-                raise FStructError("missing )", stack[-1][1])
-            raise FStructError("unexpected end of input")
-        tok, line = toks[pos]
-        pos += 1
-        if tok == "(":
-            if len(stack) == MAX_NESTING:
-                raise FStructError(f"lists nest deeper than {MAX_NESTING} levels", line)
-            stack.append(([], line))
-            continue
-        if tok == ")":
-            if not stack:
-                raise FStructError("unexpected )", line)
-            node = stack.pop()
-        else:
-            node = (tok, line)
-        if not stack:
-            return node, pos
-        stack[-1][0].append(node)
-
-
-def read_sexps(text: str):
-    toks = _tokenize(text)
-    out = []
-    pos = 0
-    while pos < len(toks):
-        sexp, pos = _read_sexp(toks, pos)
-        out.append(sexp)
-    return out
+def read_sexps(text: str) -> list:
+    """The s-expressions of `text` as (value, line) nodes, where a value is a
+    list of nodes, a symbol, or a string with a leading '"' marker.  Shared
+    by f-structures, lexicons and formulas.  An unterminated string is
+    reported before an error in the nesting of the parentheses."""
+    # the document, then each open list, as (parts, line) nodes
+    stack: list[tuple[list, int]] = [([], 0)]
+    nesting_errors = []
+    for line, chars in enumerate(text.split("\n"), 1):
+        for paren, string, sym, quote in _TOKEN.findall(chars):
+            if paren == "(":
+                if len(stack) > MAX_NESTING:
+                    nesting_errors.append((f"lists nest deeper than {MAX_NESTING} levels", line))
+                node = ([], line)
+                stack[-1][0].append(node)
+                stack.append(node)
+            elif paren:
+                if len(stack) > 1:
+                    stack.pop()
+                else:
+                    nesting_errors.append(("unexpected )", line))
+            elif string or sym:
+                stack[-1][0].append((string or sym, line))
+            elif quote:
+                raise FStructError("unterminated string", line)
+    if nesting_errors:
+        raise FStructError(*nesting_errors[0])
+    if len(stack) > 1:
+        raise FStructError("missing )", stack[-1][1])
+    return stack[0][0]
 
 
 def symbol(node, what):
@@ -266,41 +230,69 @@ def symbol(node, what):
     return val
 
 
+def _string(node, what):
+    val, line = node
+    if not isinstance(val, str) or not val.startswith('"'):
+        raise FStructError(f"expected quoted {what}", line)
+    return val[1:]
+
+
+def _head(node, what):
+    """The parts, line and opening symbol of the non-empty list `node`."""
+    lst, line = node
+    if not isinstance(lst, list) or not lst:
+        raise FStructError(f"expected {what}", line)
+    return lst, line, symbol(lst[0], what)
+
+
+def _form(node, usage: str):
+    """The parts and line of the list `node`, whose synopsis is `usage`: one
+    part per word, where a [WORD] is optional and a trailing ... allows any
+    number more, and a first word that is not upper case is the symbol the
+    list opens with.  Anything else is an error quoting the synopsis."""
+    lst, line = node
+    words = usage.split()
+    more = words[-1] == "...)"
+    n = len(lst) if isinstance(lst, list) else -1  # below any minimum
+    if n < len(words) - usage.count("[") - more or n > len(words) and not more:
+        raise FStructError(f"expected {usage}", line)
+    head = words[0][1:]
+    if not head.isupper() and symbol(lst[0], usage) != head:
+        raise FStructError(f"expected {usage}", line)
+    return lst, line
+
+
+_FSTRUCT = "(fstruct LABEL [ATTR] ...)"
+
+
 def _build_fstruct(node, by_label, building) -> FStructure:
     """Build one (fstruct ...) form; `building` holds the labels of the
     structures that enclose it, which a (ref ...) may not name."""
-    val, line = node
-    if not isinstance(val, list) or not val or symbol(val[0], "fstruct") != "fstruct":
-        raise FStructError("expected (fstruct LABEL ...)", line)
-    if len(val) < 2:
-        raise FStructError("fstruct needs a label", line)
-    label = symbol(val[1], "label")
+    _head(node, _FSTRUCT)  # a head that is not a symbol is reported at its own line
+    lst, line = _form(node, _FSTRUCT)
+    label = symbol(lst[1], "label")
     if label in by_label:
         raise FStructError(f"duplicate label {label}", line)
     fs = FStructure(label)
     by_label[label] = fs
     building.add(label)
-    for attr_node in val[2:]:
-        aval, aline = attr_node
-        if not isinstance(aval, list) or len(aval) != 2:
-            raise FStructError("expected (ATTR value)", aline)
-        attr = symbol(aval[0], "attribute name").upper()
+    for attr_node in lst[2:]:
+        (name, value), aline = _form(attr_node, "(ATTR VALUE)")
+        attr = symbol(name, "attribute name").upper()
         if fs.get(attr) is not None:
             raise FStructError(f"duplicate attribute {attr} in {label}", aline)
-        vval, vline = aval[1]
+        vval, vline = value
         if isinstance(vval, str) and vval.startswith('"'):
             fs.attrs.append((attr, vval[1:]))
         elif isinstance(vval, list) and vval and vval[0][0] == "ref":
-            if len(vval) != 2:
-                raise FStructError("expected (ref LABEL)", vline)
-            ref = symbol(vval[1], "label")
+            ref = symbol(_form(value, "(ref LABEL)")[0][1], "label")
             if ref in building:
                 raise FStructError(f"reference to {ref}, which encloses it", vline)
             if ref not in by_label:
                 raise FStructError(f"reference to unknown label {ref}", vline)
             fs.attrs.append((attr, by_label[ref]))
         else:
-            fs.attrs.append((attr, _build_fstruct(aval[1], by_label, building)))
+            fs.attrs.append((attr, _build_fstruct(value, by_label, building)))
     building.remove(label)
     return fs
 
@@ -314,10 +306,8 @@ def parse_fstructure(text: str) -> FDocument:
     root = _build_fstruct(sexps[0], by_label, set())
     links = []
     for node in sexps[1:]:
-        val, line = node
-        if not isinstance(val, list) or len(val) != 3 or symbol(val[0], "ant") != "ant":
-            raise FStructError("expected (ant PRONOUN ANTECEDENT)", line)
-        pro, ant = symbol(val[1], "label"), symbol(val[2], "label")
+        (_, pro, ant), line = _form(node, "(ant PRONOUN ANTECEDENT)")
+        pro, ant = symbol(pro, "label"), symbol(ant, "label")
         for lbl in (pro, ant):
             if lbl not in by_label:
                 raise FStructError(f"ant link names unknown label {lbl}", line)

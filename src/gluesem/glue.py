@@ -25,6 +25,9 @@ from .fstruct import (
     SemStruct,
     SemTerm,
     SemVar,
+    _form,
+    _head,
+    _string,
     read_sexps,
     resolve,
     sigma,
@@ -235,42 +238,9 @@ class Lexicon(Record):
         self.entries, self.ctx, self.extensional = entries, ctx, extensional
 
 
-def _expect_list(node, what):
-    val, line = node
-    if not isinstance(val, list):
-        raise FStructError(f"expected {what}", line)
-    return val, line
-
-
-def _form(node, usage: str):
-    """The parts and line of the list `node`, whose synopsis is `usage`: one
-    part per word, where a [WORD] is optional and a trailing ... allows any
-    number more.  Any other length is an error quoting the synopsis."""
-    lst, line = _expect_list(node, usage)
-    words = usage.count(" ") + 1
-    more = usage.endswith("...)")
-    if len(lst) < words - usage.count("[") - more or len(lst) > words and not more:
-        raise FStructError(f"expected {usage}", line)
-    return lst, line
-
-
-def _head(lst, line, what):
-    """The symbol that opens the form `lst`."""
-    if not lst:
-        raise FStructError(f"expected {what}", line)
-    return symbol(lst[0], what)
-
-
-def _string(node, what):
-    val, line = node
-    if not isinstance(val, str) or not val.startswith('"'):
-        raise FStructError(f"expected quoted {what}", line)
-    return val[1:]
-
-
 def _variant(node) -> str:
     lst, line = _form(node, "(variant NAME)")
-    if symbol(lst[0], "variant") != "variant" or lst[1][0] not in VARIANTS:
+    if lst[1][0] not in VARIANTS:
         raise FStructError("expected (variant intensional) or (variant extensional)", line)
     return lst[1][0]
 
@@ -283,10 +253,7 @@ def _parse_type_sexp(node) -> Union[MeaningType, str]:
         if val in ("e", "t", "s"):
             return Base(val)
         raise FStructError(f"unknown type {val!r}", line)
-    usage = "(-> TYPE TYPE ...)"
-    _form(node, usage)
-    if symbol(val[0], usage) != "->":
-        raise FStructError(f"expected {usage}", line)
+    _form(node, "(-> TYPE TYPE ...)")
     tys = [_parse_type_sexp(n) for n in val[1:]]
     if SEM in tys:
         raise FStructError("bad arrow type", line)
@@ -299,14 +266,14 @@ def _parse_sem_sexp(node, binders) -> Union[SigmaPath, SemVar]:
         if binders.get(val) == SEM:
             return SemVar(val)
         raise FStructError(f"unbound structure variable {val!r}", line)
-    head = _head(val, line, "sigma operator")
+    _, _, head = _head(node, "sigma operator")
     if head == "sig":
         _form(node, "(sig F)")
         if val[1][0] == "up":
             return SigmaPath((), ROOT)
         usage = "(path up [ATTR] ...)"
         flist, fline = _form(val[1], usage)
-        if symbol(flist[0], usage) != "path" or symbol(flist[1], usage) != "up":
+        if symbol(flist[1], usage) != "up":
             raise FStructError(f"expected {usage}", fline)
         attrs = tuple(symbol(n, "attribute").upper() for n in flist[2:])
         return SigmaPath(attrs, ROOT)
@@ -331,8 +298,7 @@ def _parse_term_sexp(node, binders, lam_bound) -> MeaningTerm:
         if kind is not None and kind != SEM:
             return MetaVar(val, kind)
         return Const(val, None)
-    if not val:
-        raise FStructError("empty term", line)
+    _form(node, "(TERM [TERM] ...)")
     head_val = val[0][0]
     if head_val in ("cap", "cup"):
         _form(node, f"({head_val} TERM)")
@@ -363,20 +329,19 @@ _CONNECTIVES = {
 def parse_formula_sexp(node, binders=None) -> GlueFormula:
     """Parse a glue formula from its s-expression form."""
     binders = dict(binders or {})
-    lst, line = _expect_list(node, "glue formula")
-    head = _head(lst, line, "connective")
+    lst, line, head = _head(node, "glue formula")
     if head not in _CONNECTIVES:
         raise FStructError(f"unknown connective {head!r}", line)
     _form(node, _CONNECTIVES[head])
     if head == "forall":
-        blist, _ = _expect_list(lst[1], "binder list")
+        blist, _ = _form(lst[1], "([BINDER] ...)")
         names = []
         for b in blist:
-            pair, bline = _form(b, "(VAR TYPE)")
-            name = symbol(pair[0], "variable")
+            (var, kind), pline = _form(b, "(VAR TYPE)")
+            name = symbol(var, "variable")
             if name in binders:
-                raise FStructError(f"shadowed quantifier variable {name}", bline)
-            binders[name] = _parse_type_sexp(pair[1])
+                raise FStructError(f"shadowed quantifier variable {name}", pline)
+            binders[name] = _parse_type_sexp(kind)
             names.append(name)
         body = parse_formula_sexp(lst[2], binders)
         for name in reversed(names):
@@ -431,75 +396,68 @@ _CLAUSES = {
 
 
 def parse_lexicon(text: str, extensional: bool = False) -> Lexicon:
-    """Parse a lexicon document.  (const NAME TYPE) forms declare the
-    constants that constructors may use; entries and constants carrying a
+    """Parse a lexicon document of (const NAME TYPE) and (entry ...) forms.
+    Entries are built once every form has been read, so a constructor may
+    use a constant declared after it; entries and constants carrying a
     (variant ...) tag other than the selected one are skipped."""
     variant = VARIANTS[extensional]
     ctx: TypingContext = {}
-    sexps = read_sexps(text)
-    for node in sexps:
-        lst, line = _expect_list(node, "lexicon form")
-        if lst and symbol(lst[0], "form") == "const":
-            _form(node, "(const NAME TYPE [VARIANT])")
-            if len(lst) == 4 and _variant(lst[3]) != variant:
-                continue
-            name = symbol(lst[1], "constant name")
-            ty = _parse_type_sexp(lst[2])
-            if ty == SEM:
-                raise FStructError("constants cannot have type sem", line)
-            if name in ctx and ctx[name] != ty:
-                raise FStructError(f"constant {name} redeclared at a new type", line)
-            ctx[name] = ty
+    entry_nodes = []
+    for node in read_sexps(text):
+        lst, line, head = _head(node, "lexicon form")
+        if head == "entry":
+            entry_nodes.append(node)
+            continue
+        if head != "const":
+            raise FStructError(f"unknown lexicon form {head!r}", line)
+        _form(node, "(const NAME TYPE [VARIANT])")
+        if len(lst) == 4 and _variant(lst[3]) != variant:
+            continue
+        name = symbol(lst[1], "constant name")
+        ty = _parse_type_sexp(lst[2])
+        if ty == SEM:
+            raise FStructError("constants cannot have type sem", line)
+        if name in ctx and ctx[name] != ty:
+            raise FStructError(f"constant {name} redeclared at a new type", line)
+        ctx[name] = ty
+    entries = (_entry(node, variant, ctx) for node in entry_nodes)
+    return Lexicon([e for e in entries if e is not None], ctx, extensional)
 
-    entries = []
-    for node in sexps:
-        lst, line = _expect_list(node, "lexicon form")
-        if not lst or symbol(lst[0], "form") != "entry":
-            continue
-        _form(node, '(entry "WORD" CAT CLAUSE ...)')
-        headword = _string(lst[1], "headword")
-        category = symbol(lst[2], "category")
-        trigger_attr, trigger_value = "PRED", headword
-        entry_variant = None
-        constraints = []
-        template_node = None
-        for part in lst[3:]:
-            plist, pline = _expect_list(part, "entry clause")
-            tag = _head(plist, pline, "entry clause")
-            if tag not in _CLAUSES:
-                raise FStructError(f"unknown entry clause {tag!r}", pline)
-            _form(part, _CLAUSES[tag])
-            if tag == "trigger":
-                trigger_attr = symbol(plist[1], "attribute").upper()
-                if trigger_attr not in ("PRED", "SPEC"):
-                    raise FStructError("trigger attribute must be PRED or SPEC", pline)
-                trigger_value = (
-                    _string(plist[2], "trigger value") if len(plist) > 2 else headword
-                )
-            elif tag == "variant":
-                entry_variant = _variant(part)
-            elif tag == "syn":
-                sem = _parse_sem_sexp(plist[1], {})
-                constraints.append((sem.fpath, _string(plist[2], "value")))
-            else:
-                template_node = plist[1]
-        if template_node is None:
-            raise FStructError(f"entry {headword!r} has no constructor", line)
-        if entry_variant is not None and entry_variant != variant:
-            continue
-        template = _check_template(headword, parse_formula_sexp(template_node), ctx)
-        entries.append(
-            LexEntry(
-                headword,
-                category,
-                trigger_attr,
-                trigger_value,
-                entry_variant,
-                tuple(constraints),
-                template,
+
+def _entry(node, variant: str, ctx: TypingContext) -> Optional[LexEntry]:
+    """The entry form `node`, or None when it belongs to the other variant."""
+    lst, line = _form(node, '(entry "WORD" CAT CLAUSE ...)')
+    headword = _string(lst[1], "headword")
+    category = symbol(lst[2], "category")
+    trigger_attr, trigger_value = "PRED", headword
+    entry_variant = template_node = None
+    constraints = []
+    for part in lst[3:]:
+        plist, pline, tag = _head(part, "entry clause")
+        if tag not in _CLAUSES:
+            raise FStructError(f"unknown entry clause {tag!r}", pline)
+        _form(part, _CLAUSES[tag])
+        if tag == "trigger":
+            trigger_attr = symbol(plist[1], "attribute").upper()
+            if trigger_attr not in ("PRED", "SPEC"):
+                raise FStructError("trigger attribute must be PRED or SPEC", pline)
+            trigger_value = (
+                _string(plist[2], "trigger value") if len(plist) > 2 else headword
             )
-        )
-    return Lexicon(entries, ctx, extensional)
+        elif tag == "variant":
+            entry_variant = _variant(part)
+        elif tag == "syn":
+            sem = _parse_sem_sexp(plist[1], {})
+            constraints.append((sem.fpath, _string(plist[2], "value")))
+        else:
+            template_node = plist[1]
+    if template_node is None:
+        raise FStructError(f"entry {headword!r} has no constructor", line)
+    if entry_variant not in (None, variant):
+        return None
+    template = _check_template(headword, parse_formula_sexp(template_node), ctx)
+    return LexEntry(headword, category, trigger_attr, trigger_value, entry_variant,
+                    tuple(constraints), template)
 
 
 def load_lexicon(path: str, extensional: bool = False) -> Lexicon:

@@ -157,7 +157,8 @@ def test_prove_trace_shows_solutions_and_atoms(capsys):
     assert all(re.search(r"   \|- \S+ ~>_[et] ", l) for l in identities)
 
 
-# One malformed form per line; each used to end in an IndexError traceback.
+# One malformed form per line.  Each of the first twelve used to end in an
+# IndexError traceback; the last three were skipped without a word.
 MALFORMED_LEXICON_FORMS = [
     '(entry "Bill" NP (trigger) (constructor (means (sig up) Bill e)))',
     '(entry "Bill" NP (variant) (constructor (means (sig up) Bill e)))',
@@ -171,6 +172,9 @@ MALFORMED_LEXICON_FORMS = [
     '(entry "Bill" NP (constructor (means (sig up) (lam (x e)) e)))',
     '(entry "Bill" NP (constructor (atom)))',
     '(entry "Bill" NP (constructor (forall)))',
+    '()',
+    '(entyr "Bill" NP (constructor (means (sig up) Bill e)))',
+    '(cosnt Bill e)',
 ]
 
 
@@ -190,6 +194,39 @@ def test_malformed_forms_are_one_line_errors(capsys, tmp_path, command, text):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {bad}: line 2: ") and err.count("\n") == 1
+
+
+# One malformed f-structure per case: a fragment of its error message and
+# the line the error names (None: the error names no line).
+MALFORMED_FSTRUCTURES = [
+    ('(fstruct f\n  (PRED "arrive"))\n)\n', "unexpected )", 3),
+    ('(fstruct f\n  (SUBJ (fstruct g (PRED "John")))\n  (PRED "arrive"\n', "missing )", 3),
+    ('(fstruct f\n  (PRED "arr\nive"))\n', "unterminated string", 2),
+    ('; a comment\n(PRED "arrive")\n', "fstruct", 2),
+    ('\n(fstruct)\n', "fstruct", 2),
+    ('(fstruct f (PRED "arrive")\n  (SUBJ (ref g)))\n', "unknown label g", 2),
+    ('; only a comment\n', "empty document", None),
+    ('(fstruct f (PRED "arrive"))\n(ant f)\n', "(ant PRONOUN ANTECEDENT)", 2),
+    ('(fstruct f (PRED "arrive")\n  (SUBJ (fstruct g (PRED "pro"))))\n\n(ant g h)\n',
+     "unknown label h", 4),
+    ('(fstruct f (PRED "arrive")\n  (SUBJ (fstruct g (PRED "John"))))\n(ant g f)\n',
+     'g lacks PRED "pro"', 3),
+]
+
+
+@pytest.mark.parametrize("text,fragment,line", MALFORMED_FSTRUCTURES)
+def test_malformed_fstructures_are_one_line_errors(capsys, tmp_path, text, fragment, line):
+    bad = tmp_path / "bad.fstr"
+    bad.write_text(text)
+    code, out, err = run(
+        capsys, "readings", "--fstructure", str(bad), "--lexicon", "corpus/lexicon.glue"
+    )
+    assert (code, out) == (1, "")
+    prefix = f"error: {bad}: "
+    assert err.startswith(prefix) and err.count("\n") == 1
+    message = err[len(prefix):]
+    assert fragment in message
+    assert message.startswith(f"line {line}: ") if line else "line" not in message
 
 
 def test_explicit_parens_flag(capsys):

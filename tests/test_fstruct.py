@@ -1,5 +1,7 @@
 """Attribute-value structure tests: parsing, paths, projections."""
 
+import re
+
 import pytest
 
 from gluesem.fstruct import (
@@ -10,6 +12,7 @@ from gluesem.fstruct import (
     NoAntecedent,
     SemStruct,
     parse_fstructure,
+    read_sexps,
     resolve,
     sigma,
     sigma_ant,
@@ -75,6 +78,31 @@ def test_syntax_error_reports_line():
     with pytest.raises(FStructError) as err:
         parse_fstructure('(fstruct f\n  (PRED "unterminated))')
     assert "line 2" in str(err.value)
+
+
+def test_reader_keeps_strings_lines_and_comments():
+    text = '(a "b c" ; (not read\n  ("" (d)))\n; x\ne'
+    assert read_sexps(text) == [
+        ([("a", 1), ('"b c', 1), ([('"', 2), ([("d", 2)], 2)], 2)], 1),
+        ("e", 4),
+    ]
+
+
+@pytest.mark.parametrize(
+    "text,error",
+    [
+        # the first error of a document; an unterminated string outranks
+        # any error in the nesting of the parentheses
+        ('(a))\n(b', "line 1: unexpected )"),
+        (')\n"x', "line 2: unterminated string"),
+        ("(" * 101 + '\n"x', "line 2: unterminated string"),
+        ("(\n" * 101 + "))", "line 101: lists nest deeper than 100 levels"),
+        ("(a\n(b)\n(c", "line 3: missing )"),
+    ],
+)
+def test_reader_errors_name_the_line(text, error):
+    with pytest.raises(FStructError, match=re.escape(error)):
+        read_sexps(text)
 
 
 def test_resolve_paths():

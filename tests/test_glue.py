@@ -13,6 +13,7 @@ from gluesem.glue import (
     Means,
     NoEntry,
     Tensor,
+    entry_matches,
     formula_free_vars,
     inst_term_var,
     instantiate,
@@ -278,3 +279,66 @@ def test_inst_term_var_agrees_with_named_substitution():
                 kept += 1
                 assert after is before
     assert kept > 100 and changed > 100
+
+
+# ---------------------------------------------------------------------------
+# (syn SIGMA VALUE) constraints
+
+NAMED_BY_CASE = """
+(const Bill e)
+(const Hillary e)
+(entry "Bill" NP (syn (sig (path up CASE)) "nom")
+  (constructor (means (sig up) Bill e)))
+(entry "Bill" NP (syn (sig (path up CASE)) "acc")
+  (constructor (means (sig up) Hillary e)))
+"""
+
+
+@pytest.mark.parametrize("case,meaning", [("nom", "Bill"), ("acc", "Hillary")])
+def test_syn_constraints_choose_between_entries_with_one_pred(case, meaning):
+    lex2 = parse_lexicon(NAMED_BY_CASE)
+    doc = parse_fstructure(f'(fstruct f (PRED "Bill") (CASE "{case}"))')
+    [premise] = premises(doc, lex2)
+    assert premise.formula.term == Const(meaning, E)
+    assert [e.constraints for e in lex2.entries] == [((("CASE",), "nom"),), ((("CASE",), "acc"),)]
+
+
+@pytest.mark.parametrize(
+    "fstructure",
+    [
+        '(fstruct f (PRED "Bill"))',
+        '(fstruct f (PRED "Bill") (CASE "dat"))',
+        '(fstruct f (PRED "Bill") (CASE (fstruct g (PRED "nom"))))',
+    ],
+)
+def test_syn_constraint_on_a_missing_or_other_value_does_not_match(fstructure):
+    lex2 = parse_lexicon(NAMED_BY_CASE)
+    doc = parse_fstructure(fstructure)
+    assert not any(entry_matches(e, doc.root) for e in lex2.entries)
+    with pytest.raises(NoEntry):
+        premises(doc, lex2)
+
+
+def test_syn_constraint_through_a_path_the_node_lacks_does_not_match():
+    lex2 = parse_lexicon(
+        '(const Bill e)\n'
+        '(entry "Bill" NP (syn (sig (path up SUBJ NUM)) "sg")\n'
+        '  (constructor (means (sig up) Bill e)))\n'
+    )
+    [entry_] = lex2.entries
+    assert not entry_matches(entry_, parse_fstructure('(fstruct f (PRED "Bill"))').root)
+    assert not entry_matches(
+        entry_, parse_fstructure('(fstruct f (PRED "Bill") (SUBJ "x"))').root
+    )
+    assert entry_matches(
+        entry_,
+        parse_fstructure('(fstruct f (PRED "Bill") (SUBJ (fstruct g (NUM "sg"))))').root,
+    )
+
+
+def test_constants_may_be_declared_after_the_entries_that_use_them():
+    lex2 = parse_lexicon(
+        '(entry "Bill" NP (constructor (means (sig up) Bill e)))\n(const Bill e)\n'
+    )
+    [premise] = premises(parse_fstructure('(fstruct f (PRED "Bill"))'), lex2)
+    assert premise.formula.term == Const("Bill", E)

@@ -170,6 +170,66 @@ def test_escape_allowed_for_older_eigens():
 
 
 # ---------------------------------------------------------------------------
+# branches that neither the shipped inputs nor the random problems reach
+
+
+def _solved(l, r, vc):
+    """The unifier of l = r, checked sound: both sides agree under it."""
+    su = unify([(l, r)], vc)
+    assert su is not None
+    assert alpha_equal(su.nf(l), su.nf(r))
+    return su
+
+
+def test_flex_flex_with_one_head_prunes_the_differing_arguments():
+    # F(x, y) = F(x, z) is solved by F := \a b. H(a) for a fresh H
+    vc = classes_for(F=FLEX, x=EIGEN, y=EIGEN, z=EIGEN)
+    f = MetaVar("F", arrow(E, E, T))
+    x, y, z = (Var(n, E) for n in "xyz")
+    binding = _solved(app(f, x, y), app(f, x, z), vc).nf(f)
+    h = binding.body.body.fn
+    assert isinstance(h, MetaVar) and h.name != "F"
+    assert binding == Abs(E, Abs(E, App(h, BVar(1))))
+
+
+@pytest.mark.parametrize(
+    "body,expected",
+    [
+        (App(MetaVar("P", Arrow(E, T)), BVar(0)), MetaVar("P", Arrow(E, T))),
+        (App(Const("run", Arrow(E, T)), BVar(0)), Const("run", Arrow(E, T))),
+        (app(APPOINT, BVar(0), BVar(0)), Abs(E, app(APPOINT, BVar(0), BVar(0)))),
+    ],
+)
+def test_abstraction_against_a_flex_variable(body, expected):
+    # \x. body = Q binds Q to the abstraction (eta-short where it can be)
+    vc = classes_for(P=FLEX, Q=FLEX)
+    q = MetaVar("Q", Arrow(E, T))
+    assert _solved(Abs(E, body), q, vc).nf(q) == expected
+
+
+def test_intensions_of_distinct_eigens_do_not_unify():
+    vc = classes_for(a=EIGEN, b=EIGEN)
+    assert unify([(Cap(Var("a", E)), Cap(Var("b", E)))], vc) is None
+
+
+def test_intension_against_a_variable_binds_its_extension():
+    # ^M = v is solved by M := !v, since ^(!v) is v
+    vc = classes_for(v=EIGEN, M=FLEX)
+    m, v = MetaVar("M", E), Var("v", Arrow(S, E))
+    assert _solved(Cap(m), v, vc).nf(m) == Cup(v)
+    # against a rigid constant there is no solution
+    assert unify([(Cap(m), Const("c", Arrow(S, E)))], vc) is None
+
+
+def test_distinct_eigen_heads_or_arguments_do_not_unify():
+    vc = classes_for(f=EIGEN, g=EIGEN, x=EIGEN, y=EIGEN)
+    f, g = Var("f", Arrow(E, T)), Var("g", Arrow(E, T))
+    x, y = Var("x", E), Var("y", E)
+    assert unify([(App(f, x), App(f, y))], vc) is None
+    assert unify([(App(f, x), App(g, x))], vc) is None
+
+
+# ---------------------------------------------------------------------------
 # apply / compose
 
 
