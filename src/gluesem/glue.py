@@ -431,12 +431,15 @@ def _entry(node, variant: str, ctx: TypingContext) -> Optional[LexEntry]:
     category = symbol(lst[2], "category")
     trigger_attr, trigger_value = "PRED", headword
     entry_variant = template_node = None
-    constraints = []
+    constraints, seen = [], set()
     for part in lst[3:]:
         plist, pline, tag = _head(part, "entry clause")
         if tag not in _CLAUSES:
             raise FStructError(f"unknown entry clause {tag!r}", pline)
         _form(part, _CLAUSES[tag])
+        if tag in seen and tag != "syn":
+            raise FStructError(f"entry {headword!r} repeats its {tag} clause", pline)
+        seen.add(tag)
         if tag == "trigger":
             trigger_attr = symbol(plist[1], "attribute").upper()
             if trigger_attr not in ("PRED", "SPEC"):

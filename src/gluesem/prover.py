@@ -7,16 +7,17 @@ splitting is threaded lazily: each subproof consumes what it needs from the
 resources it is handed and returns the leftovers, and a proof of the whole
 sequent is one that leaves nothing over.  Universals focused on the left
 introduce fresh flex variables; universals proved on the right introduce
-fresh eigenvariables whose scope is policed by the unifier's timestamps.
+fresh eigenvariables whose scope is policed by the matcher's timestamps.
 
 A proof fixes its meaning (the Curry-Howard reading of glue: Dalrymple,
 Gupta, Lamping & Saraswat 1999), so meanings are solved in a second phase.
 The search matches a focused head against an atomic goal by type and
-semantic structure only and records their meaning equation, unsolved, on the
-substitution.  Once a proof leaves nothing over, its equations are solved in
-the order they were made, reusing the solutions of those it shares with the
-previous proof: each equation on a complete proof is solved once, and none
-on a dead branch.  A proof whose equations fail is dropped, and only an
+semantic structure only; the Identity leaf that closes the goal records it.
+Once a proof leaves nothing over, its meaning equations, one per meaning
+Identity leaf, are solved antecedents first: a post-order walk of the
+derivation solves a focused formula's antecedent proofs before its head.
+By then the side that fixes each meaning variable is closed, so one-way
+matching solves it.  A proof whose equations fail is dropped, and only an
 equation on a complete proof can raise NonPatternError.
 
 Focusing is indexed by head.  When a resource is made, the atom a focus on
@@ -131,14 +132,16 @@ class Derivation(Record):
     # rule: Identity | TensorL | TensorR | LimpL | LimpR | PiL | PiR; atom: the
     # consumed atom of an Identity leaf; fresh: the variables a PiL node
     # introduces; rid: the resource an Identity or TensorL node consumes;
-    # ant: the antecedent a LimpL node proves, printed only by render_trace
-    __slots__ = ("rule", "info", "children", "atom", "fresh", "rid", "ant")
+    # ant: the antecedent a LimpL node proves, printed only by render_trace;
+    # goal: the atomic goal an Identity leaf closes
+    __slots__ = ("rule", "info", "children", "atom", "fresh", "rid", "ant", "goal")
 
     def __init__(self, rule: str, info: str, children: tuple[Derivation, ...],
                  atom: Optional[GlueFormula] = None, fresh: tuple[str, ...] = (),
-                 rid: Optional[int] = None, ant: Optional[GlueFormula] = None):
+                 rid: Optional[int] = None, ant: Optional[GlueFormula] = None,
+                 goal: Optional[GlueFormula] = None):
         self.rule, self.info, self.children = rule, info, children
-        self.atom, self.fresh, self.rid, self.ant = atom, fresh, rid, ant
+        self.atom, self.fresh, self.rid, self.ant, self.goal = atom, fresh, rid, ant, goal
 
 
 class Reading(Record):
@@ -155,8 +158,8 @@ class SearchStats(Record):
     __hash__ = None  # counts grow during the search
 
     # head_rejects: resources skipped by the head filter; equations: meaning
-    # equations solved on complete proofs; limit: the budget limit that ran
-    # out, "max-steps" or "max-depth", or None
+    # equations solved, each complete proof's up to the first that fails;
+    # limit: the budget limit that ran out, "max-steps" or "max-depth", or None
     def __init__(self, steps: int = 0, proofs: int = 0, head_rejects: int = 0,
                  equations: int = 0, limit: Optional[str] = None):
         self.steps, self.proofs, self.head_rejects = steps, proofs, head_rejects
@@ -295,7 +298,8 @@ class Prover:
             su2 = self._unify_atoms(su, f, goal)
             if su2 is None:
                 return
-            leaf = Derivation("Identity", f"{res.tag}#{res.rid}", (), atom=f, rid=res.rid)
+            leaf = Derivation("Identity", f"{res.tag}#{res.rid}", (), atom=f, rid=res.rid,
+                              goal=goal)
             for su3, left3, pending_ds in self._prove_pendings(
                 su2, ctx, pendings, depth
             ):
@@ -369,8 +373,7 @@ class Prover:
             return None
         if f.ty != goal.ty:
             return None  # the type subscript of the meaning relation must agree
-        su2 = solve_sem(su, f.sem, goal.sem, self.classes)
-        return None if su2 is None else su2.defer(f.term, goal.term)
+        return solve_sem(su, f.sem, goal.sem, self.classes)
 
 
 # ---------------------------------------------------------------------------
@@ -394,40 +397,32 @@ def check_linearity(d: Derivation, ctx: tuple[Resource, ...]) -> None:
     assert premise_rids <= set(seen), "a premise escaped consumption"
 
 
+def _solve_meanings(
+    prover: Prover, su: Substitution, d: Derivation
+) -> Optional[Substitution]:
+    """`su` extended to solve the meaning equations of `d`, or None when one
+    fails.  The walk is post-order, so a LimpL node's antecedent proof is
+    solved before the focused head that its other child ends at."""
+    for child in d.children:
+        su = _solve_meanings(prover, su, child)
+        if su is None:
+            return None
+    if isinstance(d.goal, Means):
+        prover.stats.equations += 1
+        su = solve(su, d.atom.term, d.goal.term, prover.classes)
+    return su
+
+
 def _complete_proofs(
     prover: Prover, ctx: tuple[Resource, ...], goal: GlueFormula
 ) -> Iterator[tuple[Substitution, Derivation]]:
     """The proofs of ctx |- goal that consume every resource and whose
     meaning equations have a solution, with that solution."""
-    # the previous proof's equations, oldest first, each with the solution of
-    # it and all older ones (None from the first that fails).  Depth-first
-    # search completes the proofs below one equation one after another, so
-    # an equation the current proof does not share is never needed again.
-    solved: list[tuple[Optional[tuple], Optional[Substitution]]] = [(None, Substitution())]
     for su, leftover, d in prover.prove(Substitution(), ctx, goal, 0):
-        if leftover:
-            continue
-        if su.eqs is not None:
-            cells, cell = [], su.eqs
-            while cell is not None:
-                cells.append(cell)
-                cell = cell[2]
-            cells.reverse()
-            n = 1  # keep what this proof shares with the previous one
-            while n < len(solved) and n <= len(cells) and solved[n][0] is cells[n - 1]:
-                n += 1
-            del solved[n:]
-            out = solved[-1][1]
-            for cell in cells[n - 1 :]:
-                if out is None:
-                    break
-                prover.stats.equations += 1
-                out = solve(out, cell[0], cell[1], prover.classes)
-                solved.append((cell, out))
-            if out is None:
-                continue
-            su = Substitution(out.terms, su.sems, out._memo)
-        yield su, d
+        if not leftover:
+            su = _solve_meanings(prover, su, d)
+            if su is not None:
+                yield su, d
 
 
 def prove_sequent(

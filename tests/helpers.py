@@ -4,8 +4,9 @@ Nothing in the oracles goes through the package's proof-search or
 unification code paths: the sequent decision procedure enumerates multiset
 splits directly, the term enumerator builds normal forms by brute force and
 the reference typechecker infers types by unification.  The eager prover
-solves each meaning equation where the search makes it, as the prover did
-before it deferred them to complete proofs.  The surface-syntax
+solves each meaning equation where the search makes it, with the general
+unifier of `reference_unifier`, as the prover did before it deferred them
+to complete proofs and matched them antecedents first.  The surface-syntax
 term parser, named substitution, f-structure printing and equation-list
 unification live here too: only tests use them, so the package does not
 ship them.
@@ -44,6 +45,8 @@ from gluesem.terms import (
     print_term,
 )
 from gluesem.unify import Substitution, VarClass, solve, solve_sem
+
+import reference_unifier
 
 # ---------------------------------------------------------------------------
 # Brute-force decision procedure for the propositional tensor fragment.
@@ -129,7 +132,9 @@ class EagerProver(prover.Prover):
         if not (isinstance(f, Means) and isinstance(goal, Means)) or f.ty != goal.ty:
             return None
         su2 = solve_sem(su, f.sem, goal.sem, self.classes)
-        return None if su2 is None else solve(su2, f.term, goal.term, self.classes)
+        if su2 is None:
+            return None
+        return reference_unifier.solve(su2, f.term, goal.term, self.classes)
 
 
 def with_prover(cls, run):
@@ -897,13 +902,14 @@ class InconsistentSubst(GlueError):
         super().__init__(f"variable {name} received conflicting bindings")
 
 
-def unify(equations, classes=None, subst=None):
-    """Most general unifier of the meaning-term equations within the pattern
-    fragment, or None when rigid heads clash or a check fails."""
+def unify(equations, classes=None, subst=None, solver=solve):
+    """Most general solution of the meaning-term equations, solved in order by
+    `solver` (the package's matcher, or `reference_unifier.solve`), or None
+    when rigid heads clash or a check fails."""
     su = subst or Substitution()
     classes = classes or VarClass()
     for l, r in equations:
-        su = solve(su, l, r, classes)
+        su = solver(su, l, r, classes)
         if su is None:
             return None
     return su

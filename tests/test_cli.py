@@ -82,27 +82,49 @@ def test_prove_meaning_clash_exits_2(capsys, tmp_path):
     assert (code, out) == (2, "not provable\n")
 
 
-def test_non_pattern_meaning_is_an_input_error(capsys, tmp_path):
-    # the only proof equates the goal meaning with P(X): P applied to a
-    # unification variable lies outside the pattern fragment
+@pytest.mark.parametrize(
+    "constructor,fragment",
+    [
+        # the only proof equates the goal meaning with P(X): P applied to a
+        # unification variable lies outside the pattern fragment
+        ("(forall ((X e) (P (-> e t)))\n"
+         "  (limp (means (sig (path up SUBJ)) X e) (means (sig up) (P X) t)))",
+         "non-pattern arguments"),
+        # no antecedent fixes P, so the goal meaning and P are both unbound
+        ("(forall ((X e) (P t))\n"
+         "  (limp (means (sig (path up SUBJ)) X e) (means (sig up) P t)))",
+         "no antecedent fixes P?"),
+    ],
+    ids=["applied-to-a-flex-variable", "fixed-by-no-antecedent"],
+)
+def test_non_pattern_meaning_is_an_input_error(capsys, tmp_path, constructor, fragment):
     lex = tmp_path / "odd.glue"
     lex.write_text(
         '(const Bill e)\n'
         '(entry "Bill" NP (trigger PRED) (constructor (means (sig up) Bill e)))\n'
-        '(entry "sleep" V (trigger PRED) (constructor (forall ((X e) (P (-> e t)))\n'
-        '  (limp (means (sig (path up SUBJ)) X e) (means (sig up) (P X) t)))))\n'
+        f'(entry "sleep" V (trigger PRED) (constructor {constructor}))\n'
     )
     fstr = tmp_path / "sleeps.fstr"
     fstr.write_text('(fstruct f (PRED "sleep") (SUBJ (fstruct g (PRED "Bill"))))')
     code, out, err = run(capsys, "readings", "--fstructure", str(fstr), "--lexicon", str(lex))
     assert code == 1 and out == ""
-    assert err.startswith("error:") and "non-pattern arguments" in err
+    assert err.startswith("error:") and fragment in err
     assert err.count("\n") == 1
 
 
-def test_prove_linear_identity(capsys, tmp_path):
+@pytest.mark.parametrize(
+    "formula",
+    [
+        "(limp (atom A) (atom A))",
+        # the goal's side fixes the focused assumption's Y: matching binds
+        # a flex variable on either side of the equation
+        "(forall ((G sem)) (limp (forall ((Y e)) (means G Y e)) (means G Bill e)))",
+    ],
+    ids=["atoms", "goal-fixes-the-focused-side"],
+)
+def test_prove_linear_identity(capsys, tmp_path, formula):
     f = tmp_path / "id.glue"
-    f.write_text("(limp (atom A) (atom A))")
+    f.write_text(formula)
     code, out, _ = run(capsys, "prove", "--lexicon", "corpus/lexicon.glue",
                        "--formula", str(f))
     assert code == 0
@@ -158,7 +180,7 @@ def test_prove_trace_shows_solutions_and_atoms(capsys):
 
 
 # One malformed form per line.  Each of the first twelve used to end in an
-# IndexError traceback; the last three were skipped without a word.
+# IndexError traceback; the next three were skipped without a word.
 MALFORMED_LEXICON_FORMS = [
     '(entry "Bill" NP (trigger) (constructor (means (sig up) Bill e)))',
     '(entry "Bill" NP (variant) (constructor (means (sig up) Bill e)))',
@@ -175,6 +197,10 @@ MALFORMED_LEXICON_FORMS = [
     '()',
     '(entyr "Bill" NP (constructor (means (sig up) Bill e)))',
     '(cosnt Bill e)',
+    # a repeated clause used to replace the earlier one without a word
+    '(entry "Bill" NP (constructor (means (sig up) Bill e)) (constructor (means (sig up) Hillary e)))',
+    '(entry "Bill" NP (trigger PRED) (trigger PRED "Bill") (constructor (means (sig up) Bill e)))',
+    '(entry "Bill" NP (variant intensional) (variant extensional) (constructor (means (sig up) Bill e)))',
 ]
 
 

@@ -89,6 +89,44 @@ def _mutate(toks, rng):
     return toks or [""]
 
 
+def _form_end(toks, k):
+    """The index just past the top-level form that holds toks[k]."""
+    depth = 0
+    for i in range(len(toks)):
+        depth += {"(": 1, ")": -1}.get(toks[i].strip(), 0)
+        if i >= k and depth <= 0:
+            return i + 1
+    return len(toks)
+
+
+def _rewrite_meaning(toks, rng):
+    """Pick a quantified meaning variable V of type e or t and either apply
+    it to the constant Bill (V gets type e -> TY and each later V in its form
+    becomes (V Bill)) or let its first later occurrence, usually the
+    antecedent that fixes it, name a fresh variable bound beside it, so that
+    nothing fixes V.  Either way the meaning equations leave the fragment the
+    matcher solves."""
+    toks = list(toks)
+    binders = [
+        k for k in range(len(toks) - 3)
+        if toks[k].strip() == "(" and re.fullmatch(r"[A-Za-z]\w*", toks[k + 1].strip())
+        and toks[k + 2].strip() in ("e", "t") and toks[k + 3].strip() == ")"
+    ]
+    if not binders:
+        return toks
+    k = rng.choice(binders)
+    name, ty = toks[k + 1].strip(), toks[k + 2].strip()
+    later = [i for i in range(k + 4, _form_end(toks, k)) if toks[i].strip() == name]
+    if rng.random() < 0.5:
+        toks[k + 2] = _respell(toks[k + 2], f"(-> e {ty})")
+        for i in later:
+            toks[i] = _respell(toks[i], f"({name} Bill)")
+    elif later:
+        toks[later[0]] = _respell(toks[later[0]], f"{name}2")
+        toks[k + 4:k + 4] = [" (", f"{name}2", f" {ty}", ")"]
+    return toks
+
+
 def _case(seed, tmp_path):
     """The command line of case `seed` and the mutated text it reads."""
     rng = random.Random(seed)
@@ -112,22 +150,51 @@ def _case(seed, tmp_path):
     return argv + ["--max-steps", "3000"], text
 
 
+def _run_case(capsys, seed, argv, text):
+    """Run one case: its exit status and stderr, checked to be an exit
+    status and, for exit 1, a single `error:` line."""
+    try:
+        code = main(argv)
+    except Exception as e:  # any escape is the failure sought: name its case
+        pytest.fail(f"seed {seed}: {type(e).__name__}: {e}\ninput:\n{text}")
+    out = capsys.readouterr()
+    assert code in (0, 1, 2, 3), f"seed {seed}: exit {code}"
+    if code == 1:
+        assert out.out == "", f"seed {seed}"
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1, (
+            f"seed {seed}: {out.err!r}\ninput:\n{text}"
+        )
+    return code, out.err
+
+
 def test_mutated_inputs_never_raise(capsys, tmp_path):
     codes = []
     for seed in SEEDS:
         argv, text = _case(seed, tmp_path)
-        try:
-            code = main(argv)
-        except Exception as e:  # any escape is the failure sought: name its case
-            pytest.fail(f"seed {seed}: {type(e).__name__}: {e}\ninput:\n{text}")
-        out = capsys.readouterr()
-        assert code in (0, 1, 2, 3), f"seed {seed}: exit {code}"
-        if code == 1:
-            assert out.out == "", f"seed {seed}"
-            assert out.err.startswith("error: ") and out.err.count("\n") == 1, (
-                f"seed {seed}: {out.err!r}\ninput:\n{text}"
-            )
-        codes.append(code)
+        codes.append(_run_case(capsys, seed, argv, text)[0])
     # the mutations must leave some inputs well-formed, or only the first
     # error branch of each parser is exercised
+    assert sum(code in (0, 2) for code in codes) >= len(codes) // 20
+
+
+def test_rewritten_meanings_never_raise(capsys, tmp_path):
+    # well-typed lexicons and formulas whose meaning equations fall outside
+    # the matched fragment: the matcher's NonPatternError is one error line
+    codes, matcher_errors = [], 0
+    for seed in range(100):
+        rng = random.Random(seed)
+        target = rng.choice(["lexicon", "formula"])
+        source = LEXICON if target == "lexicon" else FORMULA
+        text = "".join(_rewrite_meaning(_tokens(source), rng)) + "\n"
+        mutated = tmp_path / f"meaning{seed}{source.suffix}"
+        mutated.write_text(text)
+        if target == "formula":
+            argv = ["prove", "--lexicon", str(LEXICON), "--formula", str(mutated)]
+        else:
+            argv = ["readings", "--fstructure", str(rng.choice(FSTRUCTURES)),
+                    "--lexicon", str(mutated)]
+        code, err = _run_case(capsys, seed, argv + ["--max-steps", "3000"], text)
+        codes.append(code)
+        matcher_errors += "non-pattern arguments" in err or "no antecedent fixes" in err
+    assert matcher_errors > 0
     assert sum(code in (0, 2) for code in codes) >= len(codes) // 20

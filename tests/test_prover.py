@@ -37,9 +37,10 @@ from gluesem.terms import (
     S,
     T,
     App,
+    print_term,
 )
 
-from helpers import EagerProver, mill_provable, typecheck, with_prover
+from helpers import EagerProver, free_meta_vars, mill_provable, typecheck, with_prover
 
 A = PropAtom("A")
 B = PropAtom("B")
@@ -281,9 +282,10 @@ REJECTED = [
 ]
 
 
-def test_deferred_meanings_match_the_eager_prover():
-    # every shipped input: the same proofs, readings, derivations and steps
-    # as solving each meaning equation where the search makes it
+def shipped_runs():
+    """A run for every shipped input: the corpus under both lexicon
+    variants, the modifier fixtures, the scope family up to k=3 and the
+    type-raising theorem."""
     runs = []
     for name in CORPUS:
         for lex in (LEX, LEX_EXT):
@@ -299,7 +301,13 @@ def test_deferred_meanings_match_the_eager_prover():
     with open("corpus/type-raising.glue", encoding="utf-8") as fh:
         raising = parse_formula_document(fh.read(), LEX.ctx)
     runs.append(sequent_run(Sequent((), raising)))
-    for run in runs:
+    return runs
+
+
+def test_deferred_meanings_match_the_eager_prover():
+    # every shipped input: the same proofs, readings, derivations and steps
+    # as solving each meaning equation where the search makes it
+    for run in shipped_runs():
         eager, eager_stats = with_prover(EagerProver, run)
         deferred, stats = with_prover(Prover, run)
         assert deferred == eager
@@ -329,6 +337,27 @@ def test_equations_count_the_meanings_solved(monkeypatch):
     result, _ = readings_for_document(doc_for("conversation-every-unicorn"), LEX)
     assert [r.text for r in result.readings] == baseline
     assert len(calls) == result.stats.equations < result.stats.steps
+
+
+def test_focused_sides_are_closed_when_solved(monkeypatch):
+    # solving antecedents first leaves no unbound flex variable on the
+    # focused side of any equation of a shipped input, so one-way matching
+    # suffices; solved in the order the search makes them, they are open
+    open_sides = []
+    solved = 0
+    real = prover.solve
+
+    def checked(su, focused, goal, classes):
+        nonlocal solved
+        solved += 1
+        if free_meta_vars(su.nf(focused)):
+            open_sides.append(print_term(su.nf(focused)))
+        return real(su, focused, goal, classes)
+
+    monkeypatch.setattr(prover, "solve", checked)
+    for run in shipped_runs():
+        run()
+    assert solved > 0 and open_sides == []
 
 
 def test_each_reading_is_closed_normal_and_propositional():
