@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from typing import Optional, Union
 
-from .terms import GlueError, Record
+from .terms import MAX_NESTING, GlueError, Record
 
 
 class FStructError(GlueError):
@@ -183,11 +183,6 @@ def resolve(anchor: FStructure, path: Path) -> FValue:
 # quote as a marker), a `;` comment, a symbol, or an opening quote that no
 # closing quote on the same line matches.
 _TOKEN = re.compile(r'([()])|("[^"]*)"|;.*|([^\s();"]+)|(")')
-
-# Lists may nest this deep and no deeper.  Every parser and every recursive
-# pass over what they build (f-structures, formulas, terms) recurses once or
-# a few times per level, so the limit keeps them all within Python's stack.
-MAX_NESTING = 100
 
 
 def read_sexps(text: str) -> list:

@@ -24,12 +24,20 @@ Focusing is indexed by head.  When a resource is made, the atom a focus on
 it would end at (after stripping its quantifiers and implications) is
 recorded as its head signature: the meaning type with the semantic
 structure, or with no structure when the resource's own quantifier binds
-it, or the name of a propositional atom.  An atomic goal skips every
-resource whose signature cannot unify with it (a type clash, an atom of the
-other kind, or two rigid structures that differ under the current
-substitution) before any quantifier is instantiated, so such a resource
+it, or the name of a propositional atom, and the resource is filed under
+it in bit masks over resource ids; a context is such a mask.  An atomic
+goal focuses, in id order (the order resources entered the context), only
+the resources whose signature can unify with it: a type clash, an atom of
+the other kind, or two rigid structures that differ under the current
+substitution reject a resource before any quantifier is instantiated, so it
 costs no search step.  This is the head filter of Hepple's (1996)
 first-order compilation; it rejects only what the atom match would reject.
+
+A resource is opened once per search: its first focus instantiates its
+quantifiers with fresh flex variables, and later focuses, on other
+branches, reuse them with new birth stamps, so that scope checks see them
+born at the focus on the current branch.  A focus consumes the resource, so
+no branch focuses it twice, and substitutions are branch-local.
 
 Readings are the normalized meaning terms of the goal structure across all
 proofs, deduplicated up to renaming of bound variables.
@@ -193,6 +201,13 @@ class Prover:
         self.stats = SearchStats()
         self._rids = itertools.count(1)
         self._dups: dict[GlueFormula, int] = {}
+        self._resources: list[Optional[Resource]] = [None]  # by rid
+        # head signature, or meaning type for all its heads, or (type,
+        # SemVar) for heads whose structure is a variable -> resource mask
+        self._index: dict[object, int] = {}
+        # rid -> (head, antecedents, fresh variable names, PiL info) of the
+        # resource's first focus
+        self._opened: dict[int, tuple] = {}
 
     # -- plumbing -----------------------------------------------------------
 
@@ -209,13 +224,44 @@ class Prover:
         dup = None
         if premise is not None:
             dup = self._dups.setdefault(formula, len(self._dups))
-        return Resource(next(self._rids), formula, tag, _head_signature(formula), dup)
+        res = Resource(next(self._rids), formula, tag, _head_signature(formula), dup)
+        self._resources.append(res)
+        keys = [res.head]
+        if isinstance(res.head, tuple):
+            ty, sem = res.head
+            keys.append(ty)
+            if isinstance(sem, SemVar):
+                keys[0] = (ty, SemVar)
+        for key in keys:
+            self._index[key] = self._index.get(key, 0) | 1 << res.rid
+        return res
+
+    def _candidates(self, su, ctx: int, goal) -> int:
+        """The resources of `ctx` whose focus `_unify_atoms` may not reject,
+        whatever the quantifiers are instantiated with; tensors are split,
+        not matched."""
+        index = self._index
+        found = ctx & index.get(None, 0)
+        if isinstance(goal, PropAtom):
+            return found | ctx & index.get(goal.name, 0)
+        ty, sem = goal.ty, su.walk_sem(goal.sem)
+        if isinstance(sem, SemVar) and self.classes.is_flex_sem(sem):
+            return found | ctx & index.get(ty, 0)
+        found |= ctx & (index.get((ty, None), 0) | index.get((ty, sem), 0))
+        loose = ctx & index.get((ty, SemVar), 0)
+        while loose:
+            bit = loose & -loose
+            loose ^= bit
+            head = su.walk_sem(self._resources[bit.bit_length() - 1].head[1])
+            if head == sem or isinstance(head, SemVar) and self.classes.is_flex_sem(head):
+                found |= bit
+        return found
 
     # -- right (goal) rules -------------------------------------------------
 
     def prove(
-        self, su: Substitution, ctx: tuple[Resource, ...], goal: GlueFormula, depth: int
-    ) -> Iterator[tuple[Substitution, tuple[Resource, ...], Derivation]]:
+        self, su: Substitution, ctx: int, goal: GlueFormula, depth: int
+    ) -> Iterator[tuple[Substitution, int, Derivation]]:
         self._step(depth)
         match goal:
             case Forall(var, kind, body):
@@ -229,8 +275,9 @@ class Prover:
                     yield su2, left2, Derivation("PiR", f"{var} := {v.name}", (d2,))
             case Limp(ant, cons):
                 res = self._resource(ant, None, "assumption")
-                for su2, left2, d2 in self.prove(su, ctx + (res,), cons, depth + 1):
-                    if any(r.rid == res.rid for r in left2):
+                bit = 1 << res.rid
+                for su2, left2, d2 in self.prove(su, ctx | bit, cons, depth + 1):
+                    if left2 & bit:
                         continue  # linear assumption left unused
                     yield su2, left2, Derivation("LimpR", f"assume {res.tag}#{res.rid}", (d2,))
             case Tensor(left, right):
@@ -238,8 +285,13 @@ class Prover:
                     for su2, out, d2 in self.prove(su1, mid, right, depth + 1):
                         yield su2, out, Derivation("TensorR", "", (d1, d2))
             case Means() | PropAtom():
+                candidates = self._candidates(su, ctx, goal)
+                self.stats.head_rejects += (ctx ^ candidates).bit_count()  # candidates <= ctx
                 seen = set()
-                for i, res in enumerate(ctx):
+                while candidates:
+                    bit = candidates & -candidates
+                    candidates ^= bit
+                    res = self._resources[bit.bit_length() - 1]
                     # two plain premises with identical formulas are
                     # interchangeable: focusing the later one would only
                     # permute the proof.  Assumptions and split-out parts are
@@ -248,25 +300,20 @@ class Prover:
                         if res.dup in seen:
                             continue
                         seen.add(res.dup)
-                    if not self._head_may_match(su, res.head, goal):
-                        self.stats.head_rejects += 1
-                        continue
-                    rest = ctx[:i] + ctx[i + 1 :]
-                    yield from self._focus(su, res, rest, goal, depth)
+                    yield from self._focus(su, res, ctx ^ bit, goal, depth)
             case _:
                 raise AssertionError(f"bad goal {goal!r}")
 
     # -- left (focused) rules -----------------------------------------------
 
-    def _focus(
-        self,
-        su: Substitution,
-        res: Resource,
-        ctx: tuple[Resource, ...],
-        goal: GlueFormula,
-        depth: int,
-    ):
-        self._step(depth)
+    def _open(self, res: Resource) -> tuple:
+        """`res` with its Forall/Limp prefix stripped, as `_opened` keeps it;
+        a later focus re-stamps the same fresh variables."""
+        opened = self._opened.get(res.rid)
+        if opened is not None:
+            for name in opened[2]:
+                self.classes.restamp(name)
+            return opened
         f = res.formula
         pendings: list[GlueFormula] = []
         fresh_names: list[str] = []
@@ -284,14 +331,27 @@ class Prover:
                 f = f.cons
             else:
                 break
+        info = f"{res.tag}: {', '.join(fresh_names)}"
+        opened = self._opened[res.rid] = (f, pendings, tuple(fresh_names), info)
+        return opened
+
+    def _focus(
+        self,
+        su: Substitution,
+        res: Resource,
+        ctx: int,
+        goal: GlueFormula,
+        depth: int,
+    ):
+        self._step(depth)
+        f, pendings, fresh_names, info = self._open(res)
 
         def wrap(node: Derivation, pending_ds: list[Derivation]) -> Derivation:
             # innermost implication first: pendings were collected outermost-in
             for ant_d, pending in zip(reversed(pending_ds), reversed(pendings)):
                 node = Derivation("LimpL", "", (ant_d, node), ant=pending)
             if fresh_names:
-                node = Derivation("PiL", f"{res.tag}: {', '.join(fresh_names)}", (node,),
-                                  fresh=tuple(fresh_names))
+                node = Derivation("PiL", info, (node,), fresh=fresh_names)
             return node
 
         if isinstance(f, (Means, PropAtom)):
@@ -305,13 +365,11 @@ class Prover:
             ):
                 yield su3, left3, wrap(leaf, pending_ds)
         elif isinstance(f, Tensor):
-            parts = [
-                self._resource(p, None, f"{res.tag}.{k}")
-                for k, p in enumerate(_flatten_tensor(f), 1)
-            ]
-            part_ids = {p.rid for p in parts}
-            for su2, left2, d2 in self.prove(su, ctx + tuple(parts), goal, depth + 1):
-                if any(r.rid in part_ids for r in left2):
+            parts = 0
+            for k, p in enumerate(_flatten_tensor(f), 1):
+                parts |= 1 << self._resource(p, None, f"{res.tag}.{k}").rid
+            for su2, left2, d2 in self.prove(su, ctx | parts, goal, depth + 1):
+                if left2 & parts:
                     # like a linear assumption, a split-out conjunct must be
                     # consumed within the branch that introduced it; letting
                     # it feed some other formula's antecedent would cross the
@@ -328,7 +386,7 @@ class Prover:
     def _prove_pendings(
         self,
         su: Substitution,
-        ctx: tuple[Resource, ...],
+        ctx: int,
         pendings: list[GlueFormula],
         depth: int,
     ):
@@ -346,25 +404,6 @@ class Prover:
         yield from chain(su, ctx, 0)
 
     # -- atoms ---------------------------------------------------------------
-
-    def _head_may_match(self, su, head: HeadSignature, goal) -> bool:
-        """False only where `_unify_atoms` would fail on the focused head,
-        whatever the quantifiers were instantiated with."""
-        if head is None:
-            return True
-        if isinstance(head, str):
-            return isinstance(goal, PropAtom) and goal.name == head
-        ty, sem = head
-        if not isinstance(goal, Means) or goal.ty != ty:
-            return False
-        if sem is None:
-            return True
-        a, b = su.walk_sem(sem), su.walk_sem(goal.sem)
-        return (
-            a == b
-            or isinstance(a, SemVar) and self.classes.is_flex_sem(a)
-            or isinstance(b, SemVar) and self.classes.is_flex_sem(b)
-        )
 
     def _unify_atoms(self, su, f, goal) -> Optional[Substitution]:
         if isinstance(f, PropAtom) and isinstance(goal, PropAtom):
@@ -418,7 +457,8 @@ def _complete_proofs(
 ) -> Iterator[tuple[Substitution, Derivation]]:
     """The proofs of ctx |- goal that consume every resource and whose
     meaning equations have a solution, with that solution."""
-    for su, leftover, d in prover.prove(Substitution(), ctx, goal, 0):
+    mask = sum(1 << res.rid for res in ctx)
+    for su, leftover, d in prover.prove(Substitution(), mask, goal, 0):
         if not leftover:
             su = _solve_meanings(prover, su, d)
             if su is not None:

@@ -23,6 +23,13 @@ class GlueError(Exception):
     """Base class for all errors raised by this package."""
 
 
+# Lists and types may nest this deep and no deeper.  Every parser and every
+# recursive pass over what they build (f-structures, formulas, terms, types)
+# recurses once or a few times per level, so the limit keeps them all within
+# Python's stack.
+MAX_NESTING = 100
+
+
 class TypeMismatch(GlueError):
     def __init__(self, location, expected, found):
         self.location = location
@@ -113,39 +120,45 @@ def arrow(*types: MeaningType) -> MeaningType:
     return ty
 
 
+def _fold_arrows(parts: list) -> tuple[MeaningType, int]:
+    """The type a -> b -> ... c of a group's (type, depth) parts, which
+    alternate with "->", and its depth."""
+    ty, depth = parts[-1]
+    for arg, d in reversed(parts[:-1:2]):
+        ty, depth = Arrow(arg, ty), max(d, depth) + 1
+    if depth > MAX_NESTING:
+        raise GlueError(f"bad type: arrows nest deeper than {MAX_NESTING} levels")
+    return ty, depth
+
+
 def parse_type(text: str) -> MeaningType:
-    """Parse ``e``, ``t``, ``s`` and right-associative ``a -> b``."""
-    toks = re.findall(r"->|[a-z]+|[()]", text)
-    pos = 0
-
-    def atom():
-        nonlocal pos
-        if pos >= len(toks):
-            raise GlueError(f"bad type syntax: {text!r}")
-        tok = toks[pos]
-        pos += 1
-        if tok == "(":
-            ty = arrow_ty()
-            if pos >= len(toks) or toks[pos] != ")":
-                raise GlueError(f"bad type syntax: {text!r}")
-            pos += 1
-            return ty
-        if tok in ("e", "t", "s"):
-            return Base(tok)
-        raise GlueError(f"unknown base type {tok!r} in {text!r}")
-
-    def arrow_ty():
-        nonlocal pos
-        left = atom()
-        if pos < len(toks) and toks[pos] == "->":
-            pos += 1
-            return Arrow(left, arrow_ty())
-        return left
-
-    ty = arrow_ty()
-    if pos != len(toks):
-        raise GlueError(f"bad type syntax: {text!r}")
-    return ty
+    """Parse ``e``, ``t``, ``s`` and right-associative ``a -> b``.  Open
+    parentheses are kept on a stack and arrows are folded in a loop, so no
+    input recurses."""
+    bad = GlueError(f"bad type syntax: {text!r}")
+    groups: list[list] = [[]]  # the parts of each open group
+    for tok in re.findall(r"->|[a-z]+|[()]", text):
+        parts = groups[-1]
+        if (tok in ("->", ")")) != (len(parts) % 2 == 1):
+            raise bad  # "->" and ")" follow a type, and nothing else does
+        if tok == "->":
+            parts.append(tok)
+        elif tok == "(":
+            if len(groups) > MAX_NESTING:
+                raise GlueError(f"bad type: parentheses nest deeper than {MAX_NESTING} levels")
+            groups.append([])
+        elif tok == ")":
+            if len(groups) == 1:
+                raise bad
+            groups.pop()
+            groups[-1].append(_fold_arrows(parts))
+        elif tok in ("e", "t", "s"):
+            parts.append((Base(tok), 0))
+        else:
+            raise GlueError(f"unknown base type {tok!r} in {text!r}")
+    if len(groups) > 1 or len(groups[0]) % 2 == 0:
+        raise bad
+    return _fold_arrows(groups[0])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,10 @@ class VarClass(Record):
         self.stamps[name] = stamp
         return stamp
 
+    def restamp(self, name: str) -> None:
+        """Give `name` a birth stamp newer than every variable's so far."""
+        self.stamps[name] = next(self._counter)
+
     def _fresh(self, hint: str, kind: str) -> str:
         name = f"{hint}{'?' if kind == FLEX else '!'}{next(self._counter)}"
         self.classify(name, kind)

@@ -298,6 +298,16 @@ def test_deep_nesting_is_an_input_error(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("goal_type,fragment", [
+    ("(" * 2000 + "e" + ")" * 2000, "parentheses nest deeper than 100 levels"),
+    ("e -> " * 1500 + "t", "arrows nest deeper than 100 levels"),
+])
+def test_deep_goal_type_is_an_input_error(capsys, goal_type, fragment):
+    code, out, err = run(capsys, *readings_args("bah", ["--goal-type", goal_type]))
+    assert (code, out) == (1, "")
+    assert err == f"error: bad type: {fragment}\n"
+
+
 def test_budget_exhaustion_exits_3(capsys):
     code, out, err = run(
         capsys, *readings_args("conversation-every-unicorn", ["--max-steps", "25"])

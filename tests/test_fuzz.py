@@ -198,3 +198,49 @@ def test_rewritten_meanings_never_raise(capsys, tmp_path):
         matcher_errors += "non-pattern arguments" in err or "no antecedent fixes" in err
     assert matcher_errors > 0
     assert sum(code in (0, 2) for code in codes) >= len(codes) // 20
+
+
+# a --goal-type value is mutated from a well-formed type; a --goal value
+# from a label of the f-structure read
+_GOAL_TYPES = ["t", "e", "s", "e -> t", "(s -> e -> t) -> t", "(e -> t) -> t"]
+_VALUE_PIECES = ["(", ")", "->", "-", ">", "e", "t", "s", "x", "E", " ", "\t", "=", "é",
+                 "ROOT", "f g", "-h"]
+
+
+def _mutate_value(value, rng):
+    """One to three mutations of a command-line value: delete a span, insert
+    a piece, repeat a short span many times, or wrap a span in parentheses up
+    to far beyond the nesting limit."""
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randint(0, len(value))
+        j = rng.randint(i, len(value))
+        op = rng.choice(["delete", "insert", "repeat", "wrap"])
+        if op == "delete":
+            value = value[:i] + value[j:]
+        elif op == "insert":
+            value = value[:i] + rng.choice(_VALUE_PIECES) + value[i:]
+        elif op == "repeat":
+            value = value[:i] + value[i:j][:8] * rng.choice([2, 3, 150, 1200]) + value[j:]
+        else:
+            n = rng.choice([1, 2, 99, 100, 101, 2000])
+            value = value[:i] + "(" * n + value[i:j] + ")" * n + value[j:]
+    return value
+
+
+def test_mutated_goal_values_never_raise(capsys):
+    codes = []
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        fstr = rng.choice(FSTRUCTURES)
+        labels = re.findall(r"\(fstruct\s+([^\s()]+)", fstr.read_text())
+        argv = ["readings", "--fstructure", str(fstr), "--lexicon", str(LEXICON),
+                "--max-steps", "3000"]
+        which = rng.choice([("--goal-type",), ("--goal",), ("--goal-type", "--goal")])
+        for option in which:
+            start = rng.choice(_GOAL_TYPES if option == "--goal-type" else labels)
+            value = start if rng.random() < 0.2 else _mutate_value(start, rng)
+            argv += [f"{option}={value}"] if rng.random() < 0.3 else [option, value]
+        codes.append(_run_case(capsys, seed, argv, " ".join(argv))[0])
+    # both well-formed values and input errors are exercised
+    assert sum(code in (0, 2) for code in codes) >= len(codes) // 20
+    assert codes.count(1) >= len(codes) // 20

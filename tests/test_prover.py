@@ -204,7 +204,8 @@ def test_readings_deduplicate_alpha_equal_proofs():
 def test_head_filter_rejects_only_failing_focuses(monkeypatch):
     # every corpus document under its golden's lexicon variant, and the
     # modifier fixture above: the same proofs and readings whether or not
-    # the head filter runs, in strictly fewer steps when it does
+    # the head filter runs, in strictly fewer steps when it does.  Unfiltered,
+    # the head index offers every available resource as a candidate.
     cases = [
         (name, LEX_EXT if name in ("convince-every-voter", "every-candidate-a-manager") else LEX, 0)
         for name in CORPUS
@@ -221,7 +222,7 @@ def test_head_filter_rejects_only_failing_focuses(monkeypatch):
         return out
 
     filtered = search()
-    monkeypatch.setattr(Prover, "_head_may_match", lambda self, su, head, goal: True)
+    monkeypatch.setattr(Prover, "_candidates", lambda self, su, ctx, goal: ctx)
     unfiltered = search()
     for (name, _, _), (on, on_texts), (off, off_texts) in zip(cases, filtered, unfiltered):
         assert (on.proofs, on_texts) == (off.proofs, off_texts), name
@@ -417,6 +418,73 @@ def test_exchange_invariance_quick():
     for perm in itertools.permutations(prems):
         texts = [r.text for r in enumerate_readings(list(perm), SemStruct("f", ROOT)).readings]
         assert texts == baseline
+
+
+def _prefix_quantifiers(f):
+    """The quantifiers of the Forall/Limp spine a focus on `f` strips."""
+    n = 0
+    while isinstance(f, (Forall, Limp)):
+        n += isinstance(f, Forall)
+        f = f.body if isinstance(f, Forall) else f.cons
+    return n
+
+
+def test_each_resource_is_opened_once_per_search(monkeypatch):
+    # focus-side instantiations (with a flex variable) are at most the
+    # quantifiers of the resources the search made, however often each one
+    # is focused; the readings are those of an uncounted run
+    prems = premises(scope_doc(["a", "every", "the"]), LEX)
+    baseline = [r.text for r in enumerate_readings(prems, SemStruct("f", ROOT)).readings]
+    made, focused, focus_side = [], [], []
+    real_resource, real_open = Prover._resource, Prover._open
+
+    def resource(self, formula, premise, tag):
+        made.append(_prefix_quantifiers(formula))
+        return real_resource(self, formula, premise, tag)
+
+    def open_(self, res):
+        focused.append(res.rid)
+        return real_open(self, res)
+
+    monkeypatch.setattr(Prover, "_resource", resource)
+    monkeypatch.setattr(Prover, "_open", open_)
+    for name in ("inst_term_var", "inst_sem_var"):
+        real = getattr(prover, name)
+
+        def counted(body, var, v, real=real):
+            focus_side.append("?" in v.name)
+            return real(body, var, v)
+
+        monkeypatch.setattr(prover, name, counted)
+    result = enumerate_readings(prems, SemStruct("f", ROOT))
+    assert [r.text for r in result.readings] == baseline and len(baseline) == 14
+    assert 0 < sum(focus_side) <= sum(made)
+    assert len(focused) > 2 * len(set(focused))  # most resources were focused again
+
+
+def test_refocused_variables_are_born_at_the_focus(monkeypatch):
+    # a resource focused again reuses its variables with stamps newer than
+    # every eigenvariable minted before the focus, so an eigenvariable of the
+    # current branch may not escape into them: the de dicto reading of
+    # `seeks` needs the object quantifier's scope variable to take seek's
+    # hypothetical structure
+    refocused = 0
+    real = Prover._open
+
+    def checked(self, res):
+        nonlocal refocused
+        again = res.rid in self._opened
+        eigens = [s for n, s in self.classes.stamps.items() if "!" in n]
+        opened = real(self, res)
+        if again:
+            refocused += 1
+            assert all(self.classes.ts(n) > max(eigens, default=0) for n in opened[2])
+        return opened
+
+    monkeypatch.setattr(Prover, "_open", checked)
+    texts = reading_texts("seeks-a-unicorn")
+    assert "seek(Bill, ^a(^unicorn))" in texts and len(texts) == 2
+    assert refocused > 0
 
 
 def test_budget_exhaustion_is_reported():

@@ -14,6 +14,8 @@ from gluesem.terms import (
     Const,
     Cup,
     E,
+    GlueError,
+    MAX_NESTING,
     MetaVar,
     S,
     T,
@@ -218,6 +220,31 @@ def test_printing_is_alpha_invariant():
 def test_parse_type():
     assert parse_type("e -> t") == Arrow(E, T)
     assert parse_type("(s -> e -> t) -> t") == Arrow(Arrow(S, Arrow(E, T)), T)
+    assert parse_type("((e)) -> (t)") == Arrow(E, T)
+    for bad in ("", "()", "(e", "e)", "e e", "-> e", "e ->", "e -> ) t"):
+        with pytest.raises(GlueError, match="bad type syntax"):
+            parse_type(bad)
+    with pytest.raises(GlueError, match="unknown base type 'x'"):
+        parse_type("e -> x")
+
+
+def test_parse_type_nesting_limit():
+    # a type nests at most MAX_NESTING levels, in parentheses or in arrows,
+    # and deeper input is an error rather than a RecursionError
+    n = MAX_NESTING
+    left = "e -> e"
+    for _ in range(n):
+        left = f"({left}) -> e"  # n parentheses, n + 1 arrows
+    assert parse_type("(" * n + "e" + ")" * n) == E
+    assert parse_type("e -> " * n + "t") == arrow(*[E] * n, T)
+    assert parse_type("(" * n + "e -> " * n + "t" + ")" * n) == arrow(*[E] * n, T)
+    for deeper, what in [("(" * (n + 1) + "e" + ")" * (n + 1), "parentheses"),
+                         ("e -> " * (n + 1) + "t", "arrows"),
+                         (left, "arrows"),
+                         ("(" * 5000 + "e" + ")" * 5000, "parentheses"),
+                         ("e -> " * 5000 + "t", "arrows")]:
+        with pytest.raises(GlueError, match=f"{what} nest deeper than {n} levels"):
+            parse_type(deeper)
 
 
 def test_annotated_binders_parse_with_tight_arrows():
