@@ -246,18 +246,27 @@ def _variant(node) -> str:
 
 
 def _parse_type_sexp(node) -> Union[MeaningType, str]:
+    return _type_and_depth(node)[0]
+
+
+def _type_and_depth(node) -> tuple[Union[MeaningType, str], int]:
+    """The type `node` spells and how deep its arrows nest, which
+    `terms.MAX_NESTING` caps as it does for `terms.parse_type`."""
     val, line = node
     if isinstance(val, str):
         if val == SEM:
-            return SEM
+            return SEM, 0
         if val in ("e", "t", "s"):
-            return Base(val)
+            return Base(val), 0
         raise FStructError(f"unknown type {val!r}", line)
     _form(node, "(-> TYPE TYPE ...)")
-    tys = [_parse_type_sexp(n) for n in val[1:]]
-    if SEM in tys:
+    parts = [_type_and_depth(n) for n in val[1:]]
+    if any(ty == SEM for ty, _ in parts):
         raise FStructError("bad arrow type", line)
-    return terms.arrow(*tys)
+    try:
+        return terms._fold_arrows(parts)
+    except GlueError as e:
+        raise FStructError(str(e), line) from None
 
 
 def _parse_sem_sexp(node, binders) -> Union[SigmaPath, SemVar]:

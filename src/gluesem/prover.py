@@ -34,10 +34,13 @@ costs no search step.  This is the head filter of Hepple's (1996)
 first-order compilation; it rejects only what the atom match would reject.
 
 A resource is opened once per search: its first focus instantiates its
-quantifiers with fresh flex variables, and later focuses, on other
-branches, reuse them with new birth stamps, so that scope checks see them
-born at the focus on the current branch.  A focus consumes the resource, so
-no branch focuses it twice, and substitutions are branch-local.
+quantifiers with fresh flex variables and splits a tensor head into parts,
+and later focuses, on other branches, reuse them with new birth stamps, so
+that scope checks see them born at the focus on the current branch.  A goal
+is likewise posed once per search: a PiR eigenvariable (re-stamped) and a
+LimpR assumption are kept by the goal's position, not its formula (see
+`prove`).  A focus consumes the resource, so no branch focuses it twice or
+proves one position twice, and substitutions are branch-local.
 
 Readings are the normalized meaning terms of the goal structure across all
 proofs, deduplicated up to renaming of bound variables.
@@ -205,9 +208,12 @@ class Prover:
         # head signature, or meaning type for all its heads, or (type,
         # SemVar) for heads whose structure is a variable -> resource mask
         self._index: dict[object, int] = {}
-        # rid -> (head, antecedents, fresh variable names, PiL info) of the
-        # resource's first focus
+        # rid -> (head, antecedents, fresh variable names, PiL info, TensorL
+        # parts mask) of the resource's first focus
         self._opened: dict[int, tuple] = {}
+        # goal position -> the PiR (eigenvariable, body) or LimpR assumption
+        # that its first proof made
+        self._posed: dict[tuple, object] = {}
 
     # -- plumbing -----------------------------------------------------------
 
@@ -260,29 +266,39 @@ class Prover:
     # -- right (goal) rules -------------------------------------------------
 
     def prove(
-        self, su: Substitution, ctx: int, goal: GlueFormula, depth: int
+        self, su: Substitution, ctx: int, goal: GlueFormula, depth: int, pos: tuple = ()
     ) -> Iterator[tuple[Substitution, int, Derivation]]:
+        """Proofs of `goal` from `ctx`, with the leftovers.  `pos`: () for the
+        top goal, (rid, i) for the i-th antecedent of a focus on resource rid,
+        (pos, 0) and (pos, 1) below PiR, LimpR and TensorR."""
         self._step(depth)
         match goal:
             case Forall(var, kind, body):
-                if kind == SEM:
-                    v: object = self.classes.fresh_sem_eigen(var)
-                    inst = inst_sem_var(body, var, v)
+                if pos in self._posed:
+                    v, inst = self._posed[pos]
+                    self.classes.restamp(v.name)
                 else:
-                    v = self.classes.fresh_eigen(var, kind)
-                    inst = inst_term_var(body, var, v)
-                for su2, left2, d2 in self.prove(su, ctx, inst, depth + 1):
+                    if kind == SEM:
+                        v = self.classes.fresh_sem_eigen(var)
+                        inst = inst_sem_var(body, var, v)
+                    else:
+                        v = self.classes.fresh_eigen(var, kind)
+                        inst = inst_term_var(body, var, v)
+                    self._posed[pos] = v, inst
+                for su2, left2, d2 in self.prove(su, ctx, inst, depth + 1, (pos, 0)):
                     yield su2, left2, Derivation("PiR", f"{var} := {v.name}", (d2,))
             case Limp(ant, cons):
-                res = self._resource(ant, None, "assumption")
+                res = self._posed.get(pos)
+                if res is None:
+                    res = self._posed[pos] = self._resource(ant, None, "assumption")
                 bit = 1 << res.rid
-                for su2, left2, d2 in self.prove(su, ctx | bit, cons, depth + 1):
+                for su2, left2, d2 in self.prove(su, ctx | bit, cons, depth + 1, (pos, 0)):
                     if left2 & bit:
                         continue  # linear assumption left unused
                     yield su2, left2, Derivation("LimpR", f"assume {res.tag}#{res.rid}", (d2,))
             case Tensor(left, right):
-                for su1, mid, d1 in self.prove(su, ctx, left, depth + 1):
-                    for su2, out, d2 in self.prove(su1, mid, right, depth + 1):
+                for su1, mid, d1 in self.prove(su, ctx, left, depth + 1, (pos, 0)):
+                    for su2, out, d2 in self.prove(su1, mid, right, depth + 1, (pos, 1)):
                         yield su2, out, Derivation("TensorR", "", (d1, d2))
             case Means() | PropAtom():
                 candidates = self._candidates(su, ctx, goal)
@@ -307,8 +323,9 @@ class Prover:
     # -- left (focused) rules -----------------------------------------------
 
     def _open(self, res: Resource) -> tuple:
-        """`res` with its Forall/Limp prefix stripped, as `_opened` keeps it;
-        a later focus re-stamps the same fresh variables."""
+        """`res` with its Forall/Limp prefix stripped and a tensor head split
+        into parts, as `_opened` keeps it; a later focus re-stamps the same
+        fresh variables."""
         opened = self._opened.get(res.rid)
         if opened is not None:
             for name in opened[2]:
@@ -332,7 +349,11 @@ class Prover:
             else:
                 break
         info = f"{res.tag}: {', '.join(fresh_names)}"
-        opened = self._opened[res.rid] = (f, pendings, tuple(fresh_names), info)
+        parts = 0
+        if isinstance(f, Tensor):
+            for k, p in enumerate(_flatten_tensor(f), 1):
+                parts |= 1 << self._resource(p, None, f"{res.tag}.{k}").rid
+        opened = self._opened[res.rid] = (f, pendings, tuple(fresh_names), info, parts)
         return opened
 
     def _focus(
@@ -344,7 +365,7 @@ class Prover:
         depth: int,
     ):
         self._step(depth)
-        f, pendings, fresh_names, info = self._open(res)
+        f, pendings, fresh_names, info, parts = self._open(res)
 
         def wrap(node: Derivation, pending_ds: list[Derivation]) -> Derivation:
             # innermost implication first: pendings were collected outermost-in
@@ -361,13 +382,10 @@ class Prover:
             leaf = Derivation("Identity", f"{res.tag}#{res.rid}", (), atom=f, rid=res.rid,
                               goal=goal)
             for su3, left3, pending_ds in self._prove_pendings(
-                su2, ctx, pendings, depth
+                su2, ctx, res.rid, pendings, depth
             ):
                 yield su3, left3, wrap(leaf, pending_ds)
         elif isinstance(f, Tensor):
-            parts = 0
-            for k, p in enumerate(_flatten_tensor(f), 1):
-                parts |= 1 << self._resource(p, None, f"{res.tag}.{k}").rid
             for su2, left2, d2 in self.prove(su, ctx | parts, goal, depth + 1):
                 if left2 & parts:
                     # like a linear assumption, a split-out conjunct must be
@@ -377,7 +395,7 @@ class Prover:
                     continue
                 node = Derivation("TensorL", f"{res.tag}#{res.rid}", (d2,), rid=res.rid)
                 for su3, left3, pending_ds in self._prove_pendings(
-                    su2, left2, pendings, depth
+                    su2, left2, res.rid, pendings, depth
                 ):
                     yield su3, left3, wrap(node, pending_ds)
         else:
@@ -387,17 +405,18 @@ class Prover:
         self,
         su: Substitution,
         ctx: int,
+        rid: int,
         pendings: list[GlueFormula],
         depth: int,
     ):
-        """Prove the collected antecedents left to right on the remaining
-        resources."""
+        """Prove the collected antecedents of a focus on resource `rid` left
+        to right on the remaining resources."""
 
         def chain(su, avail, idx):
             if idx == len(pendings):
                 yield su, avail, []
                 return
-            for su2, left2, d2 in self.prove(su, avail, pendings[idx], depth + 1):
+            for su2, left2, d2 in self.prove(su, avail, pendings[idx], depth + 1, (rid, idx)):
                 for su3, left3, ds in chain(su2, left2, idx + 1):
                     yield su3, left3, [d2] + ds
 

@@ -112,19 +112,10 @@ T = Base("t")
 S = Base("s")
 
 
-def arrow(*types: MeaningType) -> MeaningType:
-    """Right-associated function type: arrow(a, b, c) == a -> (b -> c)."""
-    ty = types[-1]
-    for arg in reversed(types[:-1]):
-        ty = Arrow(arg, ty)
-    return ty
-
-
 def _fold_arrows(parts: list) -> tuple[MeaningType, int]:
-    """The type a -> b -> ... c of a group's (type, depth) parts, which
-    alternate with "->", and its depth."""
+    """The type a -> b -> ... c of (type, depth) parts, and its depth."""
     ty, depth = parts[-1]
-    for arg, d in reversed(parts[:-1:2]):
+    for arg, d in reversed(parts[:-1]):
         ty, depth = Arrow(arg, ty), max(d, depth) + 1
     if depth > MAX_NESTING:
         raise GlueError(f"bad type: arrows nest deeper than {MAX_NESTING} levels")
@@ -151,14 +142,14 @@ def parse_type(text: str) -> MeaningType:
             if len(groups) == 1:
                 raise bad
             groups.pop()
-            groups[-1].append(_fold_arrows(parts))
+            groups[-1].append(_fold_arrows(parts[::2]))
         elif tok in ("e", "t", "s"):
             parts.append((Base(tok), 0))
         else:
             raise GlueError(f"unknown base type {tok!r} in {text!r}")
     if len(groups) > 1 or len(groups[0]) % 2 == 0:
         raise bad
-    return _fold_arrows(groups[0])[0]
+    return _fold_arrows(groups[0][::2])[0]
 
 
 # ---------------------------------------------------------------------------

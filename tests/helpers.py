@@ -156,6 +156,14 @@ def with_prover(cls, run):
     return result, made[-1].stats
 
 
+def arrow(*types):
+    """Right-associated function type: arrow(a, b, c) == a -> (b -> c)."""
+    ty = types[-1]
+    for arg in reversed(types[:-1]):
+        ty = Arrow(arg, ty)
+    return ty
+
+
 # ---------------------------------------------------------------------------
 # Exhaustive enumeration of normal terms (for unifier generality checks).
 # Size counts nodes: leaves 1, unary wrappers 1 + child, App 1 + fn + arg.

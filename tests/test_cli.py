@@ -308,6 +308,34 @@ def test_deep_goal_type_is_an_input_error(capsys, goal_type, fragment):
     assert err == f"error: bad type: {fragment}\n"
 
 
+def _deep_arrow(n):
+    return "(-> " + "e " * n + "t)"  # n arrows, right-nested
+
+
+@pytest.mark.parametrize("old,new", [
+    ("(const Bill e)", "(const Bill e)\n(const Foo {ty})"),
+    ("(means (sig up) Bill e)", "(forall ((X {ty})) (means (sig up) Bill e))"),
+], ids=["const", "binder"])
+def test_deep_lexicon_type_is_an_input_error(capsys, tmp_path, old, new):
+    # a flat arrow list folds into arrows nested as deep as it is long
+    with open("corpus/lexicon.glue", encoding="utf-8") as fh:
+        text = fh.read()
+    assert text.count(old) == 1
+    lex = tmp_path / "deep.glue"
+    line = text[: text.index(old)].count("\n") + 1 + new.count("\n")
+    for n, code in ((100, 0), (1500, 1)):
+        lex.write_text(text.replace(old, new.format(ty=_deep_arrow(n))))
+        got, out, err = run(
+            capsys, "readings", "--fstructure", "corpus/bah.fstr", "--lexicon", str(lex)
+        )
+        assert got == code, err
+        if code:
+            assert out == ""
+            assert err == (
+                f"error: {lex}: line {line}: bad type: arrows nest deeper than 100 levels\n"
+            )
+
+
 def test_budget_exhaustion_exits_3(capsys):
     code, out, err = run(
         capsys, *readings_args("conversation-every-unicorn", ["--max-steps", "25"])

@@ -39,6 +39,7 @@ from gluesem.terms import (
     App,
     print_term,
 )
+from gluesem.unify import VarClass
 
 from helpers import EagerProver, free_meta_vars, mill_provable, typecheck, with_prover
 
@@ -462,6 +463,27 @@ def test_each_resource_is_opened_once_per_search(monkeypatch):
     assert len(focused) > 2 * len(set(focused))  # most resources were focused again
 
 
+def test_goals_are_posed_once_per_search(monkeypatch):
+    # PiR eigenvariables, LimpR assumptions and TensorL parts are kept by
+    # goal position, so the resources a search makes stay within twice its
+    # premises, however often each position is proved.  Steps, proofs,
+    # readings and equations are those of making new ones on every branch.
+    made = []
+    real = Prover._resource
+
+    def resource(self, formula, premise, tag):
+        made.append(tag)
+        return real(self, formula, premise, tag)
+
+    monkeypatch.setattr(Prover, "_resource", resource)
+    prems = premises(scope_doc(["every"] * 5), LEX)
+    result = enumerate_readings(prems, SemStruct("f", ROOT))
+    stats = result.stats
+    assert len(prems) == 12 and len(made) <= 2 * len(prems)
+    assert (stats.steps, stats.proofs, len(result.readings), stats.equations) == (
+        20_836, 132, 132, 3_036)
+
+
 def test_refocused_variables_are_born_at_the_focus(monkeypatch):
     # a resource focused again reuses its variables with stamps newer than
     # every eigenvariable minted before the focus, so an eigenvariable of the
@@ -485,6 +507,39 @@ def test_refocused_variables_are_born_at_the_focus(monkeypatch):
     texts = reading_texts("seeks-a-unicorn")
     assert "seek(Bill, ^a(^unicorn))" in texts and len(texts) == 2
     assert refocused > 0
+
+
+def test_reposed_eigenvariables_are_born_at_the_goal(monkeypatch):
+    # a PiR goal proved again, on another branch, reuses its eigenvariable
+    # with a stamp newer than every flex variable opened before it on that
+    # branch.  p's antecedent may not fix p's Y to its own x, as q would.
+    # Listed first, p is focused first at the root and its antecedent mints
+    # x; focused again under the modifier m, p's Y gets a new stamp, and an
+    # x that kept its first one would look older than Y and pass as the
+    # reading c.
+    y, z, w = (MetaVar(n, E) for n in "YZW")
+    p = Premise("p", "h", Forall("Y", E, Limp(
+        Forall("x", E, Limp(Means(_ks, MetaVar("x", E), E), Means(_gs, y, E))),
+        Means(_hs, Const("c", E), E))))
+    q = Premise("q", "g", Forall("Z", E, Limp(Means(_ks, z, E), Means(_gs, z, E))))
+    m = Premise("m", "h", Forall("W", E, Limp(Means(_hs, w, E), Means(_hs, w, E))))
+    for prems in itertools.permutations([p, q, m]):
+        result = enumerate_readings(list(prems), _hs, goal_type=E)
+        assert result.readings == [] and result.stats.equations > 0
+    # on a shipped input, every re-stamped eigenvariable is the newest
+    newest = []
+    real = VarClass.restamp
+
+    def checked(self, name):
+        flex = [s for n, s in self.stamps.items() if "?" in n]
+        real(self, name)
+        if "!" in name:
+            newest.append(self.ts(name) > max(flex))
+
+    monkeypatch.setattr(VarClass, "restamp", checked)
+    prems = premises(scope_doc(["a", "every", "the"]), LEX)
+    assert len(enumerate_readings(prems, SemStruct("f", ROOT)).readings) == 14
+    assert newest and all(newest)
 
 
 def test_budget_exhaustion_is_reported():
@@ -515,3 +570,49 @@ def test_propositional_counts_match_brute_force():
         assert engine == oracle, (ctx, goal)
         checked += 1
     assert checked == 300
+
+
+def _size(f):
+    if isinstance(f, PropAtom):
+        return 1
+    return 1 + sum(_size(g) for g in ((f.left, f.right) if isinstance(f, Tensor) else (f.ant, f.cons)))
+
+
+def test_shared_formula_objects_keep_the_search_sound():
+    # what a goal's proof makes (an eigenvariable, an assumption) is kept by
+    # the goal's position, not by its formula: premises that repeat one
+    # formula object, or a tensor of one object with itself, pose the same
+    # object as a goal at distinct positions, possibly on one branch.  Both
+    # hand cases are unprovable, and both are "proved" when an assumption is
+    # kept by goal object and reused while still in the context.  Only
+    # soundness is compared: the search misses proofs whose tensor parts
+    # must feed both conjuncts of a tensor goal, such as B * C |- B * C.
+    t = Tensor(Limp(B, B), Limp(Limp(B, B), B))
+    f = Limp(Limp(Limp(A, B), Limp(A, B)), A)
+    for ctx, goal in [([t, t], B), ([f, f, f], A)]:
+        assert not list(prove_sequent(Sequent(tuple(ctx), goal)))
+        assert not mill_provable(list(ctx), goal)
+    rng = random.Random(1618033)
+    atoms = [PropAtom(n) for n in "AB"]
+
+    def formula(depth):
+        if depth <= 0 or rng.random() < 0.25:
+            return rng.choice(atoms)
+        l, r = formula(depth - 1), formula(depth - 1)
+        return Tensor(l, r) if rng.random() < 0.15 else Limp(l, r)
+
+    proved = checked = 0
+    while checked < 400:
+        pool = [formula(3) for _ in range(rng.randint(1, 2))]
+        ctx = [rng.choice(pool) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.3:
+            x = rng.choice(pool)
+            ctx[0] = Tensor(x, x)
+        goal = rng.choice(atoms + pool)
+        if sum(map(_size, ctx + [goal])) > 20:
+            continue  # keeps the brute-force decider fast
+        engine = bool(list(prove_sequent(Sequent(tuple(ctx), goal))))
+        assert engine <= mill_provable(list(ctx), goal), (ctx, goal)
+        proved += engine
+        checked += 1
+    assert proved >= 20

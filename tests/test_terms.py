@@ -24,7 +24,6 @@ from gluesem.terms import (
     Var,
     alpha_equal,
     app,
-    arrow,
     free_vars,
     normalize,
     parse_type,
@@ -33,6 +32,7 @@ from gluesem.terms import (
 
 from helpers import (
     RANDOM_SIGNATURE,
+    arrow,
     parse_term,
     random_reduction,
     random_term,

@@ -25,7 +25,6 @@ from gluesem.terms import (
     Var,
     alpha_equal,
     app,
-    arrow,
     bind_vars,
     normalize,
 )
@@ -42,6 +41,7 @@ import reference_unifier
 from helpers import (
     RANDOM_SIGNATURE,
     InconsistentSubst,
+    arrow,
     compose,
     free_meta_vars,
     free_named_terms,
