@@ -40,7 +40,19 @@ that scope checks see them born at the focus on the current branch.  A goal
 is likewise posed once per search: a PiR eigenvariable (re-stamped) and a
 LimpR assumption are kept by the goal's position, not its formula (see
 `prove`).  A focus consumes the resource, so no branch focuses it twice or
-proves one position twice, and substitutions are branch-local.
+proves one position twice, and substitutions are branch-local.  They bind
+structure variables only: the search makes no term binding.
+
+Atomic goals are tabled (the chart idea of Hepple 1996).  Their proofs
+depend only on the goal object, the context mask, and the structures bound
+to the variables of the goal and of the context's assumptions and parts,
+with the birth order of the unbound ones: premises are closed, and all that
+a proof opens or poses is born newer.  A key's first visit records each
+result as it is found: the bindings it added, the leftovers and the
+derivation.  Once all are found, later visits replay them at one step each,
+re-stamping each derivation's variables in the search's order, unless the
+replay could cross the depth budget.  The table is emptied when the search
+ends.
 
 Readings are the normalized meaning terms of the goal structure across all
 proofs, deduplicated up to renaming of bound variables.
@@ -195,6 +207,30 @@ def _flatten_tensor(f: GlueFormula) -> list[GlueFormula]:
     return [f]
 
 
+def _free_sems(f: GlueFormula, bound: tuple = ()) -> set[SemVar]:
+    match f:
+        case Forall(var, _, body):
+            return _free_sems(body, bound + (var,))
+        case Tensor(l, r) | Limp(l, r):
+            return _free_sems(l, bound) | _free_sems(r, bound)
+        case Means(SemVar() as v) if v.name not in bound:
+            return {v}
+    return set()
+
+
+def _stamped(d: Derivation, out: list[str]) -> list[str]:
+    """The variables the search stamps on its way to `d`, in its order: a
+    focus's own, then its head's (a TensorL body), then its antecedents'."""
+    out += d.fresh
+    ants = []
+    while d.rule == "LimpL":
+        ants.append(d.children[0])
+        d = d.children[1]
+    for c in d.children + tuple(ants):
+        _stamped(c, out)
+    return out
+
+
 class Prover:
     """One proof-search session: owns the variable registry and budget."""
 
@@ -214,6 +250,13 @@ class Prover:
         # goal position -> the PiR (eigenvariable, body) or LimpR assumption
         # that its first proof made
         self._posed: dict[tuple, object] = {}
+        # the assumptions and parts with free structure variables: mask, and
+        # rid -> those variables
+        self._loose, self._mentions = 0, {}
+        # atomic goal key -> [results, how much deeper than the goal the
+        # search stepped, or None until they are all found]
+        self._table: dict[tuple, list] = {}
+        self._deepest = 0  # high-water mark of the depth stepped
 
     # -- plumbing -----------------------------------------------------------
 
@@ -221,8 +264,10 @@ class Prover:
         self.stats.steps += 1
         if self.stats.steps > self.budget.max_steps:
             raise BudgetExhausted("max-steps", self.budget.max_steps)
-        if depth > self.budget.max_depth:
-            raise BudgetExhausted("max-depth", self.budget.max_depth)
+        if depth > self._deepest:
+            if depth > self.budget.max_depth:
+                raise BudgetExhausted("max-depth", self.budget.max_depth)
+            self._deepest = depth
 
     def _resource(self, formula, premise, tag) -> Resource:
         # premises are closed, so two premises with equal formulas stay
@@ -232,6 +277,10 @@ class Prover:
             dup = self._dups.setdefault(formula, len(self._dups))
         res = Resource(next(self._rids), formula, tag, _head_signature(formula), dup)
         self._resources.append(res)
+        mentions = () if premise is not None else tuple(_free_sems(formula))
+        if mentions:
+            self._loose |= 1 << res.rid
+            self._mentions[res.rid] = mentions
         keys = [res.head]
         if isinstance(res.head, tuple):
             ty, sem = res.head
@@ -286,7 +335,8 @@ class Prover:
                         inst = inst_term_var(body, var, v)
                     self._posed[pos] = v, inst
                 for su2, left2, d2 in self.prove(su, ctx, inst, depth + 1, (pos, 0)):
-                    yield su2, left2, Derivation("PiR", f"{var} := {v.name}", (d2,))
+                    yield su2, left2, Derivation("PiR", f"{var} := {v.name}", (d2,),
+                                                 fresh=(v.name,))
             case Limp(ant, cons):
                 res = self._posed.get(pos)
                 if res is None:
@@ -301,24 +351,77 @@ class Prover:
                     for su2, out, d2 in self.prove(su1, mid, right, depth + 1, (pos, 1)):
                         yield su2, out, Derivation("TensorR", "", (d1, d2))
             case Means() | PropAtom():
-                candidates = self._candidates(su, ctx, goal)
-                self.stats.head_rejects += (ctx ^ candidates).bit_count()  # candidates <= ctx
-                seen = set()
-                while candidates:
-                    bit = candidates & -candidates
-                    candidates ^= bit
-                    res = self._resources[bit.bit_length() - 1]
-                    # two plain premises with identical formulas are
-                    # interchangeable: focusing the later one would only
-                    # permute the proof.  Assumptions and split-out parts are
-                    # excluded: they carry region obligations of their own.
-                    if res.dup is not None:
-                        if res.dup in seen:
-                            continue
-                        seen.add(res.dup)
-                    yield from self._focus(su, res, ctx ^ bit, goal, depth)
+                key = self._table_key(su, ctx, goal)
+                entry = self._table.get(key)
+                if entry is None or entry[1] is None or depth + entry[1] > self.budget.max_depth:
+                    yield from self._focuses(su, ctx, goal, depth, key if entry is None else None)
+                    return
+                self._deepest = max(self._deepest, depth + entry[1])
+                for result in entry[0]:
+                    sems, n, left, d, names = result
+                    self._step(depth)
+                    if names is None:
+                        names = result[4] = _stamped(d, [])
+                    for name in names:
+                        self.classes.restamp(name)
+                    su2 = su
+                    for name, value in itertools.islice(sems.items(), n, None):
+                        su2 = su2.bind_sem(name, value)
+                    yield su2, left, d
             case _:
                 raise AssertionError(f"bad goal {goal!r}")
+
+    def _table_key(self, su: Substitution, ctx: int, goal) -> Optional[tuple]:
+        """What the proofs of the atomic `goal` from `ctx` depend on; None
+        leaves the goal untabled."""
+        sem = getattr(goal, "sem", None)  # a rigid structure is the goal object's own
+        loose = ctx & self._loose
+        if not loose:
+            return id(goal), ctx, su.walk_sem(sem) if isinstance(sem, SemVar) else None
+        values = [sem] if isinstance(sem, SemVar) else []
+        while loose:
+            bit = loose & -loose
+            loose ^= bit
+            values += self._mentions[bit.bit_length() - 1]
+        # names and (owner, slot) pairs hash and compare faster than records
+        values = [v.name if type(v) is SemVar else (v.owner, v.slot)
+                  for v in map(su.walk_sem, values)]
+        unbound = sorted({v for v in values if type(v) is str}, key=self.classes.ts)
+        return id(goal), ctx, tuple(values), tuple(unbound)
+
+    def _focuses(self, su: Substitution, ctx: int, goal, depth: int, key: Optional[tuple]):
+        """Proofs of an atomic goal, a focus on each candidate in turn,
+        recorded under `key` unless it is None."""
+        if key is not None:
+            results: list[list] = []
+            entry = self._table[key] = [results, None]
+            n = len(su.sems)
+            # a high-water mark from here on: it may count steps taken
+            # outside this goal while it is suspended, an over-approximation
+            outer, self._deepest = self._deepest, depth
+        candidates = self._candidates(su, ctx, goal)
+        self.stats.head_rejects += (ctx ^ candidates).bit_count()  # candidates <= ctx
+        seen = set()
+        while candidates:
+            bit = candidates & -candidates
+            candidates ^= bit
+            res = self._resources[bit.bit_length() - 1]
+            # two plain premises with identical formulas are interchangeable:
+            # focusing the later one would only permute the proof.
+            # Assumptions and split-out parts are excluded: they carry
+            # region obligations of their own.
+            if res.dup is not None:
+                if res.dup in seen:
+                    continue
+                seen.add(res.dup)
+            for su2, left2, d2 in self._focus(su, res, ctx ^ bit, goal, depth):
+                if key is not None:
+                    # its own bindings are those after the first n
+                    results.append([su2.sems, n, left2, d2, None])
+                yield su2, left2, d2
+        if key is not None:
+            entry[1] = self._deepest - depth
+            self._deepest = max(outer, self._deepest)
 
     # -- left (focused) rules -----------------------------------------------
 
@@ -408,19 +511,16 @@ class Prover:
         rid: int,
         pendings: list[GlueFormula],
         depth: int,
+        idx: int = 0,
     ):
-        """Prove the collected antecedents of a focus on resource `rid` left
-        to right on the remaining resources."""
-
-        def chain(su, avail, idx):
-            if idx == len(pendings):
-                yield su, avail, []
-                return
-            for su2, left2, d2 in self.prove(su, avail, pendings[idx], depth + 1, (rid, idx)):
-                for su3, left3, ds in chain(su2, left2, idx + 1):
-                    yield su3, left3, [d2] + ds
-
-        yield from chain(su, ctx, 0)
+        """Prove the collected antecedents `idx`... of a focus on resource
+        `rid` left to right on the remaining resources."""
+        if idx == len(pendings):
+            yield su, ctx, []
+            return
+        for su2, left2, d2 in self.prove(su, ctx, pendings[idx], depth + 1, (rid, idx)):
+            for su3, left3, ds in self._prove_pendings(su2, left2, rid, pendings, depth, idx + 1):
+                yield su3, left3, [d2] + ds
 
     # -- atoms ---------------------------------------------------------------
 
@@ -477,11 +577,14 @@ def _complete_proofs(
     """The proofs of ctx |- goal that consume every resource and whose
     meaning equations have a solution, with that solution."""
     mask = sum(1 << res.rid for res in ctx)
-    for su, leftover, d in prover.prove(Substitution(), mask, goal, 0):
-        if not leftover:
-            su = _solve_meanings(prover, su, d)
-            if su is not None:
-                yield su, d
+    try:
+        for su, leftover, d in prover.prove(Substitution(), mask, goal, 0):
+            if not leftover:
+                su = _solve_meanings(prover, su, d)
+                if su is not None:
+                    yield su, d
+    finally:
+        prover._table.clear()
 
 
 def prove_sequent(
@@ -583,7 +686,7 @@ def render_trace(d: Derivation, su: Optional[Substitution] = None) -> str:
     def fmt(n: Derivation) -> str:
         info = n.info if n.ant is None else print_formula(n.ant)
         text = f"{n.rule}: {info}".rstrip(": ")
-        if n.fresh and su is not None:
+        if n.rule == "PiL" and su is not None:
             pairs = []
             for name in n.fresh:
                 sol = solution(name)

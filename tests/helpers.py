@@ -124,7 +124,12 @@ def _mill(ctx, goal, memo) -> bool:
 
 class EagerProver(prover.Prover):
     """Solves the meaning equation at every atom match, so a failing equation
-    prunes its branch where it is made and none is left for the end."""
+    prunes its branch where it is made and none is left for the end.  Its
+    substitutions carry term bindings, which the shipped prover's table of
+    atomic goals does not key on, so it tables nothing."""
+
+    def _table_key(self, su, ctx, goal):
+        return None
 
     def _unify_atoms(self, su, f, goal):
         if isinstance(f, PropAtom) and isinstance(goal, PropAtom):

@@ -1,8 +1,10 @@
 """Proof-search tests: linearity, theorems, scope constraints, determinism."""
 
+import gc
 import itertools
 import pathlib
 import random
+import weakref
 
 from gluesem.fstruct import ROOT, SemStruct, SemVar, parse_fstructure
 from gluesem.glue import (
@@ -306,14 +308,24 @@ def shipped_runs():
     return runs
 
 
-def test_deferred_meanings_match_the_eager_prover():
-    # every shipped input: the same proofs, readings, derivations and steps
-    # as solving each meaning equation where the search makes it
-    for run in shipped_runs():
-        eager, eager_stats = with_prover(EagerProver, run)
-        deferred, stats = with_prover(Prover, run)
-        assert deferred == eager
-        assert (stats.proofs, stats.steps) == (eager_stats.proofs, eager_stats.steps)
+def untabled(monkeypatch):
+    """Force every atomic goal's table lookup to miss."""
+    monkeypatch.setattr(Prover, "_table_key", lambda self, su, ctx, goal: None)
+
+
+def test_deferred_meanings_match_the_eager_prover(monkeypatch):
+    # every shipped input: the same proofs, readings and derivations as
+    # solving each meaning equation where the search makes it, and, with
+    # the table forced to miss as the eager prover's is, the same steps
+    runs = shipped_runs()
+    eager = [with_prover(EagerProver, run) for run in runs]
+    deferred = [with_prover(Prover, run) for run in runs]
+    untabled(monkeypatch)
+    for (want, eager_stats), (got, stats), run in zip(eager, deferred, runs):
+        _, untabled_stats = with_prover(Prover, run)
+        assert got == want
+        assert stats.proofs == untabled_stats.proofs == eager_stats.proofs
+        assert untabled_stats.steps == eager_stats.steps
 
 
 def test_failing_meaning_equations_drop_the_proof():
@@ -466,8 +478,9 @@ def test_each_resource_is_opened_once_per_search(monkeypatch):
 def test_goals_are_posed_once_per_search(monkeypatch):
     # PiR eigenvariables, LimpR assumptions and TensorL parts are kept by
     # goal position, so the resources a search makes stay within twice its
-    # premises, however often each position is proved.  Steps, proofs,
-    # readings and equations are those of making new ones on every branch.
+    # premises, however often each position is proved.  With the table
+    # forced to miss, steps, proofs, readings and equations are those of
+    # making new ones on every branch; tabled, only the steps fall.
     made = []
     real = Prover._resource
 
@@ -477,11 +490,172 @@ def test_goals_are_posed_once_per_search(monkeypatch):
 
     monkeypatch.setattr(Prover, "_resource", resource)
     prems = premises(scope_doc(["every"] * 5), LEX)
+    for steps in (6_143, 20_836):
+        made.clear()
+        result = enumerate_readings(prems, SemStruct("f", ROOT))
+        stats = result.stats
+        assert len(prems) == 12 and len(made) <= 2 * len(prems)
+        assert (stats.steps, stats.proofs, len(result.readings), stats.equations) == (
+            steps, 132, 132, 3_036)
+        untabled(monkeypatch)  # for the second run
+
+
+def _fresh_names(d):
+    return d.fresh + tuple(n for c in d.children for n in _fresh_names(c))
+
+
+def _run_recording_proofs(monkeypatch, run):
+    """`run()`; the rule tree, the substitution and the birth order of the
+    quantifier variables of every complete proof, in the order the search
+    finds them; and the search's stats.  The birth order is checked to be
+    the one the table re-stamps a replayed proof in."""
+    proofs = []
+    real = prover._complete_proofs
+
+    def recording(prover_, *args):
+        for su, d in real(prover_, *args):
+            stamped = sorted(_fresh_names(d), key=prover_.classes.ts)
+            assert stamped == prover._stamped(d, [])
+            proofs.append((rule_tree(d), su.sems, su.terms, stamped))
+            yield su, d
+
+    monkeypatch.setattr(prover, "_complete_proofs", recording)
+    out, stats = with_prover(Prover, run)
+    monkeypatch.setattr(prover, "_complete_proofs", real)
+    return out, proofs, stats
+
+
+def test_tabled_goals_replay_the_proofs_of_the_search(monkeypatch):
+    # every shipped input and the random propositional sequents of the two
+    # MILL tests: the same proofs, with the same resource ids and
+    # substitutions, in the same order, whether atomic goals are replayed
+    # from the table or proved afresh; strictly fewer steps when tabled on
+    # the scope family from k=2
+    sequents = []
+    monkeypatch.setitem(
+        globals(), "prove_sequent", lambda s: sequents.append(s) or prover.prove_sequent(s))
+    test_propositional_counts_match_brute_force()
+    test_shared_formula_objects_keep_the_search_sound()
+    monkeypatch.undo()
+    assert len(sequents) == 300 + 400 + 2
+    scope = [readings_run(premises(scope_doc(["every"] * (k + 1)), LEX), SemStruct("f", ROOT))
+             for k in (2, 3, 4)]
+    runs = shipped_runs() + [sequent_run(s) for s in sequents] + scope
+    tabled = [_run_recording_proofs(monkeypatch, run) for run in runs]
+    untabled(monkeypatch)
+    fewer = []
+    for run, (out, proofs, stats) in zip(runs, tabled):
+        plain_out, plain_proofs, plain_stats = _run_recording_proofs(monkeypatch, run)
+        assert (out, proofs) == (plain_out, plain_proofs)
+        assert stats.steps <= plain_stats.steps
+        fewer.append(stats.steps < plain_stats.steps)
+    assert all(fewer[-len(scope):])
+
+
+def _atom(sem, ty=E):
+    return Means(SemVar(sem) if sem.isupper() else SemStruct(sem, ROOT), Const("a", E), ty)
+
+
+# Sequents whose atomic goals repeat with one goal object and one context
+# mask, where only the table key's other parts tell the visits apart, and
+# one whose birth order a replay must keep.
+KEYED = [
+    # the first premise's last antecedent poses the assumption Y ~> a once,
+    # but Y is f on the branch that gives f ~> a to its first antecedent and
+    # h on the one that gives it h ~> a; the last premise consumes the
+    # assumption only when Y is f, so there is exactly one proof
+    (Sequent((
+        Forall("Y", SEM, Forall("W", SEM, Limp(_atom("Y"), Limp(_atom("W"), Limp(
+            Limp(_atom("Y", T), _atom("g", T)), _atom("k", T)))))),
+        _atom("f"),
+        _atom("h"),
+        Limp(_atom("f", T), _atom("g", T)),
+    ), _atom("k", T)), 1),
+    # split in either order, the two tensors give k ~> a the same parts, but
+    # the variable opened first is the older, so unifying U with V binds V
+    # on one branch and U on the other; each branch has two proofs, one per
+    # way of giving the two e-parts to the two e-antecedents
+    (Sequent((
+        Forall("U", SEM, Tensor(_atom("U"), Limp(_atom("U", T), Limp(_atom("U"), Limp(
+            _atom("U", E), _atom("k", T)))))),
+        Forall("V", SEM, Tensor(_atom("V", T), _atom("V", E))),
+    ), _atom("k", T)), 4),
+    # not a repeated key: the search stamps the body of a tensor head (V,
+    # focused to prove k ~> a from the parts) before its antecedent (W), as
+    # a replay must re-stamp them
+    (Sequent((
+        Limp(_atom("m"), Tensor(_atom("m", T), _atom("m", E))),
+        Forall("W", SEM, _atom("W")),
+        Forall("V", SEM, Limp(_atom("V", T), Limp(_atom("V", E), _atom("k", T)))),
+    ), _atom("k", T)), 1),
+]
+
+
+def test_table_keys_on_context_bindings_and_birth_order(monkeypatch):
+    tabled = [_run_recording_proofs(monkeypatch, sequent_run(s)) for s, _ in KEYED]
+    untabled(monkeypatch)
+    for (sequent, n), (out, proofs, stats) in zip(KEYED, tabled):
+        assert (out, proofs) == _run_recording_proofs(monkeypatch, sequent_run(sequent))[:2]
+        assert len(proofs) == n
+
+
+def test_replays_stop_at_the_depth_budget(monkeypatch):
+    # a replay that could step deeper than the budget allows is proved
+    # afresh instead, so each depth budget stops the search where it stops
+    # without the table, after the same proofs.  From three copies of one
+    # formula, the search meets a tabled goal again four levels deeper,
+    # where afresh it would cross a budget of 9; from four, it meets a goal
+    # deeper whose record replays another, and afresh it would cross 11.
+    f = Limp(A, Limp(Limp(A, A), Limp(B, A)))
+    scope = premises(scope_doc(["every"] * 3), LEX)
+
+    def runs():
+        out = {}
+        for max_depth in range(24):
+            budget = SearchBudget(max_depth=max_depth)
+            result = enumerate_readings(scope, SemStruct("f", ROOT), budget)
+            texts = [r.text for r in result.readings]
+            out[max_depth, "scope"] = result.stats.proofs, result.stats.limit, texts
+            for copies in (3, 4):
+                proofs = prove_sequent(Sequent((f,) * copies, f), budget)
+                try:
+                    out[max_depth, copies] = [rule_tree(d) for _, d in proofs]
+                except prover.BudgetExhausted as e:
+                    out[max_depth, copies] = e.limit
+        return out
+
+    tabled = runs()
+    untabled(monkeypatch)
+    assert tabled == runs()
+    assert tabled[9, 3] == tabled[11, 4] == "max-depth" and tabled[23, 3] == tabled[23, 4] == []
+
+
+def test_scope_k5_finishes_within_the_default_budget():
+    prems = premises(scope_doc(["every"] * 6), LEX)
     result = enumerate_readings(prems, SemStruct("f", ROOT))
-    stats = result.stats
-    assert len(prems) == 12 and len(made) <= 2 * len(prems)
-    assert (stats.steps, stats.proofs, len(result.readings), stats.equations) == (
-        20_836, 132, 132, 3_036)
+    assert not result.stats.exhausted and len(result.readings) == 429
+
+
+def test_a_finished_search_is_freed_at_once(monkeypatch):
+    # no reference cycle keeps the prover, its table or its resources alive
+    # until a cyclic collection once the readings are returned
+    made = []
+    real = Prover.__init__
+
+    def init(self, *args):
+        real(self, *args)
+        made.append(weakref.ref(self))
+
+    monkeypatch.setattr(Prover, "__init__", init)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        texts = reading_texts("seeks-a-unicorn")
+        assert len(texts) == 2 and len(made) == 1
+        assert made[0]() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_refocused_variables_are_born_at_the_focus(monkeypatch):
