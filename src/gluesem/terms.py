@@ -13,10 +13,9 @@ so collapsing the round trip is sound and keeps unifier output canonical).
 
 from __future__ import annotations
 
-import itertools
 import re
 from operator import attrgetter
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 
 class GlueError(Exception):
@@ -295,15 +294,21 @@ def bind_vars(params: list[Var], body: MeaningTerm) -> MeaningTerm:
 
 def free_vars(term: MeaningTerm) -> set[str]:
     """Names of free variables and glue metavariables."""
-    out: set[str] = set()
+    return set(free_names(term))
 
-    def go(t):  # type() dispatch: bind runs this as its occurs check
+
+def free_names(term: MeaningTerm) -> dict[str, MeaningTerm]:
+    """The free variables and glue metavariables of `term`, each by name at
+    its first occurrence, in left-to-right order."""
+    out: dict[str, MeaningTerm] = {}
+
+    def go(t):  # type() dispatch: the matcher scans every binding with this
         cls = type(t)
         if cls is App:
             go(t.fn)
             go(t.arg)
         elif cls is Var or cls is MetaVar:
-            out.add(t.name)
+            out.setdefault(t.name, t)
         elif cls is Abs or cls is Cap or cls is Cup:
             go(t.body)
 
@@ -463,48 +468,48 @@ def elaborate(term: MeaningTerm, ctx: TypingContext) -> tuple[MeaningTerm, Meani
 
 _ENT_POOL = ["x", "y", "z", "u", "v", "w"]
 _FUN_POOL = ["P", "Q", "R", "S", "T"]
+_ATOMS = (Const, Var, MetaVar, BVar)  # printed without parentheses
 
 
-def _name_pool(ty) -> Iterator[str]:
+def _binder_name(ty, used: set[str]) -> str:
+    """The first name of the pool for `ty` (then x1, y1, ..., x2, ...) not in `used`."""
     pool = _ENT_POOL if ty == E else _FUN_POOL
-    yield from pool
-    for i in itertools.count(1):
+    i = 0
+    while True:
         for n in pool:
-            yield f"{n}{i}"
+            name = f"{n}{i}" if i else n
+            if name not in used:
+                return name
+        i += 1
 
 
 def print_term(term: MeaningTerm, explicit_parens: bool = False) -> str:
-    def go(t, names, used):
-        # returns (text, kind) with kind in {atom, app, prefix, lam}
-        match t:
-            case Const(n, _) | Var(n, _) | MetaVar(n, _):
-                return n, "atom"
-            case BVar(i):
-                return (names[i] if i < len(names) else f"#{i}"), "atom"
-            case Abs(ty, b):
-                n = next(n for n in _name_pool(ty) if n not in used)
-                body, _ = go(b, [n] + names, used | {n})
-                return f"\\{n}. {body}", "lam"
-            case Cap(b) | Cup(b):
-                op = "^" if isinstance(t, Cap) else "!"
-                inner, kind = go(b, names, used)  # a lambda body extends right
-                if kind == "app" and explicit_parens:
-                    inner = f"({inner})"
-                return f"{op}{inner}", "prefix"
-            case App(_, _):
-                head, args = spine(t)
-                htext, hkind = go(head, names, used)
-                if hkind != "atom":
-                    htext = f"({htext})"
-                parts = []
-                for a in args:
-                    atext, akind = go(a, names, used)
-                    if explicit_parens and akind != "atom":
-                        atext = f"({atext})"
-                    parts.append(atext)
-                return f"{htext}({', '.join(parts)})", "app"
-        raise AssertionError(f"bad term {t!r}")
+    names: list[str] = []  # the enclosing binders' names, innermost last
+    used = free_vars(term)  # names a binder may not take: free ones and `names`
 
-    used0 = free_vars(term)
-    text, _ = go(term, [], set(used0))
-    return text
+    def go(t):
+        cls = type(t)
+        if cls is App:
+            head, args = spine(t)
+            text = go(head) if type(head) in _ATOMS else f"({go(head)})"
+            parts = [go(a) if type(a) in _ATOMS or not explicit_parens else f"({go(a)})"
+                     for a in args]
+            return f"{text}({', '.join(parts)})"
+        if cls is Abs:
+            n = _binder_name(t.var_ty, used)
+            names.append(n)
+            used.add(n)
+            text = f"\\{n}. {go(t.body)}"
+            names.pop()
+            used.remove(n)
+            return text
+        if cls is Cap or cls is Cup:
+            text = go(t.body)  # a lambda body extends right
+            if explicit_parens and type(t.body) is App:
+                text = f"({text})"
+            return f"{'^' if cls is Cap else '!'}{text}"
+        if cls is BVar:
+            return names[-1 - t.index] if t.index < len(names) else f"#{t.index}"
+        return t.name
+
+    return go(term)

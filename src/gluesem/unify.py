@@ -16,7 +16,9 @@ the other side abstracted over them; rigid parts are compared structurally
 and abstractions are opened with a fresh eigenvariable.  An equation with
 unbound flex variables on both sides, or a flex variable applied to
 anything but distinct eigenvariables, is outside this fragment and raises
-NonPatternError.
+NonPatternError.  So every value `solve` binds is closed and normal: one scan
+of it makes the open-variable, escape and occurs checks, and the substitution
+and its children resolve it as bound, without normalizing it again.
 """
 from __future__ import annotations
 
@@ -37,7 +39,7 @@ from .terms import (
     Var,
     alpha_equal,
     bind_vars,
-    free_vars,
+    free_names,
     normalize,
     normalize_with,
     open_abs,
@@ -117,17 +119,20 @@ class Substitution:
 
     Bindings may mention variables bound later; application resolves them
     recursively (the occurs check keeps the chains acyclic), so observable
-    application is idempotent: applying twice equals applying once.  Each
-    substitution memoizes the fully applied normal form of every binding it
-    resolves.  A child made by `bind` may resolve a chain differently, so it
-    starts with only its new binding; one made by `bind_sem` keeps the same
-    term bindings and shares the memo.
+    application is idempotent: applying twice equals applying once.  A value
+    without metavariables is closed: it resolves to itself here and in every
+    child, with no memo entry and no normalization.  Each substitution
+    memoizes the fully applied normal form of every other binding it
+    resolves.  A child made by `bind` may resolve such a chain differently,
+    so its memo starts with only its new binding; one made by `bind_sem`
+    keeps the same term bindings and shares the memo.
     """
 
-    def __init__(self, terms=None, sems=None, memo=None):
+    def __init__(self, terms=None, sems=None, memo=None, closed=frozenset()):
         self.terms: dict[str, MeaningTerm] = terms or {}
         self.sems: dict[str, SemTerm] = sems or {}
         self._memo: dict[str, MeaningTerm] = memo if memo is not None else {}
+        self._closed: frozenset[str] = closed  # the names bound to closed values
 
     def __repr__(self):
         items = [f"{k} -> {print_term(v)}" for k, v in self.terms.items()]
@@ -138,12 +143,13 @@ class Substitution:
         return not self.terms and not self.sems
 
     def _resolve(self, name: str) -> Optional[MeaningTerm]:
-        value = self._memo.get(name)
-        if value is None:
-            value = self.terms.get(name)
-            if value is not None:
-                value = self._memo[name] = normalize_with(value, self._resolve)
-        return value
+        value = self.terms.get(name)
+        if value is None or name in self._closed:
+            return value
+        memo = self._memo.get(name)
+        if memo is None:
+            memo = self._memo[name] = normalize_with(value, self._resolve)
+        return memo
 
     def nf(self, t: MeaningTerm) -> MeaningTerm:
         """Normal form of `t` with every bound variable replaced by its value."""
@@ -154,20 +160,28 @@ class Substitution:
             s = self.sems[s.name]
         return s
 
-    def bind(self, name: str, value: MeaningTerm) -> "Substitution":
+    def bind(self, name: str, value: MeaningTerm, closed: bool = False) -> "Substitution":
+        """Extend with name := value.  `closed` promises that `value` is
+        normal and has no metavariables, as the matcher's values are; any
+        other value is normalized here and occurs-checked."""
         assert name not in self.terms, f"{name} bound twice"
-        value = self.nf(value)
-        assert name not in free_vars(value), f"occurs check slipped for {name}"
+        if not closed:
+            value = self.nf(value)
+            free = free_names(value)
+            assert name not in free, f"occurs check slipped for {name}"
+            closed = not any(type(v) is MetaVar for v in free.values())
         terms = dict(self.terms)
         terms[name] = value
+        if closed:
+            return Substitution(terms, self.sems, None, self._closed | {name})
         # `value` mentions no bound variable, so it is its own normal form
-        return Substitution(terms, self.sems, {name: value})
+        return Substitution(terms, self.sems, {name: value}, self._closed)
 
     def bind_sem(self, name: str, value: SemTerm) -> "Substitution":
         value = self.walk_sem(value)
         sems = dict(self.sems)
         sems[name] = value
-        return Substitution(self.terms, sems, self._memo)
+        return Substitution(self.terms, sems, self._memo, self._closed)
 
 
 # ---------------------------------------------------------------------------
@@ -185,30 +199,22 @@ def _pattern_args(f: MetaVar, args: list[MeaningTerm]) -> list[Var]:
 
 def _flex_binding(side: MeaningTerm, other: MeaningTerm):
     """For a flex `side`, F(x...) or (!F(y...))(x...), its variable and the
-    value that makes it equal to `other`: \\x... other, or \\y... ^\\x... other
-    (since !^u = u).  None when `side` is rigid; NonPatternError when F is
-    applied to anything but distinct eigenvariables."""
+    normal value that makes it equal to the normal `other`: \\x... other, or
+    \\y... ^\\x... other (since !^u = u).  None when `side` is rigid;
+    NonPatternError when F is applied to anything but distinct eigenvariables."""
     head, xs = spine(side)
-    if type(head) is MetaVar:
-        return head, bind_vars(_pattern_args(head, xs), other)
-    if type(head) is Cup:
-        f, ys = spine(head.body)
-        if type(f) is MetaVar:
-            _pattern_args(f, ys + xs)
-            return f, bind_vars(ys, Cap(bind_vars(xs, other)))
-    return None
-
-
-def _first_flex(t: MeaningTerm) -> Optional[MetaVar]:
-    """The first unbound flex variable in `t`, if any."""
-    cls = type(t)
-    if cls is MetaVar:
-        return t
-    if cls is App:
-        return _first_flex(t.fn) or _first_flex(t.arg)
-    if cls is Abs or cls is Cap or cls is Cup:
-        return _first_flex(t.body)
-    return None
+    f, ys = spine(head.body) if type(head) is Cup else (head, [])
+    if type(f) is not MetaVar:
+        return None
+    _pattern_args(f, ys + xs)
+    value = bind_vars(xs, other)
+    if f is not head:
+        value = bind_vars(ys, Cap(value))
+    # abstracting variables out of a normal term leaves a redex only at the
+    # top: an eta redex \\x. g(x), or ^(!v)
+    if type(other) is Cup or xs and type(other) is App and other.arg == xs[-1]:
+        value = normalize(value)
+    return f, value
 
 
 def solve(
@@ -231,16 +237,17 @@ def solve(
         found = _flex_binding(side, other)
         if found is not None:
             f, value = found
-            open_var = _first_flex(value)
-            if open_var is not None:
-                raise NonPatternError(
-                    f"no antecedent fixes {f.name} or {open_var.name} in "
-                    f"{print_term(l)} = {print_term(r)} (outside the matched fragment)"
-                )
+            free = free_names(value)  # l and r are resolved: every metavariable is unbound
+            for v in free.values():
+                if type(v) is MetaVar:
+                    raise NonPatternError(
+                        f"no antecedent fixes {f.name} or {v.name} in "
+                        f"{print_term(l)} = {print_term(r)} (outside the matched fragment)"
+                    )
             fts = classes.ts(f.name)
-            if any(classes.ts(name) > fts for name in free_vars(value)):
+            if any(classes.ts(name) > fts for name in free):
                 return None  # an eigenvariable would escape its scope
-            return su.bind(f.name, value)
+            return su.bind(f.name, value, closed=True)
     if isinstance(l, Cap) or isinstance(r, Cap):
         if isinstance(l, Cap) and isinstance(r, Cap):
             return solve(su, l.body, r.body, classes)

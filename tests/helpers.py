@@ -6,10 +6,11 @@ splits directly, the term enumerator builds normal forms by brute force and
 the reference typechecker infers types by unification.  The eager prover
 solves each meaning equation where the search makes it, with the general
 unifier of `reference_unifier`, as the prover did before it deferred them
-to complete proofs and matched them antecedents first.  The surface-syntax
-term parser, named substitution, f-structure printing and equation-list
-unification live here too: only tests use them, so the package does not
-ship them.
+to complete proofs and matched them antecedents first.  The reference printer
+is the package's printer as it was written before it became one pass.  The
+surface-syntax term parser, named substitution, f-structure printing,
+equation-list unification and the scope-family sentences live here too:
+only tests use them, so the package does not ship them.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import random
 import re
 
 from gluesem import prover
-from gluesem.fstruct import FStructure
+from gluesem.fstruct import FStructure, parse_fstructure
 from gluesem.glue import Limp, Means, PropAtom, Tensor
 from gluesem.terms import (
     Abs,
@@ -41,8 +42,10 @@ from gluesem.terms import (
     Var,
     alpha_equal,
     app,
+    free_vars,
     normalize,
     print_term,
+    spine,
 )
 from gluesem.unify import Substitution, VarClass, solve, solve_sem
 
@@ -884,6 +887,76 @@ def substitute(term, name: str, repl):
     `repl` survive untouched.
     """
     return subst_map(term, {name: repl})
+
+
+# ---------------------------------------------------------------------------
+# Reference printer: a pattern-matching pass that draws each binder's name
+# from a generator and copies the binder names and the used names per
+# binder.  `print_term` must print every term exactly as this does.
+
+
+_ENT_POOL = ["x", "y", "z", "u", "v", "w"]
+_FUN_POOL = ["P", "Q", "R", "S", "T"]
+
+
+def _name_pool(ty):
+    pool = _ENT_POOL if ty == E else _FUN_POOL
+    yield from pool
+    for i in itertools.count(1):
+        for n in pool:
+            yield f"{n}{i}"
+
+
+def reference_print_term(term, explicit_parens: bool = False) -> str:
+    def go(t, names, used):
+        # returns (text, kind) with kind in {atom, app, prefix, lam}
+        match t:
+            case Const(n, _) | Var(n, _) | MetaVar(n, _):
+                return n, "atom"
+            case BVar(i):
+                return (names[i] if i < len(names) else f"#{i}"), "atom"
+            case Abs(ty, b):
+                n = next(n for n in _name_pool(ty) if n not in used)
+                body, _ = go(b, [n] + names, used | {n})
+                return f"\\{n}. {body}", "lam"
+            case Cap(b) | Cup(b):
+                op = "^" if isinstance(t, Cap) else "!"
+                inner, kind = go(b, names, used)  # a lambda body extends right
+                if kind == "app" and explicit_parens:
+                    inner = f"({inner})"
+                return f"{op}{inner}", "prefix"
+            case App(_, _):
+                head, args = spine(t)
+                htext, hkind = go(head, names, used)
+                if hkind != "atom":
+                    htext = f"({htext})"
+                parts = []
+                for a in args:
+                    atext, akind = go(a, names, used)
+                    if explicit_parens and akind != "atom":
+                        atext = f"({atext})"
+                    parts.append(atext)
+                return f"{htext}({', '.join(parts)})", "app"
+        raise AssertionError(f"bad term {t!r}")
+
+    used0 = free_vars(term)
+    text, _ = go(term, [], set(used0))
+    return text
+
+
+# ---------------------------------------------------------------------------
+# The scope family
+
+
+def scope_doc(dets, noun="unicorn"):
+    """Bill seeks D0 conversation with D1 conversation with ... Dk noun."""
+    k = len(dets) - 1
+    inner = f'(fstruct n{k} (SPEC "{dets[k]}") (PRED "{noun}"))'
+    for i in reversed(range(k)):
+        inner = f'(fstruct n{i} (SPEC "{dets[i]}") (PRED "conversation") (OBL-WITH {inner}))'
+    return parse_fstructure(
+        f'(fstruct f (PRED "seek") (SUBJ (fstruct g (PRED "Bill"))) (OBJ {inner}))'
+    )
 
 
 def print_fstructure(doc) -> str:

@@ -4,6 +4,8 @@ import gc
 import itertools
 import pathlib
 import random
+import subprocess
+import sys
 import weakref
 
 from gluesem.fstruct import ROOT, SemStruct, SemVar, parse_fstructure
@@ -43,7 +45,15 @@ from gluesem.terms import (
 )
 from gluesem.unify import VarClass
 
-from helpers import EagerProver, free_meta_vars, mill_provable, typecheck, with_prover
+import scaling
+from helpers import (
+    EagerProver,
+    free_meta_vars,
+    mill_provable,
+    scope_doc,
+    typecheck,
+    with_prover,
+)
 
 A = PropAtom("A")
 B = PropAtom("B")
@@ -233,15 +243,16 @@ def test_head_filter_rejects_only_failing_focuses(monkeypatch):
         assert on.head_rejects > 0 and off.head_rejects == 0, name
 
 
-def scope_doc(dets, noun="unicorn"):
-    """Bill seeks D0 conversation with D1 conversation with ... Dk noun."""
-    k = len(dets) - 1
-    inner = f'(fstruct n{k} (SPEC "{dets[k]}") (PRED "{noun}"))'
-    for i in reversed(range(k)):
-        inner = f'(fstruct n{i} (SPEC "{dets[i]}") (PRED "conversation") (OBL-WITH {inner}))'
-    return parse_fstructure(
-        f'(fstruct f (PRED "seek") (SUBJ (fstruct g (PRED "Bill"))) (OBJ {inner}))'
-    )
+def test_scaling_script_prints_the_catalan_counts():
+    out = subprocess.run(
+        [sys.executable, "tests/scaling.py", "2"], capture_output=True, text=True, check=True
+    ).stdout.splitlines()
+    assert out[0] == scaling.HEADER
+    cells = [line.split(" | ") for line in out[2:]]
+    assert [(c[0], c[1]) for c in cells] == [("| 0", "2"), ("| 1", "5"), ("| 2", "14")]
+    assert [c[5] for c in cells] == ["14", "55", "210"]  # equations
+    cut = scaling.row(2, LEX, SearchBudget(max_steps=100)).split(" | ")
+    assert cut[1].endswith(" of 14") and cut[2] == "101, max-steps hit"
 
 
 def rule_tree(d):

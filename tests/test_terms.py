@@ -36,6 +36,7 @@ from helpers import (
     parse_term,
     random_reduction,
     random_term,
+    reference_print_term,
     substitute,
     typecheck,
 )
@@ -245,6 +246,73 @@ def test_parse_type_nesting_limit():
                          ("e -> " * 5000 + "t", "arrows")]:
         with pytest.raises(GlueError, match=f"{what} nest deeper than {n} levels"):
             parse_type(deeper)
+
+
+_BINDER_TYPES = [E, E, T, Arrow(E, T), Arrow(S, Arrow(E, T)), None]
+# free names that bound names must skip, and a constant that they need not
+_LEAF_NAMES = ["x", "y", "P", "Q", "x1", "P1", "c"]
+
+
+def _printer_term(rng, depth, binders=0):
+    """A random term for the printers, typed only as far as binder names
+    depend on it: chains of up to 9 binders, free variables and
+    metavariables named like bound ones, and loose indices."""
+    if depth <= 0 or rng.random() < 0.2:
+        kind = rng.randrange(4)
+        if kind == 0:
+            return BVar(rng.randrange(binders + 2))  # loose when >= binders
+        cls = (Var, MetaVar, Const)[kind - 1]
+        return cls(rng.choice(_LEAF_NAMES), rng.choice([E, T]))
+    kind = rng.choice(["abs", "chain", "app", "app", "cap", "cup"])
+    if kind in ("abs", "chain"):
+        n = 1 if kind == "abs" else rng.randint(2, 9)
+        ty = rng.choice(_BINDER_TYPES)
+        t = _printer_term(rng, depth - 1, binders + n)
+        for _ in range(n):
+            t = Abs(ty, t)
+        return t
+    if kind == "app":
+        return App(_printer_term(rng, depth - 1, binders), _printer_term(rng, depth - 1, binders))
+    return (Cap if kind == "cap" else Cup)(_printer_term(rng, depth - 1, binders))
+
+
+def test_printer_matches_reference_on_random_terms():
+    rng = random.Random(1999)
+    rolled = 0
+    for term in (_printer_term(rng, 5) for _ in range(1200)):
+        for explicit in (False, True):
+            text = print_term(term, explicit_parens=explicit)
+            assert text == reference_print_term(term, explicit_parens=explicit)
+        rolled += "x1." in text or "P1." in text or "x2." in text
+    assert rolled > 20  # the generator reaches renamed binders
+
+
+def test_printer_edge_cases_match_reference():
+    x, p = Var("x", E), MetaVar("P", Arrow(E, T))
+    rel = Const("rel", Arrow(E, Arrow(E, T)))
+    ents = app(rel, BVar(7), BVar(0))
+    for _ in range(8):  # 8 entity binders: x ... w, then x1, y1
+        ents = Abs(E, ents)
+    props = BVar(6)
+    for _ in range(7):  # 7 others: P ... T, then P1, Q1
+        props = Abs(T, props)
+    cases = {
+        ents: "\\x. \\y. \\z. \\u. \\v. \\w. \\x1. \\y1. rel(x, y1)",
+        props: "\\P. \\Q. \\R. \\S. \\T. \\P1. \\Q1. P",
+        # free x and P: bound names skip them
+        Abs(E, Abs(T, app(rel, x, BVar(1), p))): "\\y. \\Q. rel(x, y, P)",
+        App(Abs(E, BVar(3)), BVar(0)): "(\\x. #3)(#0)",  # loose indices
+        Cap(App(Cup(Abs(E, App(p, BVar(0)))), x)): "^(!\\y. P(y))(x)",
+        Cup(Abs(T, Cap(App(p, BVar(0))))): "!\\Q. ^P(Q)",
+        app(rel, Cap(App(p, x)), Cup(Cap(Abs(E, App(p, BVar(0)))))): "rel(^P(x), !^\\y. P(y))",
+    }
+    for term, expected in cases.items():
+        for explicit in (False, True):
+            text = print_term(term, explicit_parens=explicit)
+            assert text == reference_print_term(term, explicit_parens=explicit)
+        assert print_term(term) == expected
+    term = app(rel, Cap(App(p, x)), Cup(Abs(E, x)))
+    assert print_term(term, explicit_parens=True) == "rel((^(P(x))), (!\\y. x))"
 
 
 def test_annotated_binders_parse_with_tight_arrows():

@@ -37,6 +37,7 @@ from gluesem.unify import (
     solve_sem,
 )
 
+import gluesem.unify as unify_module
 import reference_unifier
 from helpers import (
     RANDOM_SIGNATURE,
@@ -541,6 +542,73 @@ def test_nf_memo_is_not_inherited_by_bind():
     sibling = parent.bind_sem("H", SemStruct("f", "ROOT"))
     assert sibling.nf(x) == App(SUC, y)
     assert sibling.bind("Y", HILLARY).nf(x) == App(SUC, HILLARY)
+
+
+def test_bind_keeps_closed_bindings_resolved(monkeypatch):
+    # X's value has no metavariable, so it is its own normal form in every
+    # extension: a child resolves it as bound, as the same object, and
+    # normalizes nothing but the query
+    value = App(SUC, BILL)
+    child = Substitution().bind("X", value).bind("Y", HILLARY)
+    calls = []
+    real = unify_module.normalize_with
+    monkeypatch.setattr(
+        unify_module, "normalize_with", lambda t, resolve: calls.append(t) or real(t, resolve)
+    )
+    query = app(APPOINT, MetaVar("X", E), MetaVar("Y", E))
+    out = child.nf(query)
+    assert out == app(APPOINT, value, HILLARY) and out.fn.arg is value
+    assert calls == [query]
+    assert child.nf(MetaVar("X", E)) is value
+
+
+def test_bind_occurs_checks_open_values():
+    with pytest.raises(AssertionError, match="occurs check"):
+        Substitution().bind("X", App(SUC, MetaVar("X", E)))
+
+
+def test_matcher_names_the_leftmost_open_variable():
+    vc = classes_for(F=FLEX, A=FLEX, B=FLEX)
+    rhs = app(APPOINT, App(SUC, MetaVar("B", E)), MetaVar("A", E))
+    with pytest.raises(NonPatternError, match="no antecedent fixes F or B in"):
+        unify([(MetaVar("F", T), rhs)], vc)
+
+
+def test_open_and_escaping_value_is_an_error_not_a_failure():
+    # x is born after F, so binding F would let it escape; but Y is unbound,
+    # and an open value is outside the fragment whatever else is wrong
+    vc = classes_for(F=FLEX, x=EIGEN, Y=FLEX)
+    rhs = app(APPOINT, Var("x", E), MetaVar("Y", E))
+    with pytest.raises(NonPatternError, match="F or Y"):
+        unify([(MetaVar("F", T), rhs)], vc)
+
+
+def test_matcher_binds_normal_values():
+    # bind stores the matcher's values as given, so each must be normal:
+    # abstracting variables out of a normal side can leave an eta redex or
+    # ^(!v) at the top
+    rng = random.Random(9090)
+    for _ in range(1000):
+        vc, f, lhs, rhs, _ = _random_pattern_problem(rng)
+        su = unify([(lhs, rhs)], vc)
+        if su is not None:
+            assert normalize(su.terms["F"]) == su.terms["F"]
+    x, y = Var("x", E), Var("y", E)
+    g, h = MetaVar("G", PROP), MetaVar("H", Arrow(E, PROP))
+    problems = [
+        (App(Cup(g), x), App(VOTER, x), Cap(VOTER)),
+        (App(Cup(g), x), App(Cup(PV), x), PV),
+        (Cup(g), Cup(PV), PV),
+        (App(Cup(App(h, y)), x), app(APPOINT, y, x), Abs(E, Cap(App(APPOINT, BVar(0))))),
+        (App(Cup(App(h, y)), x), app(APPOINT, x, y),
+         Abs(E, Cap(Abs(E, app(APPOINT, BVar(0), BVar(1)))))),
+        (app(MetaVar("F", arrow(E, E, T)), x, y), app(APPOINT, x, y), APPOINT),
+    ]
+    for lhs, rhs, expected in problems:
+        vc = classes_for(pv=EIGEN, x=EIGEN, y=EIGEN, G=FLEX, H=FLEX, F=FLEX)
+        su = unify([(lhs, rhs)], vc)
+        (value,) = su.terms.values()
+        assert value == expected
 
 
 def test_nf_reduces_redexes_created_at_spine_heads():
