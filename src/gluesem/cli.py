@@ -35,7 +35,8 @@ Options are spelled in full and take their value as `--opt VALUE` or
 Exit status for `readings`: 0 with at least one reading, 2 with none
 (functional incompleteness or incoherence), 3 when the search budget ran out,
 1 on input errors, a malformed command line included.  `prove` exits 0 when
-the formula is derivable and 2 when it is not.
+the formula is derivable, 2 when it is not, 3 when the search budget ran out
+and 1 on input errors.
 """
 
 # Each command's options with their defaults: False marks a flag, None a
@@ -112,7 +113,7 @@ def _run_readings(opts) -> int:
     result, prems = readings_for_document(
         doc, lexicon, goal_label=opts["--goal"] or None, budget=budget, goal_type=goal_type
     )
-    texts = [print_term(r.term, explicit_parens=opts["--explicit-parens"])
+    texts = [print_term(r.term, True) if opts["--explicit-parens"] else r.text
              for r in result.readings]
     stats = result.stats
 

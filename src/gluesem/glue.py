@@ -45,7 +45,7 @@ from .terms import (
     Record,
     TypingContext,
     elaborate,
-    free_vars,
+    free_names,
     normalize_with,
 )
 from .unify import Substitution
@@ -167,21 +167,21 @@ def subst_formula(f: GlueFormula, su: Substitution) -> GlueFormula:
     )
 
 
-def formula_free_vars(f: GlueFormula, bound=frozenset()) -> set[str]:
-    """Free glue-variable names (meaning metavariables and structure
-    variables) of a formula."""
+def formula_free_vars(f: GlueFormula, bound=frozenset()) -> dict[str, object]:
+    """The free glue variables of a formula (meaning variables and
+    metavariables, and structure variables), each by name at its first
+    occurrence, in left-to-right order."""
     match f:
         case Means(sem, term, _):
-            out = free_vars(term) - bound
-            if isinstance(sem, SemVar) and sem.name not in bound:
-                out.add(sem.name)
-            return out
+            out = {sem.name: sem} if isinstance(sem, SemVar) else {}
+            out.update(free_names(term))
+            return {name: v for name, v in out.items() if name not in bound}
         case Tensor(l, r) | Limp(l, r):
             return formula_free_vars(l, bound) | formula_free_vars(r, bound)
         case Forall(v, _, b):
             return formula_free_vars(b, bound | {v})
         case _:
-            return set()
+            return {}
 
 
 def print_formula(f: GlueFormula) -> str:

@@ -1,13 +1,15 @@
 """Cut-free sequent proof search over the tensor fragment.
 
-The search is goal-directed: invertible rules (PiR, LimpR, TensorL) are
-applied eagerly, and when the goal is atomic one context formula is focused
-and decomposed down to its head, which must match the goal.  Context
-splitting is threaded lazily: each subproof consumes what it needs from the
-resources it is handed and returns the leftovers, and a proof of the whole
-sequent is one that leaves nothing over.  Universals focused on the left
-introduce fresh flex variables; universals proved on the right introduce
-fresh eigenvariables whose scope is policed by the matcher's timestamps.
+The search is goal-directed: a goal is decomposed by its right rule (PiR,
+LimpR, TensorR), and when it is atomic one context formula is focused and
+decomposed down to its head, which must match the goal; a tensor head is
+split instead (TensorL), its parts joining the context for the same goal.
+Context splitting is threaded lazily: each subproof consumes what it needs
+from the resources it is handed and returns the leftovers, and a proof of
+the whole sequent is one that leaves nothing over.  Universals focused on
+the left introduce fresh flex variables; universals proved on the right
+introduce fresh eigenvariables whose scope is policed by the matcher's
+timestamps.
 
 A proof fixes its meaning (the Curry-Howard reading of glue: Dalrymple,
 Gupta, Lamping & Saraswat 1999), so meanings are solved in a second phase.
@@ -20,24 +22,26 @@ By then the side that fixes each meaning variable is closed, so one-way
 matching solves it.  A proof whose equations fail is dropped, and only an
 equation on a complete proof can raise NonPatternError.
 
-Focusing is indexed by head.  When a resource is made, the atom a focus on
-it would end at (after stripping its quantifiers and implications) is
-recorded as its head signature: the meaning type with the semantic
-structure, or with no structure when the resource's own quantifier binds
-it, or the name of a propositional atom, and the resource is filed under
-it in bit masks over resource ids; a context is such a mask.  An atomic
-goal focuses, in id order (the order resources entered the context), only
-the resources whose signature can unify with it: a type clash, an atom of
-the other kind, or two rigid structures that differ under the current
-substitution reject a resource before any quantifier is instantiated, so it
-costs no search step.  This is the head filter of Hepple's (1996)
-first-order compilation; it rejects only what the atom match would reject.
+A resource is opened when it is made: its quantifiers are instantiated with
+fresh flex variables, its antecedents collected, and a tensor head split
+into parts, each a resource of its own.  Every focus on it re-stamps those
+variables, so that scope checks see them born at the focus on the current
+branch.
 
-A resource is opened once per search: its first focus instantiates its
-quantifiers with fresh flex variables and splits a tensor head into parts,
-and later focuses, on other branches, reuse them with new birth stamps, so
-that scope checks see them born at the focus on the current branch.  A goal
-is likewise posed once per search: a PiR eigenvariable (re-stamped) and a
+Focusing is indexed by head.  When a resource is made, the atom a focus on
+it ends at is recorded as its head signature: the meaning type with the
+semantic structure, or with no structure when the resource's own quantifier
+binds it, or the name of a propositional atom, and the resource is filed
+under it in bit masks over resource ids; a context is such a mask.  An
+atomic goal focuses, in id order (the order resources were made, a
+resource's parts right after it), only the resources whose signature can
+unify with it: a type clash, an atom of the other kind, or two rigid
+structures that differ under the current substitution reject a resource
+before it is focused, so it costs no search step.  This is the head filter
+of Hepple's (1996) first-order compilation; it rejects only what the atom
+match would reject.
+
+A goal is posed once per search: a PiR eigenvariable (re-stamped) and a
 LimpR assumption are kept by the goal's position, not its formula (see
 `prove`).  A focus consumes the resource, so no branch focuses it twice or
 proves one position twice, and substitutions are branch-local.  They bind
@@ -47,12 +51,16 @@ Atomic goals are tabled (the chart idea of Hepple 1996).  Their proofs
 depend only on the goal object, the context mask, and the structures bound
 to the variables of the goal and of the context's assumptions and parts,
 with the birth order of the unbound ones: premises are closed, and all that
-a proof opens or poses is born newer.  A key's first visit records each
+a proof focuses or poses is born newer.  A key's first visit records each
 result as it is found: the bindings it added, the leftovers and the
 derivation.  Once all are found, later visits replay them at one step each,
 re-stamping each derivation's variables in the search's order, unless the
 replay could cross the depth budget.  The table is emptied when the search
 ends.
+
+A derivation records facts, not text: each node the formula it proves, and
+Identity, TensorL, PiL and LimpR nodes the resource they consume, focus or
+assume; `render_trace` writes every line from them.
 
 Readings are the normalized meaning terms of the goal structure across all
 proofs, deduplicated up to renaming of bound variables.
@@ -122,49 +130,33 @@ class Sequent(Record):
 HeadSignature = Union[tuple[MeaningType, Optional[SemTerm]], str, None]
 
 
-def _head_signature(f: GlueFormula) -> HeadSignature:
-    """The head atom of `f` once its Forall/Limp spine is stripped."""
-    bound: set[str] = set()
-    while True:
-        if isinstance(f, Forall):
-            if f.kind == SEM:
-                bound.add(f.var)
-            f = f.body
-        elif isinstance(f, Limp):
-            f = f.cons
-        else:
-            break
-    if isinstance(f, Means):
-        own = isinstance(f.sem, SemVar) and f.sem.name in bound
-        return f.ty, None if own else f.sem
-    if isinstance(f, PropAtom):
-        return f.name
-    return None
-
-
 class Resource(Record):
-    __slots__ = ("rid", "formula", "tag", "head", "dup")
+    """A context formula, opened when it is made: its quantifiers are
+    instantiated with fresh flex variables (`fresh`), its antecedents
+    collected outermost first (`pendings`), and a tensor head split into
+    the resources of the mask `parts`."""
+
+    __slots__ = ("rid", "tag", "head", "pendings", "fresh", "sig", "parts", "dup")
 
     # dup: the class of equal premise formulas; None for the rest
-    def __init__(self, rid: int, formula: GlueFormula, tag: str, head: HeadSignature,
-                 dup: Optional[int]):
-        self.rid, self.formula, self.tag, self.head, self.dup = rid, formula, tag, head, dup
+    def __init__(self, rid: int, tag: str, head: GlueFormula,
+                 pendings: tuple[GlueFormula, ...], fresh: tuple[str, ...],
+                 sig: HeadSignature, parts: int, dup: Optional[int]):
+        self.rid, self.tag, self.head, self.pendings = rid, tag, head, pendings
+        self.fresh, self.sig, self.parts, self.dup = fresh, sig, parts, dup
 
 
 class Derivation(Record):
-    # rule: Identity | TensorL | TensorR | LimpL | LimpR | PiL | PiR; atom: the
-    # consumed atom of an Identity leaf; fresh: the variables a PiL node
-    # introduces; rid: the resource an Identity or TensorL node consumes;
-    # ant: the antecedent a LimpL node proves, printed only by render_trace;
-    # goal: the atomic goal an Identity leaf closes
-    __slots__ = ("rule", "info", "children", "atom", "fresh", "rid", "ant", "goal")
+    # rule: Identity | TensorL | TensorR | LimpL | LimpR | PiL | PiR; goal:
+    # the formula the node proves; res: the resource an Identity or TensorL
+    # node consumes, a PiL node focuses or a LimpR node assumes; fresh: the
+    # variables a PiL or PiR node introduces
+    __slots__ = ("rule", "children", "goal", "res", "fresh")
 
-    def __init__(self, rule: str, info: str, children: tuple[Derivation, ...],
-                 atom: Optional[GlueFormula] = None, fresh: tuple[str, ...] = (),
-                 rid: Optional[int] = None, ant: Optional[GlueFormula] = None,
-                 goal: Optional[GlueFormula] = None):
-        self.rule, self.info, self.children = rule, info, children
-        self.atom, self.fresh, self.rid, self.ant, self.goal = atom, fresh, rid, ant, goal
+    def __init__(self, rule: str, children: tuple[Derivation, ...], goal: GlueFormula,
+                 res: Optional[Resource] = None, fresh: tuple[str, ...] = ()):
+        self.rule, self.children, self.goal, self.res, self.fresh = (
+            rule, children, goal, res, fresh)
 
 
 class Reading(Record):
@@ -207,17 +199,6 @@ def _flatten_tensor(f: GlueFormula) -> list[GlueFormula]:
     return [f]
 
 
-def _free_sems(f: GlueFormula, bound: tuple = ()) -> set[SemVar]:
-    match f:
-        case Forall(var, _, body):
-            return _free_sems(body, bound + (var,))
-        case Tensor(l, r) | Limp(l, r):
-            return _free_sems(l, bound) | _free_sems(r, bound)
-        case Means(SemVar() as v) if v.name not in bound:
-            return {v}
-    return set()
-
-
 def _stamped(d: Derivation, out: list[str]) -> list[str]:
     """The variables the search stamps on its way to `d`, in its order: a
     focus's own, then its head's (a TensorL body), then its antecedents'."""
@@ -238,15 +219,11 @@ class Prover:
         self.budget = budget
         self.classes = VarClass()
         self.stats = SearchStats()
-        self._rids = itertools.count(1)
         self._dups: dict[GlueFormula, int] = {}
         self._resources: list[Optional[Resource]] = [None]  # by rid
         # head signature, or meaning type for all its heads, or (type,
         # SemVar) for heads whose structure is a variable -> resource mask
         self._index: dict[object, int] = {}
-        # rid -> (head, antecedents, fresh variable names, PiL info, TensorL
-        # parts mask) of the resource's first focus
-        self._opened: dict[int, tuple] = {}
         # goal position -> the PiR (eigenvariable, body) or LimpR assumption
         # that its first proof made
         self._posed: dict[tuple, object] = {}
@@ -269,26 +246,58 @@ class Prover:
                 raise BudgetExhausted("max-depth", self.budget.max_depth)
             self._deepest = depth
 
+    def _instantiate(self, f: Forall, flex: bool) -> tuple:
+        """A fresh flex (or eigen) variable for the one `f` binds, and `f`'s
+        body with it in its place."""
+        classes = self.classes
+        if f.kind == SEM:
+            v = classes.fresh_sem_flex(f.var) if flex else classes.fresh_sem_eigen(f.var)
+            return v, inst_sem_var(f.body, f.var, v)
+        v = classes.fresh_flex(f.var, f.kind) if flex else classes.fresh_eigen(f.var, f.kind)
+        return v, inst_term_var(f.body, f.var, v)
+
     def _resource(self, formula, premise, tag) -> Resource:
+        """A new resource for `formula`, opened and filed under its head."""
+        rid = len(self._resources)
+        self._resources.append(None)  # reserved: the parts take the next rids
+        head, pendings, fresh = formula, [], []
+        while True:
+            if isinstance(head, Forall):
+                v, head = self._instantiate(head, flex=True)
+                fresh.append(v.name)
+            elif isinstance(head, Limp):
+                pendings.append(head.ant)
+                head = head.cons
+            else:
+                break
+        parts, sig = 0, None
+        if isinstance(head, Tensor):
+            for k, p in enumerate(_flatten_tensor(head), 1):
+                parts |= 1 << self._resource(p, None, f"{tag}.{k}").rid
+        elif isinstance(head, Means):
+            own = isinstance(head.sem, SemVar) and head.sem.name in fresh
+            sig = head.ty, None if own else head.sem
+        else:
+            sig = head.name
         # premises are closed, so two premises with equal formulas stay
         # interchangeable under every substitution
-        dup = None
-        if premise is not None:
-            dup = self._dups.setdefault(formula, len(self._dups))
-        res = Resource(next(self._rids), formula, tag, _head_signature(formula), dup)
-        self._resources.append(res)
-        mentions = () if premise is not None else tuple(_free_sems(formula))
-        if mentions:
-            self._loose |= 1 << res.rid
-            self._mentions[res.rid] = mentions
-        keys = [res.head]
-        if isinstance(res.head, tuple):
-            ty, sem = res.head
+        dup = None if premise is None else self._dups.setdefault(formula, len(self._dups))
+        res = self._resources[rid] = Resource(
+            rid, tag, head, tuple(pendings), tuple(fresh), sig, parts, dup)
+        if premise is None:
+            mentions = [v for v in glue.formula_free_vars(formula).values()
+                        if type(v) is SemVar]
+            if mentions:
+                self._loose |= 1 << rid
+                self._mentions[rid] = mentions
+        keys = [sig]
+        if isinstance(sig, tuple):
+            ty, sem = sig
             keys.append(ty)
             if isinstance(sem, SemVar):
                 keys[0] = (ty, SemVar)
         for key in keys:
-            self._index[key] = self._index.get(key, 0) | 1 << res.rid
+            self._index[key] = self._index.get(key, 0) | 1 << rid
         return res
 
     def _candidates(self, su, ctx: int, goal) -> int:
@@ -307,7 +316,7 @@ class Prover:
         while loose:
             bit = loose & -loose
             loose ^= bit
-            head = su.walk_sem(self._resources[bit.bit_length() - 1].head[1])
+            head = su.walk_sem(self._resources[bit.bit_length() - 1].sig[1])
             if head == sem or isinstance(head, SemVar) and self.classes.is_flex_sem(head):
                 found |= bit
         return found
@@ -322,21 +331,14 @@ class Prover:
         (pos, 0) and (pos, 1) below PiR, LimpR and TensorR."""
         self._step(depth)
         match goal:
-            case Forall(var, kind, body):
+            case Forall():
                 if pos in self._posed:
                     v, inst = self._posed[pos]
                     self.classes.restamp(v.name)
                 else:
-                    if kind == SEM:
-                        v = self.classes.fresh_sem_eigen(var)
-                        inst = inst_sem_var(body, var, v)
-                    else:
-                        v = self.classes.fresh_eigen(var, kind)
-                        inst = inst_term_var(body, var, v)
-                    self._posed[pos] = v, inst
+                    v, inst = self._posed[pos] = self._instantiate(goal, flex=False)
                 for su2, left2, d2 in self.prove(su, ctx, inst, depth + 1, (pos, 0)):
-                    yield su2, left2, Derivation("PiR", f"{var} := {v.name}", (d2,),
-                                                 fresh=(v.name,))
+                    yield su2, left2, Derivation("PiR", (d2,), goal, fresh=(v.name,))
             case Limp(ant, cons):
                 res = self._posed.get(pos)
                 if res is None:
@@ -345,11 +347,11 @@ class Prover:
                 for su2, left2, d2 in self.prove(su, ctx | bit, cons, depth + 1, (pos, 0)):
                     if left2 & bit:
                         continue  # linear assumption left unused
-                    yield su2, left2, Derivation("LimpR", f"assume {res.tag}#{res.rid}", (d2,))
+                    yield su2, left2, Derivation("LimpR", (d2,), goal, res)
             case Tensor(left, right):
                 for su1, mid, d1 in self.prove(su, ctx, left, depth + 1, (pos, 0)):
                     for su2, out, d2 in self.prove(su1, mid, right, depth + 1, (pos, 1)):
-                        yield su2, out, Derivation("TensorR", "", (d1, d2))
+                        yield su2, out, Derivation("TensorR", (d1, d2), goal)
             case Means() | PropAtom():
                 key = self._table_key(su, ctx, goal)
                 entry = self._table.get(key)
@@ -425,101 +427,42 @@ class Prover:
 
     # -- left (focused) rules -----------------------------------------------
 
-    def _open(self, res: Resource) -> tuple:
-        """`res` with its Forall/Limp prefix stripped and a tensor head split
-        into parts, as `_opened` keeps it; a later focus re-stamps the same
-        fresh variables."""
-        opened = self._opened.get(res.rid)
-        if opened is not None:
-            for name in opened[2]:
-                self.classes.restamp(name)
-            return opened
-        f = res.formula
-        pendings: list[GlueFormula] = []
-        fresh_names: list[str] = []
-        while True:
-            if isinstance(f, Forall):
-                if f.kind == SEM:
-                    v: object = self.classes.fresh_sem_flex(f.var)
-                    f = inst_sem_var(f.body, f.var, v)
-                else:
-                    v = self.classes.fresh_flex(f.var, f.kind)
-                    f = inst_term_var(f.body, f.var, v)
-                fresh_names.append(v.name)
-            elif isinstance(f, Limp):
-                pendings.append(f.ant)
-                f = f.cons
-            else:
-                break
-        info = f"{res.tag}: {', '.join(fresh_names)}"
-        parts = 0
-        if isinstance(f, Tensor):
-            for k, p in enumerate(_flatten_tensor(f), 1):
-                parts |= 1 << self._resource(p, None, f"{res.tag}.{k}").rid
-        opened = self._opened[res.rid] = (f, pendings, tuple(fresh_names), info, parts)
-        return opened
-
-    def _focus(
-        self,
-        su: Substitution,
-        res: Resource,
-        ctx: int,
-        goal: GlueFormula,
-        depth: int,
-    ):
+    def _focus(self, su: Substitution, res: Resource, ctx: int, goal, depth: int):
+        """Proofs of the atomic `goal` that focus `res`: its head matches the
+        goal, or is a tensor whose parts prove it; then its antecedents."""
         self._step(depth)
-        f, pendings, fresh_names, info, parts = self._open(res)
-
-        def wrap(node: Derivation, pending_ds: list[Derivation]) -> Derivation:
-            # innermost implication first: pendings were collected outermost-in
-            for ant_d, pending in zip(reversed(pending_ds), reversed(pendings)):
-                node = Derivation("LimpL", "", (ant_d, node), ant=pending)
-            if fresh_names:
-                node = Derivation("PiL", info, (node,), fresh=fresh_names)
-            return node
-
-        if isinstance(f, (Means, PropAtom)):
-            su2 = self._unify_atoms(su, f, goal)
-            if su2 is None:
-                return
-            leaf = Derivation("Identity", f"{res.tag}#{res.rid}", (), atom=f, rid=res.rid,
-                              goal=goal)
-            for su3, left3, pending_ds in self._prove_pendings(
-                su2, ctx, res.rid, pendings, depth
-            ):
-                yield su3, left3, wrap(leaf, pending_ds)
-        elif isinstance(f, Tensor):
-            for su2, left2, d2 in self.prove(su, ctx | parts, goal, depth + 1):
-                if left2 & parts:
-                    # like a linear assumption, a split-out conjunct must be
-                    # consumed within the branch that introduced it; letting
-                    # it feed some other formula's antecedent would cross the
-                    # context split of this implication
-                    continue
-                node = Derivation("TensorL", f"{res.tag}#{res.rid}", (d2,), rid=res.rid)
-                for su3, left3, pending_ds in self._prove_pendings(
-                    su2, left2, res.rid, pendings, depth
-                ):
-                    yield su3, left3, wrap(node, pending_ds)
+        for name in res.fresh:  # born at the focus on the current branch
+            self.classes.restamp(name)
+        if isinstance(res.head, Tensor):
+            # like a linear assumption, a split-out conjunct must be consumed
+            # within the branch that introduced it; letting it feed some
+            # other formula's antecedent would cross the context split of
+            # this implication
+            heads = ((su2, left2, Derivation("TensorL", (d2,), goal, res))
+                     for su2, left2, d2 in self.prove(su, ctx | res.parts, goal, depth + 1)
+                     if not left2 & res.parts)
         else:
-            raise AssertionError(f"bad focused formula {f!r}")
+            su2 = self._unify_atoms(su, res.head, goal)
+            heads = [] if su2 is None else [(su2, ctx, Derivation("Identity", (), goal, res))]
+        for su2, left2, node in heads:
+            for su3, left3, pending_ds in self._prove_pendings(su2, left2, res, depth):
+                d = node
+                # innermost implication first: pendings were collected outermost-in
+                for ant_d in reversed(pending_ds):
+                    d = Derivation("LimpL", (ant_d, d), goal)
+                if res.fresh:
+                    d = Derivation("PiL", (d,), goal, res, res.fresh)
+                yield su3, left3, d
 
-    def _prove_pendings(
-        self,
-        su: Substitution,
-        ctx: int,
-        rid: int,
-        pendings: list[GlueFormula],
-        depth: int,
-        idx: int = 0,
-    ):
-        """Prove the collected antecedents `idx`... of a focus on resource
-        `rid` left to right on the remaining resources."""
-        if idx == len(pendings):
+    def _prove_pendings(self, su: Substitution, ctx: int, res: Resource, depth: int,
+                        idx: int = 0):
+        """Prove the antecedents `idx`... of a focus on `res` left to right on
+        the remaining resources."""
+        if idx == len(res.pendings):
             yield su, ctx, []
             return
-        for su2, left2, d2 in self.prove(su, ctx, pendings[idx], depth + 1, (rid, idx)):
-            for su3, left3, ds in self._prove_pendings(su2, left2, rid, pendings, depth, idx + 1):
+        for su2, left2, d2 in self.prove(su, ctx, res.pendings[idx], depth + 1, (res.rid, idx)):
+            for su3, left3, ds in self._prove_pendings(su2, left2, res, depth, idx + 1):
                 yield su3, left3, [d2] + ds
 
     # -- atoms ---------------------------------------------------------------
@@ -544,8 +487,8 @@ def check_linearity(d: Derivation, ctx: tuple[Resource, ...]) -> None:
     seen: list[int] = []
 
     def walk(n: Derivation):
-        if n.rid is not None:
-            seen.append(n.rid)
+        if n.rule == "Identity" or n.rule == "TensorL":
+            seen.append(n.res.rid)
         for c in n.children:
             walk(c)
 
@@ -565,9 +508,9 @@ def _solve_meanings(
         su = _solve_meanings(prover, su, child)
         if su is None:
             return None
-    if isinstance(d.goal, Means):
+    if d.rule == "Identity" and isinstance(d.goal, Means):
         prover.stats.equations += 1
-        su = solve(su, d.atom.term, d.goal.term, prover.classes)
+        su = solve(su, d.res.head.term, d.goal.term, prover.classes)
     return su
 
 
@@ -684,16 +627,24 @@ def render_trace(d: Derivation, su: Optional[Substitution] = None) -> str:
         return None
 
     def fmt(n: Derivation) -> str:
-        info = n.info if n.ant is None else print_formula(n.ant)
-        text = f"{n.rule}: {info}".rstrip(": ")
-        if n.rule == "PiL" and su is not None:
-            pairs = []
-            for name in n.fresh:
-                sol = solution(name)
-                pairs.append(f"{name} := {sol}" if sol else name)
-            text = f"{n.rule}: {n.info.split(':')[0]}: " + ", ".join(pairs)
-        if n.atom is not None and su is not None:
-            text += f"   |- {print_formula(subst_formula(n.atom, su))}"
+        rule, res = n.rule, n.res
+        if rule == "PiR":
+            return f"PiR: {n.goal.var} := {n.fresh[0]}"
+        if rule == "LimpL":
+            return f"LimpL: {print_formula(n.children[0].goal)}"
+        if rule == "PiL":
+            pairs = n.fresh
+            if su is not None:
+                pairs = [f"{name} := {sol}" if (sol := solution(name)) else name
+                         for name in n.fresh]
+            return f"PiL: {res.tag}: {', '.join(pairs)}"
+        if rule == "LimpR":
+            return f"LimpR: assume {res.tag}#{res.rid}"
+        if res is None:
+            return rule
+        text = f"{rule}: {res.tag}#{res.rid}"
+        if rule == "Identity" and su is not None:
+            text += f"   |- {print_formula(subst_formula(res.head, su))}"
         return text
 
     def walk(n: Derivation, indent: int):

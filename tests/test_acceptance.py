@@ -313,15 +313,15 @@ def test_criterion_10d_linearity_accounting():
                 seen = []
 
                 def walk(n):
-                    if n.rid is not None:  # an Identity or TensorL node
-                        seen.append(n.rid)
+                    if n.rule in ("Identity", "TensorL"):  # consumes n.res
+                        seen.append(n.res)
                     for c in n.children:
                         walk(c)
 
                 walk(r.derivation)
-                assert len(seen) == len(set(seen)), name
-                # premises receive the first len(prems) resource ids
-                assert set(range(1, len(prems) + 1)) <= set(seen), name
+                assert len(seen) == len({res.rid for res in seen}), name
+                # premises, and only they, have a class of equal formulas
+                assert sum(res.dup is not None for res in seen) == len(prems), name
 
     check("10d", "every premise consumed exactly once in every derivation", body)
 

@@ -12,7 +12,7 @@ import pytest
 import gluesem
 from gluesem.cli import main
 from gluesem.glue import load_lexicon
-from gluesem.terms import alpha_equal
+from gluesem.terms import alpha_equal, print_term
 
 from helpers import parse_term
 
@@ -179,6 +179,27 @@ def test_prove_trace_shows_solutions_and_atoms(capsys):
     assert all(re.search(r"   \|- \S+ ~>_[et] ", l) for l in identities)
 
 
+TRACES = pathlib.Path(__file__).resolve().parent / "traces"
+PROVE_TYPE_RAISING = ["prove", "--lexicon", "corpus/lexicon.glue",
+                      "--formula", "corpus/type-raising.glue"]
+
+
+@pytest.mark.parametrize("name,argv", [
+    # PiR, LimpR, LimpL, PiL, Identity and TensorR
+    ("seeks-a-unicorn", readings_args("seeks-a-unicorn", ["--trace"])),
+    # TensorL and the parts it splits out
+    ("admirer-of-his", readings_args("admirer-of-his", ["--trace"])),
+    ("type-raising", PROVE_TYPE_RAISING + ["--trace"]),
+])
+def test_trace_lines_are_pinned(capsys, name, argv):
+    # whole lines: each rule with its resource, variables, solutions and
+    # consumed atoms; only the counter digits of ?N and !N names are free
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    want = (TRACES / f"{name}.trace").read_text(encoding="utf-8")
+    assert re.sub(r"([?!])\d+", r"\1N", out) == want
+
+
 # One malformed form per line.  Each of the first twelve used to end in an
 # IndexError traceback; the next three were skipped without a word.
 MALFORMED_LEXICON_FORMS = [
@@ -259,6 +280,22 @@ def test_explicit_parens_flag(capsys):
     code, out, _ = run(capsys, *readings_args("bah", ["--explicit-parens"]))
     assert code == 0
     assert out.splitlines()[0] == "appoint(Bill, Hillary)"
+
+
+def test_plain_readings_print_each_reading_once(capsys, monkeypatch):
+    # the search prints each proof's reading once, to deduplicate, and the
+    # CLI writes that text; each of these five readings has one proof
+    from gluesem import cli, prover
+
+    printed = []
+    for module in (cli, prover):
+        real = module.print_term
+        monkeypatch.setattr(module, "print_term", lambda t, *a, real=real, **k:
+                            printed.append(t) or real(t, *a, **k))
+    code, out, _ = run(capsys, *readings_args("conversation-every-unicorn"))
+    assert code == 0 and out.endswith("readings: 5\n")
+    assert len(printed) == 5 and len({id(t) for t in printed}) == 5
+    assert sorted(out.splitlines()[:-1]) == sorted(map(print_term, printed))
 
 
 def test_goal_label_override(capsys):

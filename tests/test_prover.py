@@ -256,7 +256,9 @@ def test_scaling_script_prints_the_catalan_counts():
 
 
 def rule_tree(d):
-    return d.rule, d.rid, tuple(rule_tree(c) for c in d.children)
+    """The rules of `d` with the resource each Identity or TensorL node consumes."""
+    rid = d.res.rid if d.rule in ("Identity", "TensorL") else None
+    return d.rule, rid, tuple(rule_tree(c) for c in d.children)
 
 
 def readings_run(prems, goal_sem, goal_type=T):
@@ -425,7 +427,7 @@ def test_trace_text_is_made_only_when_rendered(monkeypatch):
     walk(result.readings[0].derivation)
     lines = render_trace(result.readings[0].derivation).splitlines()
     assert limps and [l.strip() for l in lines if l.strip().startswith("LimpL:")] == [
-        f"LimpL: {real(n.ant)}" for n in limps
+        f"LimpL: {real(n.children[0].goal)}" for n in limps
     ]
 
 
@@ -460,18 +462,18 @@ def test_each_resource_is_opened_once_per_search(monkeypatch):
     prems = premises(scope_doc(["a", "every", "the"]), LEX)
     baseline = [r.text for r in enumerate_readings(prems, SemStruct("f", ROOT)).readings]
     made, focused, focus_side = [], [], []
-    real_resource, real_open = Prover._resource, Prover._open
+    real_resource, real_focus = Prover._resource, Prover._focus
 
     def resource(self, formula, premise, tag):
         made.append(_prefix_quantifiers(formula))
         return real_resource(self, formula, premise, tag)
 
-    def open_(self, res):
+    def focus(self, su, res, *rest):
         focused.append(res.rid)
-        return real_open(self, res)
+        return real_focus(self, su, res, *rest)
 
     monkeypatch.setattr(Prover, "_resource", resource)
-    monkeypatch.setattr(Prover, "_open", open_)
+    monkeypatch.setattr(Prover, "_focus", focus)
     for name in ("inst_term_var", "inst_sem_var"):
         real = getattr(prover, name)
 
@@ -676,19 +678,20 @@ def test_refocused_variables_are_born_at_the_focus(monkeypatch):
     # `seeks` needs the object quantifier's scope variable to take seek's
     # hypothetical structure
     refocused = 0
-    real = Prover._open
+    focused = set()
+    real = Prover._focus
 
-    def checked(self, res):
+    def checked(self, su, res, *rest):
+        # a focus consumes `res`, so nothing re-stamps its variables while
+        # this one runs, and stamps only grow
         nonlocal refocused
-        again = res.rid in self._opened
+        refocused += res.rid in focused
+        focused.add(res.rid)
         eigens = [s for n, s in self.classes.stamps.items() if "!" in n]
-        opened = real(self, res)
-        if again:
-            refocused += 1
-            assert all(self.classes.ts(n) > max(eigens, default=0) for n in opened[2])
-        return opened
+        yield from real(self, su, res, *rest)
+        assert all(self.classes.ts(n) > max(eigens, default=0) for n in res.fresh)
 
-    monkeypatch.setattr(Prover, "_open", checked)
+    monkeypatch.setattr(Prover, "_focus", checked)
     texts = reading_texts("seeks-a-unicorn")
     assert "seek(Bill, ^a(^unicorn))" in texts and len(texts) == 2
     assert refocused > 0
