@@ -46,6 +46,7 @@ from gluesem.terms import (
 from gluesem.unify import VarClass
 
 import scaling
+import work
 from helpers import (
     EagerProver,
     free_meta_vars,
@@ -253,6 +254,13 @@ def test_scaling_script_prints_the_catalan_counts():
     assert [c[5] for c in cells] == ["14", "55", "210"]  # equations
     cut = scaling.row(2, LEX, SearchBudget(max_steps=100)).split(" | ")
     assert cut[1].endswith(" of 14") and cut[2] == "101, max-steps hit"
+
+
+def test_work_table_is_current():
+    # the steps, proofs, readings, equations and head rejects of the scope
+    # family, the corpus and the modifier shapes; a change in the work
+    # rewrites the table with `python3 tests/work.py`
+    assert work.table() == work.TABLE.read_text(encoding="utf-8")
 
 
 def rule_tree(d):
