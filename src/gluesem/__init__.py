@@ -34,7 +34,6 @@ from .prover import (
     Reading,
     SearchBudget,
     Sequent,
-    check_theorem,
     enumerate_readings,
     prove_sequent,
     readings_for_document,

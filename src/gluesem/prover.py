@@ -22,6 +22,12 @@ By then the side that fixes each meaning variable is closed, so one-way
 matching solves it.  A proof whose equations fail is dropped, and only an
 equation on a complete proof can raise NonPatternError.
 
+Proofs share sub-derivations as the same nodes, so a PiL node, the root of
+a focus on a quantified resource, is solved once per search for each value
+of its outer names (`_names_of`); a later visit adds the bindings the first
+made, or fails as it did.  Like the table, this relies on birth order being
+a function of the derivation: the escape checks it skips would pass again.
+
 A resource is opened when it is made: its quantifiers are instantiated with
 fresh flex variables, its antecedents collected, and a tensor head split
 into parts, each a resource of its own.  Every focus on it re-stamps those
@@ -94,6 +100,7 @@ from .terms import (
     MetaVar,
     Record,
     T,
+    free_names,
     free_vars,
     print_term,
 )
@@ -173,7 +180,7 @@ class SearchStats(Record):
     __hash__ = None  # counts grow during the search
 
     # head_rejects: resources skipped by the head filter; equations: meaning
-    # equations solved, each complete proof's up to the first that fails;
+    # equations solved, up to the first that fails, once per outer values;
     # limit: the budget limit that ran out, "max-steps" or "max-depth", or None
     def __init__(self, steps: int = 0, proofs: int = 0, head_rejects: int = 0,
                  equations: int = 0, limit: Optional[str] = None):
@@ -234,6 +241,10 @@ class Prover:
         # search stepped, or None until they are all found]
         self._table: dict[tuple, list] = {}
         self._deepest = 0  # high-water mark of the depth stepped
+        # PiL node id -> (node, the term bindings its equations were solved
+        # under, the result); node or formula id -> (it, `_names_of` it).  An
+        # entry keeps its node or formula alive, so no other takes its id.
+        self._solved, self._names = {}, {}
 
     # -- plumbing -----------------------------------------------------------
 
@@ -465,7 +476,7 @@ class Prover:
             for su3, left3, ds in self._prove_pendings(su2, left2, res, depth, idx + 1):
                 yield su3, left3, [d2] + ds
 
-    # -- atoms ---------------------------------------------------------------
+    # -- atoms and meanings --------------------------------------------------
 
     def _unify_atoms(self, su, f, goal) -> Optional[Substitution]:
         if isinstance(f, PropAtom) and isinstance(goal, PropAtom):
@@ -475,6 +486,33 @@ class Prover:
         if f.ty != goal.ty:
             return None  # the type subscript of the meaning relation must agree
         return solve_sem(su, f.sem, goal.sem, self.classes)
+
+    def _recall(self, su: Substitution, d: Derivation) -> Optional[tuple]:
+        """The record of the PiL node `d` if its equations were solved under
+        the values `su` gives its outer names, else None."""
+        entry = self._solved.get(id(d))
+        if entry is None:
+            return None
+        then, now = entry[1], su.terms
+        same = then is now or all(then.get(n) is now.get(n) for n in self._names_of(d))
+        return entry if same else None
+
+    def _names_of(self, x) -> frozenset[str]:
+        """A formula's metavariables; or a node's outer names: those that its
+        equations read, less the PiL nodes' under it, which no focus outside
+        binds (a resource is consumed once per proof, its parts in its branch)."""
+        found = self._names.get(id(x))
+        if found is not None:
+            return found[1]
+        if isinstance(x, Derivation):
+            names = set().union(*map(self._names_of, x.children))
+            if x.rule == "Identity" and isinstance(x.goal, Means):
+                names |= self._names_of(x.res.head) | self._names_of(x.goal)
+            names = frozenset(names.difference(x.fresh))
+        else:
+            names = frozenset(n for n, v in free_names(x.term).items() if type(v) is MetaVar)
+        self._names[id(x)] = x, names
+        return names
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +541,16 @@ def _solve_meanings(
 ) -> Optional[Substitution]:
     """`su` extended to solve the meaning equations of `d`, or None when one
     fails.  The walk is post-order, so a LimpL node's antecedent proof is
-    solved before the focused head that its other child ends at."""
+    solved before the focused head that its other child ends at.  A PiL
+    node is solved once per value of its outer names (module docstring)."""
+    if d.rule == "PiL":
+        entry = prover._recall(su, d)
+        if entry is not None:
+            _, then, solved = entry
+            return None if solved is None else su.extend(solved, len(then))
+        solved = _solve_meanings(prover, su, d.children[0])
+        prover._solved[id(d)] = d, su.terms, solved
+        return solved
     for child in d.children:
         su = _solve_meanings(prover, su, child)
         if su is None:
@@ -527,7 +574,8 @@ def _complete_proofs(
                 if su is not None:
                     yield su, d
     finally:
-        prover._table.clear()
+        for memo in (prover._table, prover._solved, prover._names):
+            memo.clear()
 
 
 def prove_sequent(
@@ -540,15 +588,6 @@ def prove_sequent(
         for i, f in enumerate(sequent.context)
     )
     yield from _complete_proofs(prover, ctx, sequent.goal)
-
-
-def check_theorem(
-    formula: GlueFormula, budget: SearchBudget = SearchBudget()
-) -> tuple[bool, Optional[Derivation]]:
-    """Is `formula` derivable from the empty context?"""
-    for _, d in prove_sequent(Sequent((), formula), budget):
-        return True, d
-    return False, None
 
 
 def extract_meaning(su: Substitution, goal_var: MetaVar) -> MeaningTerm:
@@ -637,7 +676,7 @@ def render_trace(d: Derivation, su: Optional[Substitution] = None) -> str:
             if su is not None:
                 pairs = [f"{name} := {sol}" if (sol := solution(name)) else name
                          for name in n.fresh]
-            return f"PiL: {res.tag}: {', '.join(pairs)}"
+            return f"PiL: {res.tag}#{res.rid}: {', '.join(pairs)}"
         if rule == "LimpR":
             return f"LimpR: assume {res.tag}#{res.rid}"
         if res is None:

@@ -263,17 +263,23 @@ def open_abs(t: Abs, repl: MeaningTerm) -> MeaningTerm:
     return _nf(t.body, None, 0, repl)
 
 
-def bind_vars(params: list[Var], body: MeaningTerm) -> MeaningTerm:
-    """Abstract the named free variables out of `body`: bind_vars([x, y], b)
-    builds \\x. \\y. b with positional binding, in one pass."""
-    n = len(params)
-    index = {v.name: n - 1 - i for i, v in enumerate(params)}
+def abstract(outer: list[Var], inner: list[Var], body: MeaningTerm, cap: bool = False
+             ) -> tuple[MeaningTerm, dict[str, MeaningTerm]]:
+    """\\outer. \\inner. body, or \\outer. ^\\inner. body with `cap`, binding the
+    named variables positionally, and its free names as `free_names` gives
+    them: one walk of `body` finds both."""
+    n = len(outer) + len(inner)
+    index = {v.name: n - 1 - i for i, v in enumerate(outer + inner)}
+    free: dict[str, MeaningTerm] = {}
 
     def close(t, depth):
         cls = type(t)
         if cls is Var or cls is MetaVar:
             i = index.get(t.name)
-            return t if i is None else BVar(i + depth)
+            if i is None:
+                free.setdefault(t.name, t)
+                return t
+            return BVar(i + depth)
         if cls is App:
             f = close(t.fn, depth)
             a = close(t.arg, depth)
@@ -286,10 +292,14 @@ def bind_vars(params: list[Var], body: MeaningTerm) -> MeaningTerm:
             return t if b is t.body else cls(b)
         return t
 
-    t = close(body, 0) if index else body
-    for v in reversed(params):
+    t = close(body, 0)
+    for v in reversed(inner):
         t = Abs(v.ty, t)
-    return t
+    if cap:
+        t = Cap(t)
+    for v in reversed(outer):
+        t = Abs(v.ty, t)
+    return t, free
 
 
 def free_vars(term: MeaningTerm) -> set[str]:
@@ -302,7 +312,7 @@ def free_names(term: MeaningTerm) -> dict[str, MeaningTerm]:
     its first occurrence, in left-to-right order."""
     out: dict[str, MeaningTerm] = {}
 
-    def go(t):  # type() dispatch: the matcher scans every binding with this
+    def go(t):  # type() dispatch, as in the traversals above
         cls = type(t)
         if cls is App:
             go(t.fn)

@@ -16,9 +16,10 @@ the other side abstracted over them; rigid parts are compared structurally
 and abstractions are opened with a fresh eigenvariable.  An equation with
 unbound flex variables on both sides, or a flex variable applied to
 anything but distinct eigenvariables, is outside this fragment and raises
-NonPatternError.  So every value `solve` binds is closed and normal: one scan
-of it makes the open-variable, escape and occurs checks, and the substitution
-and its children resolve it as bound, without normalizing it again.
+NonPatternError.  So every value `solve` binds is closed and normal: the walk
+that abstracts it finds the names for the open-variable, escape and occurs
+checks, and the substitution and its children resolve it as bound, without
+normalizing it again.
 """
 from __future__ import annotations
 
@@ -37,8 +38,8 @@ from .terms import (
     MetaVar,
     Record,
     Var,
+    abstract,
     alpha_equal,
-    bind_vars,
     free_names,
     normalize,
     normalize_with,
@@ -139,9 +140,6 @@ class Substitution:
         items += [f"{k} -> {v!r}" for k, v in self.sems.items()]
         return "{" + ", ".join(items) + "}"
 
-    def is_empty(self) -> bool:
-        return not self.terms and not self.sems
-
     def _resolve(self, name: str) -> Optional[MeaningTerm]:
         value = self.terms.get(name)
         if value is None or name in self._closed:
@@ -177,6 +175,11 @@ class Substitution:
         # `value` mentions no bound variable, so it is its own normal form
         return Substitution(terms, self.sems, {name: value}, self._closed)
 
+    def extend(self, other: "Substitution", n: int) -> "Substitution":
+        """Extend with the term bindings, closed, that `other` made after its first `n`."""
+        new = dict(itertools.islice(other.terms.items(), n, None))
+        return Substitution(self.terms | new, self.sems, None, self._closed.union(new))
+
     def bind_sem(self, name: str, value: SemTerm) -> "Substitution":
         value = self.walk_sem(value)
         sems = dict(self.sems)
@@ -188,33 +191,31 @@ class Substitution:
 # One-way matching
 
 
-def _pattern_args(f: MetaVar, args: list[MeaningTerm]) -> list[Var]:
-    """The arguments `args` of f, checked to be distinct eigenvariables."""
+def _pattern_args(f: MetaVar, args: list[MeaningTerm]) -> None:
+    """Check that the arguments `args` of f are distinct eigenvariables."""
     if any(type(a) is not Var for a in args) or len(set(args)) < len(args):
         raise NonPatternError(
             f"{f.name} applied to non-pattern arguments (outside the decidable fragment)"
         )
-    return args
 
 
 def _flex_binding(side: MeaningTerm, other: MeaningTerm):
-    """For a flex `side`, F(x...) or (!F(y...))(x...), its variable and the
-    normal value that makes it equal to the normal `other`: \\x... other, or
-    \\y... ^\\x... other (since !^u = u).  None when `side` is rigid;
-    NonPatternError when F is applied to anything but distinct eigenvariables."""
+    """For a flex `side`, F(x...) or (!F(y...))(x...), its variable, the
+    normal value that makes it equal to the normal `other`, \\x... other or
+    \\y... ^\\x... other (since !^u = u), and the value's free names.  None
+    when `side` is rigid; NonPatternError when F's arguments are not
+    distinct eigenvariables."""
     head, xs = spine(side)
     f, ys = spine(head.body) if type(head) is Cup else (head, [])
     if type(f) is not MetaVar:
         return None
     _pattern_args(f, ys + xs)
-    value = bind_vars(xs, other)
-    if f is not head:
-        value = bind_vars(ys, Cap(value))
+    value, free = abstract(ys, xs, other, f is not head)
     # abstracting variables out of a normal term leaves a redex only at the
-    # top: an eta redex \\x. g(x), or ^(!v)
+    # top: an eta redex \\x. g(x), or ^(!v); contracting it keeps the names
     if type(other) is Cup or xs and type(other) is App and other.arg == xs[-1]:
         value = normalize(value)
-    return f, value
+    return f, value, free
 
 
 def solve(
@@ -236,8 +237,8 @@ def solve(
     for side, other in ((l, r), (r, l)):
         found = _flex_binding(side, other)
         if found is not None:
-            f, value = found
-            free = free_names(value)  # l and r are resolved: every metavariable is unbound
+            f, value, free = found
+            # l and r are resolved: every metavariable is unbound
             for v in free.values():
                 if type(v) is MetaVar:
                     raise NonPatternError(

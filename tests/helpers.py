@@ -145,6 +145,13 @@ class EagerProver(prover.Prover):
         return reference_unifier.solve(su2, f.term, goal.term, self.classes)
 
 
+def check_theorem(formula, budget=prover.SearchBudget()):
+    """Is `formula` derivable from the empty context?  With a derivation."""
+    for _, d in prover.prove_sequent(prover.Sequent((), formula), budget):
+        return True, d
+    return False, None
+
+
 def with_prover(cls, run):
     """`run()` with every prover the package's entry points make being a
     `cls`; returns its result and the last prover's stats."""

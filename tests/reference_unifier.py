@@ -35,9 +35,9 @@ from gluesem.terms import (
     MetaVar,
     S,
     Var,
+    abstract,
     alpha_equal,
     app,
-    bind_vars,
     normalize,
     open_abs,
     spine,
@@ -208,7 +208,7 @@ def _flex_rigid(su, f: MetaVar, args, rhs, classes) -> Optional[Substitution]:
         g, gargs = found
         su = _rewrite_flex(su, g, gargs, f, argvars, classes)
         rhs = su.nf(rhs)
-    value = bind_vars(argvars, rhs)
+    value, _ = abstract([], argvars, rhs)
     return su.bind(f.name, value)
 
 

@@ -173,7 +173,7 @@ def test_prove_trace_shows_solutions_and_atoms(capsys):
     )
     assert code == 0 and out.startswith("provable\n")
     lines = out.splitlines()
-    assert any(re.search(r"PiL: assumption: x\?\d+ := Z!\d+$", l) for l in lines)
+    assert any(re.search(r"PiL: assumption#\d+: x\?\d+ := Z!\d+$", l) for l in lines)
     identities = [l for l in lines if "Identity:" in l]
     assert len(identities) == 2
     assert all(re.search(r"   \|- \S+ ~>_[et] ", l) for l in identities)

@@ -23,10 +23,10 @@ from gluesem.glue import (
 )
 from gluesem import prover
 from gluesem.prover import (
+    Derivation,
     Prover,
     SearchBudget,
     Sequent,
-    check_theorem,
     enumerate_readings,
     prove_sequent,
     readings_for_document,
@@ -43,12 +43,13 @@ from gluesem.terms import (
     App,
     print_term,
 )
-from gluesem.unify import VarClass
+from gluesem.unify import Substitution, VarClass
 
 import scaling
 import work
 from helpers import (
     EagerProver,
+    check_theorem,
     free_meta_vars,
     mill_provable,
     scope_doc,
@@ -251,7 +252,7 @@ def test_scaling_script_prints_the_catalan_counts():
     assert out[0] == scaling.HEADER
     cells = [line.split(" | ") for line in out[2:]]
     assert [(c[0], c[1]) for c in cells] == [("| 0", "2"), ("| 1", "5"), ("| 2", "14")]
-    assert [c[5] for c in cells] == ["14", "55", "210"]  # equations
+    assert [c[5] for c in cells] == ["14", "42", "110"]  # equations
     cut = scaling.row(2, LEX, SearchBudget(max_steps=100)).split(" | ")
     assert cut[1].endswith(" of 14") and cut[2] == "101, max-steps hit"
 
@@ -332,6 +333,11 @@ def shipped_runs():
 def untabled(monkeypatch):
     """Force every atomic goal's table lookup to miss."""
     monkeypatch.setattr(Prover, "_table_key", lambda self, su, ctx, goal: None)
+
+
+def unmemoized(monkeypatch):
+    """Force every PiL node's meaning-memo lookup to miss."""
+    monkeypatch.setattr(Prover, "_recall", lambda self, su, d: None)
 
 
 def test_deferred_meanings_match_the_eager_prover(monkeypatch):
@@ -500,8 +506,11 @@ def test_goals_are_posed_once_per_search(monkeypatch):
     # PiR eigenvariables, LimpR assumptions and TensorL parts are kept by
     # goal position, so the resources a search makes stay within twice its
     # premises, however often each position is proved.  With the table
-    # forced to miss, steps, proofs, readings and equations are those of
-    # making new ones on every branch; tabled, only the steps fall.
+    # forced to miss, steps, proofs and readings are those of making new
+    # ones on every branch; tabled, only the steps fall.  The equations fall
+    # with the sub-proofs the search shares: tabled, most are the same nodes,
+    # and with the meaning memo forced to miss too, each proof solves all its
+    # own.
     made = []
     real = Prover._resource
 
@@ -511,14 +520,17 @@ def test_goals_are_posed_once_per_search(monkeypatch):
 
     monkeypatch.setattr(Prover, "_resource", resource)
     prems = premises(scope_doc(["every"] * 5), LEX)
-    for steps in (6_143, 20_836):
+    for steps, equations, force_miss in [
+        (6_143, 747, untabled), (20_836, 2_410, unmemoized), (20_836, 3_036, None)
+    ]:
         made.clear()
         result = enumerate_readings(prems, SemStruct("f", ROOT))
         stats = result.stats
         assert len(prems) == 12 and len(made) <= 2 * len(prems)
         assert (stats.steps, stats.proofs, len(result.readings), stats.equations) == (
-            steps, 132, 132, 3_036)
-        untabled(monkeypatch)  # for the second run
+            steps, 132, 132, equations)
+        if force_miss:
+            force_miss(monkeypatch)  # for the next run
 
 
 def _fresh_names(d):
@@ -618,6 +630,113 @@ def test_table_keys_on_context_bindings_and_birth_order(monkeypatch):
     for (sequent, n), (out, proofs, stats) in zip(KEYED, tabled):
         assert (out, proofs) == _run_recording_proofs(monkeypatch, sequent_run(sequent))[:2]
         assert len(proofs) == n
+
+
+def _memo_runs():
+    """The meaning memo's inputs: the corpus under both variants, the scope
+    family up to k=4 under three determiner mixes, the modifier shapes and
+    the sequents whose table keys need their bindings and birth order."""
+    runs = [readings_run(prems, goal) for name, prems, goal in work.inputs()
+            if not name.startswith("scope-") and not name.endswith("/ext")]
+    runs += [readings_run(prems, goal) for name, prems, goal in work.inputs()
+             if name.endswith("/ext")]
+    for k in range(5):
+        for i in range(len(_DETS)):
+            doc = scope_doc([_DETS[(i + j) % len(_DETS)] for j in range(k + 1)])
+            runs.append(readings_run(premises(doc, LEX), SemStruct("f", ROOT)))
+    return runs + [sequent_run(s) for s, _ in KEYED]
+
+
+def _solved_proofs(monkeypatch, run):
+    """`run()`, and every complete proof in the search's order: its rule
+    tree, its trace with solutions and its term bindings; and the stats."""
+    proofs = []
+    real = prover._complete_proofs
+
+    def recording(prover_, *args):
+        for su, d in real(prover_, *args):
+            proofs.append((rule_tree(d), render_trace(d, su), su.terms))
+            yield su, d
+
+    monkeypatch.setattr(prover, "_complete_proofs", recording)
+    out, stats = with_prover(Prover, run)
+    monkeypatch.setattr(prover, "_complete_proofs", real)
+    return out, proofs, stats
+
+
+def test_meaning_memo_matches_solving_every_proof(monkeypatch):
+    # the same readings, derivations, traces and bound terms whether a PiL
+    # node's equations are recalled or solved again for every proof, and the
+    # same steps and proofs in as many equations or fewer: strictly fewer on
+    # the scope family from k=1
+    runs = _memo_runs()
+    memo = [_solved_proofs(monkeypatch, run) for run in runs]
+    unmemoized(monkeypatch)
+    fewer = []
+    for run, (out, proofs, stats) in zip(runs, memo):
+        plain_out, plain_proofs, plain = _solved_proofs(monkeypatch, run)
+        assert (out, proofs) == (plain_out, plain_proofs)
+        assert (stats.steps, stats.proofs) == (plain.steps, plain.proofs)
+        assert stats.equations <= plain.equations
+        fewer.append(stats.equations < plain.equations)
+    scope = fewer[-len(KEYED) - 5 * len(_DETS):-len(KEYED)]
+    assert scope == [False] * len(_DETS) + [True] * (4 * len(_DETS))
+
+
+def test_outer_names_leave_out_what_a_focus_binds(monkeypatch):
+    # a PiL node's outer names are metavariables of its equations, none
+    # of them a variable that it or a node under it introduces; at the root
+    # of each scope reading, the widest quantifier's focus, they are the
+    # goal's meaning variable
+    made = []
+    real = Prover.__init__
+
+    def init(self, *args):
+        real(self, *args)
+        made.append(self)
+
+    monkeypatch.setattr(Prover, "__init__", init)
+    nodes = []
+    for name, prems, goal in work.inputs():
+        if name != "scope-k5":
+            for r in enumerate_readings(prems, goal).readings:
+                nodes.append((name, made[-1], r.derivation))
+    checked = 0
+    for _, p, d in nodes:
+        stack = [d]
+        while stack:
+            n = stack.pop()
+            stack.extend(n.children)
+            if n.rule == "PiL":
+                outer = p._names_of(n)
+                assert not outer & set(_fresh_names(n))
+                checked += 1
+    assert checked > 100
+    roots = [(d.rule, p._names_of(d), free_meta_vars(d.goal.term))
+             for name, p, d in nodes if name.startswith("scope-")]
+    assert len(roots) == 2 + 5 + 14 + 42 + 132
+    assert all(rule == "PiL" and outer == goal for rule, outer, goal in roots)
+
+
+def test_a_focus_is_solved_again_under_other_outer_values():
+    # one PiL node, the focus on forall X. g ~> X proving g ~> M, solved
+    # under M := Bill, again under M := Bill, then under M := Hillary: the
+    # second visit recalls X := Bill, the third solves X := Hillary
+    p = Prover()
+    res = p._resource(Forall("X", E, Means(_gs, MetaVar("X", E), E)), 0, "p")
+    m = p.classes.fresh_flex("M", E)
+    leaf = Derivation("Identity", (), Means(_gs, m, E), res)
+    d = Derivation("PiL", (leaf,), leaf.goal, res, res.fresh)
+    (x,) = res.fresh
+    bill, hillary = Const("Bill", E), Const("Hillary", E)
+    solved = []
+    for value in (bill, bill, hillary):
+        su = prover._solve_meanings(p, Substitution().bind(m.name, value), d)
+        solved.append((su.terms[x], p.stats.equations))
+    assert solved == [(bill, 1), (bill, 1), (hillary, 2)]
+    # a recorded failure is recalled as a failure
+    d2 = Derivation("PiL", (Derivation("Identity", (), _HILLARY, res),), _HILLARY, res, res.fresh)
+    assert prover._solve_meanings(p, Substitution().bind(x, Const("Bill", E)), d2) is None
 
 
 def test_replays_stop_at_the_depth_budget(monkeypatch):

@@ -24,8 +24,9 @@ from gluesem.terms import (
     T,
     Var,
     alpha_equal,
+    abstract,
     app,
-    bind_vars,
+    free_names,
     normalize,
 )
 from gluesem.unify import (
@@ -634,14 +635,23 @@ def test_nf_returns_unchanged_terms_as_the_same_object():
     assert su.nf(bound).fn is bound.fn
 
 
-def test_bind_vars_matches_per_parameter_reference():
+def test_abstract_matches_per_parameter_reference():
+    # the value is the per-parameter abstraction, under a ^ between the outer
+    # and inner parameters with `cap`, and the names are its free names
     rng = random.Random(1701)
     frees = [Var("x", E), Var("y", E), MetaVar("Z", E), Var("w", Arrow(E, T))]
     pool = [T, E, Arrow(E, T), PROP]
     for _ in range(300):
         body = _with_metas(rng, random_term(rng, rng.choice(pool), 4), frees)
         params = rng.sample(frees, rng.randint(0, len(frees)))
-        assert bind_vars(params, body) == reference_bind_vars(params, body)
+        value, names = abstract([], params, body)
+        assert value == reference_bind_vars(params, body)
+        assert list(names.items()) == list(free_names(value).items())
+        cut = rng.randint(0, len(params))
+        outer, inner = params[:cut], params[cut:]
+        value, names = abstract(outer, inner, body, cap=True)
+        assert value == reference_bind_vars(outer, Cap(reference_bind_vars(inner, body)))
+        assert list(names.items()) == list(free_names(value).items())
 
 
 def test_nf_shifts_arguments_substituted_under_binders():
