@@ -160,7 +160,7 @@ def inst_sem_var(f: GlueFormula, name: str, value: SemTerm) -> GlueFormula:
 
 def subst_formula(f: GlueFormula, su: Substitution) -> GlueFormula:
     """Apply a unifier substitution to every atom (terms are normalized)."""
-    if not su.terms and not su.sems:
+    if su.is_empty():
         return f
     return map_formula(
         f, lambda m: Means(su.walk_sem(m.sem), su.nf(m.term), m.ty)

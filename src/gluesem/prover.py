@@ -241,9 +241,8 @@ class Prover:
         # search stepped, or None until they are all found]
         self._table: dict[tuple, list] = {}
         self._deepest = 0  # high-water mark of the depth stepped
-        # PiL node id -> (node, the term bindings its equations were solved
-        # under, the result); node or formula id -> (it, `_names_of` it).  An
-        # entry keeps its node or formula alive, so no other takes its id.
+        # PiL node id -> (node, term bindings its equations were solved under,
+        # result); node or formula id -> (it, `_names_of` it); held, no id is reused
         self._solved, self._names = {}, {}
 
     # -- plumbing -----------------------------------------------------------

@@ -17,9 +17,8 @@ and abstractions are opened with a fresh eigenvariable.  An equation with
 unbound flex variables on both sides, or a flex variable applied to
 anything but distinct eigenvariables, is outside this fragment and raises
 NonPatternError.  So every value `solve` binds is closed and normal: the walk
-that abstracts it finds the names for the open-variable, escape and occurs
-checks, and the substitution and its children resolve it as bound, without
-normalizing it again.
+that abstracts it finds its names for the open-variable, escape and occurs
+checks, and the substitution resolves it as bound, never normalizing it again.
 """
 from __future__ import annotations
 
@@ -140,6 +139,9 @@ class Substitution:
         items += [f"{k} -> {v!r}" for k, v in self.sems.items()]
         return "{" + ", ".join(items) + "}"
 
+    def is_empty(self) -> bool:
+        return not self.terms and not self.sems
+
     def _resolve(self, name: str) -> Optional[MeaningTerm]:
         value = self.terms.get(name)
         if value is None or name in self._closed:
@@ -191,20 +193,20 @@ class Substitution:
 # One-way matching
 
 
-def _pattern_args(f: MetaVar, args: list[MeaningTerm]) -> None:
-    """Check that the arguments `args` of f are distinct eigenvariables."""
+def _pattern_args(f: MetaVar, args: list[MeaningTerm]) -> list[Var]:
+    """The arguments `args` of f, checked to be distinct eigenvariables."""
     if any(type(a) is not Var for a in args) or len(set(args)) < len(args):
         raise NonPatternError(
             f"{f.name} applied to non-pattern arguments (outside the decidable fragment)"
         )
+    return args
 
 
 def _flex_binding(side: MeaningTerm, other: MeaningTerm):
     """For a flex `side`, F(x...) or (!F(y...))(x...), its variable, the
-    normal value that makes it equal to the normal `other`, \\x... other or
-    \\y... ^\\x... other (since !^u = u), and the value's free names.  None
-    when `side` is rigid; NonPatternError when F's arguments are not
-    distinct eigenvariables."""
+    normal value that equates it to the normal `other` (\\x... other, or
+    \\y... ^\\x... other since !^u = u) and the value's free names.  None
+    when `side` is rigid; NonPatternError unless F's arguments are distinct eigenvariables."""
     head, xs = spine(side)
     f, ys = spine(head.body) if type(head) is Cup else (head, [])
     if type(f) is not MetaVar:
