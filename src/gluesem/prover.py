@@ -180,7 +180,7 @@ class SearchStats(Record):
     __hash__ = None  # counts grow during the search
 
     # head_rejects: resources skipped by the head filter; equations: meaning
-    # equations solved, up to the first that fails, once per outer values;
+    # equations solved up to the first that fails, a PiL node's once per outer values;
     # limit: the budget limit that ran out, "max-steps" or "max-depth", or None
     def __init__(self, steps: int = 0, proofs: int = 0, head_rejects: int = 0,
                  equations: int = 0, limit: Optional[str] = None):
@@ -497,9 +497,9 @@ class Prover:
         return entry if same else None
 
     def _names_of(self, x) -> frozenset[str]:
-        """A formula's metavariables; or a node's outer names: those that its
-        equations read, less the PiL nodes' under it, which no focus outside
-        binds (a resource is consumed once per proof, its parts in its branch)."""
+        """A formula's metavariables, or a node's outer names: those its
+        equations read less the variables of the PiL nodes under it, which
+        nothing outside binds (each resource is consumed once per proof)."""
         found = self._names.get(id(x))
         if found is not None:
             return found[1]

@@ -637,9 +637,7 @@ def _memo_runs():
     family up to k=4 under three determiner mixes, the modifier shapes and
     the sequents whose table keys need their bindings and birth order."""
     runs = [readings_run(prems, goal) for name, prems, goal in work.inputs()
-            if not name.startswith("scope-") and not name.endswith("/ext")]
-    runs += [readings_run(prems, goal) for name, prems, goal in work.inputs()
-             if name.endswith("/ext")]
+            if not name.startswith("scope-")]
     for k in range(5):
         for i in range(len(_DETS)):
             doc = scope_doc([_DETS[(i + j) % len(_DETS)] for j in range(k + 1)])
