@@ -217,17 +217,13 @@ def print_formula(f: GlueFormula) -> str:
 
 
 class LexEntry(Record):
-    # trigger_attr is PRED or SPEC; variant is None (both), "intensional" or
-    # "extensional"; constraints is a tuple of (path, value) pairs
-    __slots__ = ("headword", "category", "trigger_attr", "trigger_value", "variant",
-                 "constraints", "template")
+    # trigger_attr is PRED or SPEC; constraints is a tuple of (path, value) pairs
+    __slots__ = ("headword", "trigger_attr", "trigger_value", "constraints", "template")
 
-    def __init__(self, headword: str, category: str, trigger_attr: str, trigger_value: str,
-                 variant: Optional[str], constraints: tuple[tuple[Path, str], ...],
-                 template: GlueFormula):
-        self.headword, self.category = headword, category
-        self.trigger_attr, self.trigger_value = trigger_attr, trigger_value
-        self.variant, self.constraints, self.template = variant, constraints, template
+    def __init__(self, headword: str, trigger_attr: str, trigger_value: str,
+                 constraints: tuple[tuple[Path, str], ...], template: GlueFormula):
+        self.headword, self.trigger_attr = headword, trigger_attr
+        self.trigger_value, self.constraints, self.template = trigger_value, constraints, template
 
 
 class Lexicon(Record):
@@ -437,7 +433,7 @@ def _entry(node, variant: str, ctx: TypingContext) -> Optional[LexEntry]:
     """The entry form `node`, or None when it belongs to the other variant."""
     lst, line = _form(node, '(entry "WORD" CAT CLAUSE ...)')
     headword = _string(lst[1], "headword")
-    category = symbol(lst[2], "category")
+    symbol(lst[2], "category")  # checked, not kept
     trigger_attr, trigger_value = "PRED", headword
     entry_variant = template_node = None
     constraints, seen = [], set()
@@ -468,8 +464,7 @@ def _entry(node, variant: str, ctx: TypingContext) -> Optional[LexEntry]:
     if entry_variant not in (None, variant):
         return None
     template = _check_template(headword, parse_formula_sexp(template_node), ctx)
-    return LexEntry(headword, category, trigger_attr, trigger_value, entry_variant,
-                    tuple(constraints), template)
+    return LexEntry(headword, trigger_attr, trigger_value, tuple(constraints), template)
 
 
 def load_lexicon(path: str, extensional: bool = False) -> Lexicon:

@@ -167,12 +167,12 @@ class Derivation(Record):
 
 
 class Reading(Record):
-    __slots__ = ("term", "text", "derivation", "goal_sem", "substitution")
+    __slots__ = ("term", "text", "derivation", "substitution")
 
     def __init__(self, term: MeaningTerm, text: str, derivation: Derivation,
-                 goal_sem: SemTerm, substitution: Substitution):
-        self.term, self.text, self.derivation = term, text, derivation
-        self.goal_sem, self.substitution = goal_sem, substitution
+                 substitution: Substitution):
+        self.term, self.text = term, text
+        self.derivation, self.substitution = derivation, substitution
 
 
 class SearchStats(Record):
@@ -193,11 +193,11 @@ class SearchStats(Record):
 
 
 class EnumerationResult(Record):
-    __slots__ = ("readings", "stats", "budget")
+    __slots__ = ("readings", "stats")
     __hash__ = None  # holds a list and the mutable stats
 
-    def __init__(self, readings: list[Reading], stats: SearchStats, budget: SearchBudget):
-        self.readings, self.stats, self.budget = readings, stats, budget
+    def __init__(self, readings: list[Reading], stats: SearchStats):
+        self.readings, self.stats = readings, stats
 
 
 def _flatten_tensor(f: GlueFormula) -> list[GlueFormula]:
@@ -493,8 +493,7 @@ class Prover:
         if entry is None:
             return None
         then, now = entry[1], su.terms
-        same = then is now or all(then.get(n) is now.get(n) for n in self._names_of(d))
-        return entry if same else None
+        return entry if all(then.get(n) is now.get(n) for n in self._names_of(d)) else None
 
     def _names_of(self, x) -> frozenset[str]:
         """A formula's metavariables, or a node's outer names: those its
@@ -623,11 +622,11 @@ def enumerate_readings(
             term = extract_meaning(su, goal_var)
             text = print_term(term)
             if text not in found:
-                found[text] = Reading(term, text, d, goal_sem, su)
+                found[text] = Reading(term, text, d, su)
     except BudgetExhausted as e:
         stats.limit = e.limit
     readings = [found[k] for k in sorted(found)]
-    return EnumerationResult(readings, stats, budget)
+    return EnumerationResult(readings, stats)
 
 
 def readings_for_document(
@@ -659,7 +658,7 @@ def render_trace(d: Derivation, su: Optional[Substitution] = None) -> str:
         if su is None:
             return None
         if name in su.terms:
-            return print_term(su.nf(MetaVar(name, T)))
+            return print_term(su.terms[name])
         if name in su.sems:
             return repr(su.walk_sem(SemVar(name)))
         return None

@@ -18,7 +18,8 @@ unbound flex variables on both sides, or a flex variable applied to
 anything but distinct eigenvariables, is outside this fragment and raises
 NonPatternError.  So every value `solve` binds is closed and normal: the walk
 that abstracts it finds its names for the open-variable, escape and occurs
-checks, and the substitution resolves it as bound, never normalizing it again.
+checks, and a `Substitution`, which holds only such values, puts it in
+place as it is.
 """
 from __future__ import annotations
 
@@ -39,7 +40,6 @@ from .terms import (
     Var,
     abstract,
     alpha_equal,
-    free_names,
     normalize,
     normalize_with,
     open_abs,
@@ -115,24 +115,17 @@ class VarClass(Record):
 
 
 class Substitution:
-    """Triangular map from flex variables to terms / semantic structures.
+    """Map from flex variables to terms and semantic structures.
 
-    Bindings may mention variables bound later; application resolves them
-    recursively (the occurs check keeps the chains acyclic), so observable
-    application is idempotent: applying twice equals applying once.  A value
-    without metavariables is closed: it resolves to itself here and in every
-    child, with no memo entry and no normalization.  Each substitution
-    memoizes the fully applied normal form of every other binding it
-    resolves.  A child made by `bind` may resolve such a chain differently,
-    so its memo starts with only its new binding; one made by `bind_sem`
-    keeps the same term bindings and shares the memo.
+    Every term binding is closed and normal, as the matcher's values are, so
+    `nf` replaces a bound variable by its value and never resolves or
+    normalizes that value again.  Structure bindings may chain through
+    variables bound later; `walk_sem` follows them.
     """
 
-    def __init__(self, terms=None, sems=None, memo=None, closed=frozenset()):
+    def __init__(self, terms=None, sems=None):
         self.terms: dict[str, MeaningTerm] = terms or {}
         self.sems: dict[str, SemTerm] = sems or {}
-        self._memo: dict[str, MeaningTerm] = memo if memo is not None else {}
-        self._closed: frozenset[str] = closed  # the names bound to closed values
 
     def __repr__(self):
         items = [f"{k} -> {print_term(v)}" for k, v in self.terms.items()]
@@ -142,51 +135,30 @@ class Substitution:
     def is_empty(self) -> bool:
         return not self.terms and not self.sems
 
-    def _resolve(self, name: str) -> Optional[MeaningTerm]:
-        value = self.terms.get(name)
-        if value is None or name in self._closed:
-            return value
-        memo = self._memo.get(name)
-        if memo is None:
-            memo = self._memo[name] = normalize_with(value, self._resolve)
-        return memo
-
     def nf(self, t: MeaningTerm) -> MeaningTerm:
         """Normal form of `t` with every bound variable replaced by its value."""
-        return normalize_with(t, self._resolve if self.terms else None)
+        return normalize_with(t, self.terms.get if self.terms else None)
 
     def walk_sem(self, s: SemTerm) -> SemTerm:
         while isinstance(s, SemVar) and s.name in self.sems:
             s = self.sems[s.name]
         return s
 
-    def bind(self, name: str, value: MeaningTerm, closed: bool = False) -> "Substitution":
-        """Extend with name := value.  `closed` promises that `value` is
-        normal and has no metavariables, as the matcher's values are; any
-        other value is normalized here and occurs-checked."""
+    def bind(self, name: str, value: MeaningTerm) -> "Substitution":
+        """Extend with name := value, which must be closed and normal."""
         assert name not in self.terms, f"{name} bound twice"
-        if not closed:
-            value = self.nf(value)
-            free = free_names(value)
-            assert name not in free, f"occurs check slipped for {name}"
-            closed = not any(type(v) is MetaVar for v in free.values())
-        terms = dict(self.terms)
-        terms[name] = value
-        if closed:
-            return Substitution(terms, self.sems, None, self._closed | {name})
-        # `value` mentions no bound variable, so it is its own normal form
-        return Substitution(terms, self.sems, {name: value}, self._closed)
+        return Substitution(self.terms | {name: value}, self.sems)
 
     def extend(self, other: "Substitution", n: int) -> "Substitution":
-        """Extend with the term bindings, closed, that `other` made after its first `n`."""
-        new = dict(itertools.islice(other.terms.items(), n, None))
-        return Substitution(self.terms | new, self.sems, None, self._closed.union(new))
+        """Extend with the term bindings that `other` made after its first `n`."""
+        new = itertools.islice(other.terms.items(), n, None)
+        return Substitution(self.terms | dict(new), self.sems)
 
     def bind_sem(self, name: str, value: SemTerm) -> "Substitution":
         value = self.walk_sem(value)
         sems = dict(self.sems)
         sems[name] = value
-        return Substitution(self.terms, sems, self._memo, self._closed)
+        return Substitution(self.terms, sems)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +222,7 @@ def solve(
             fts = classes.ts(f.name)
             if any(classes.ts(name) > fts for name in free):
                 return None  # an eigenvariable would escape its scope
-            return su.bind(f.name, value, closed=True)
+            return su.bind(f.name, value)
     if isinstance(l, Cap) or isinstance(r, Cap):
         if isinstance(l, Cap) and isinstance(r, Cap):
             return solve(su, l.body, r.body, classes)

@@ -13,6 +13,10 @@ abstracted eigenvariables they may legally depend on as extra arguments) and
 pruned (stripped of dependencies that would escape), which keeps the solved
 form most general.
 
+Its values may be open, so it binds through `OpenSubstitution`, the
+triangular substitution that resolves chains of bindings; `solve` turns a
+package `Substitution`, whose values are closed, into one when it gets it.
+
 It is the oracle of the eager prover (tests/helpers.py) and of the unifier
 tests whose equations have flex variables on both sides.  The code is the
 package's former solver; only `_fresh_over` differs, setting the birth
@@ -38,11 +42,39 @@ from gluesem.terms import (
     abstract,
     alpha_equal,
     app,
+    free_names,
     normalize,
+    normalize_with,
     open_abs,
     spine,
 )
 from gluesem.unify import NonPatternError, Substitution, VarClass
+
+
+class OpenSubstitution(Substitution):
+    """A substitution whose values may mention variables bound later (X := Y,
+    then Y := c).  `nf` resolves such chains recursively, unmemoized; `bind`
+    normalizes its value and occurs-checks it, so the chains stay acyclic
+    and applying twice equals applying once."""
+
+    def _resolve(self, name: str) -> Optional[MeaningTerm]:
+        value = self.terms.get(name)
+        return None if value is None else normalize_with(value, self._resolve)
+
+    def nf(self, t: MeaningTerm) -> MeaningTerm:
+        return normalize_with(t, self._resolve)
+
+    def bind(self, name: str, value: MeaningTerm) -> "OpenSubstitution":
+        assert name not in self.terms, f"{name} bound twice"
+        value = self.nf(value)
+        assert name not in free_names(value), f"occurs check slipped for {name}"
+        return OpenSubstitution(self.terms | {name: value}, self.sems)
+
+    def extend(self, other: Substitution, n: int) -> "OpenSubstitution":
+        return OpenSubstitution(super().extend(other, n).terms, self.sems)
+
+    def bind_sem(self, name: str, value) -> "OpenSubstitution":
+        return OpenSubstitution(self.terms, super().bind_sem(name, value).sems)
 
 
 def _find_cup_flex(t: MeaningTerm) -> Optional[MetaVar]:
@@ -265,6 +297,8 @@ def solve(
 ) -> Optional[Substitution]:
     """Extend `su` to make l and r equal modulo the term theory, or return
     None.  Raises NonPatternError outside the fragment."""
+    if type(su) is Substitution:
+        su = OpenSubstitution(su.terms, su.sems)
     l, r = su.nf(l), su.nf(r)
     if alpha_equal(l, r):
         return su

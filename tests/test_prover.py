@@ -8,6 +8,8 @@ import subprocess
 import sys
 import weakref
 
+import pytest
+
 from gluesem.fstruct import ROOT, SemStruct, SemVar, parse_fstructure
 from gluesem.glue import (
     SEM,
@@ -41,12 +43,15 @@ from gluesem.terms import (
     S,
     T,
     App,
+    free_names,
+    normalize,
     print_term,
 )
 from gluesem.unify import Substitution, VarClass
 
 import scaling
 import work
+from reference_unifier import OpenSubstitution
 from helpers import (
     EagerProver,
     check_theorem,
@@ -343,10 +348,18 @@ def unmemoized(monkeypatch):
 def test_deferred_meanings_match_the_eager_prover(monkeypatch):
     # every shipped input: the same proofs, readings and derivations as
     # solving each meaning equation where the search makes it, and, with
-    # the table forced to miss as the eager prover's is, the same steps
+    # the table forced to miss as the eager prover's is, the same steps.
+    # The eager prover binds open values, through the oracle's substitution;
+    # the shipped prover never does
     runs = shipped_runs()
+    open_binds = []
+    real = OpenSubstitution.bind
+    monkeypatch.setattr(OpenSubstitution, "bind",
+                        lambda su, *args: open_binds.append(args) or real(su, *args))
     eager = [with_prover(EagerProver, run) for run in runs]
+    eager_binds = len(open_binds)
     deferred = [with_prover(Prover, run) for run in runs]
+    assert eager_binds > 0 and len(open_binds) == eager_binds
     untabled(monkeypatch)
     for (want, eager_stats), (got, stats), run in zip(eager, deferred, runs):
         _, untabled_stats = with_prover(Prover, run)
@@ -679,6 +692,27 @@ def test_meaning_memo_matches_solving_every_proof(monkeypatch):
         fewer.append(stats.equations < plain.equations)
     scope = fewer[-len(KEYED) - 5 * len(_DETS):-len(KEYED)]
     assert scope == [False] * len(_DETS) + [True] * (4 * len(_DETS))
+
+
+def test_the_search_binds_only_closed_normal_values(monkeypatch):
+    # a Substitution stores and substitutes a term binding as it is, so each
+    # value the shipped prover binds must be closed and normal, and a name
+    # may not be bound twice
+    bound = []
+    real = Substitution.bind
+
+    def checked(su, name, value):
+        assert not [v for v in free_names(value).values() if type(v) is MetaVar], name
+        assert normalize(value) == value, name
+        bound.append(name)
+        return real(su, name, value)
+
+    monkeypatch.setattr(Substitution, "bind", checked)
+    for run in _memo_runs():
+        run()
+    assert len(bound) > 1000
+    with pytest.raises(AssertionError, match="X bound twice"):
+        Substitution().bind("X", Const("Bill", E)).bind("X", Const("Bill", E))
 
 
 def test_outer_names_leave_out_what_a_focus_binds(monkeypatch):
