@@ -19,8 +19,8 @@ package `Substitution`, whose values are closed, into one when it gets it.
 
 It is the oracle of the eager prover (tests/helpers.py) and of the unifier
 tests whose equations have flex variables on both sides.  The code is the
-package's former solver; only `_fresh_over` differs, setting the birth
-stamp of the variable it mints itself.
+package's former solver; besides that switch, only `_fresh_over` differs,
+setting the birth stamp of the variable it mints itself.
 """
 
 from __future__ import annotations

@@ -43,7 +43,6 @@ from gluesem.terms import (
     S,
     T,
     App,
-    free_names,
     normalize,
     print_term,
 )
@@ -702,7 +701,7 @@ def test_the_search_binds_only_closed_normal_values(monkeypatch):
     real = Substitution.bind
 
     def checked(su, name, value):
-        assert not [v for v in free_names(value).values() if type(v) is MetaVar], name
+        assert not free_meta_vars(value), name
         assert normalize(value) == value, name
         bound.append(name)
         return real(su, name, value)
