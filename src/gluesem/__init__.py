@@ -2,7 +2,6 @@
 in the tensor fragment of higher-order linear logic."""
 
 from .fstruct import (
-    AnaphorLink,
     FDocument,
     FStructure,
     SemStruct,

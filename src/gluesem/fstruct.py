@@ -66,26 +66,13 @@ class SemVar(Record):
 SemTerm = Union[SemStruct, SemVar]
 
 
-class AnaphorLink(Record):
-    __slots__ = ("pronoun", "antecedent")
-
-    def __init__(self, pronoun: str, antecedent: str):
-        self.pronoun, self.antecedent = pronoun, antecedent
-
-
 class FStructure(Record):
     __slots__ = ("label", "attrs")
     __hash__ = None  # attrs grows while the document is parsed
 
-    def __init__(self, label: str, attrs: Optional[list[tuple[str, FValue]]] = None):
+    def __init__(self, label: str, attrs: Optional[dict[str, FValue]] = None):
         self.label = label
-        self.attrs = [] if attrs is None else attrs
-
-    def get(self, attr: str) -> Optional["FValue"]:
-        for a, v in self.attrs:
-            if a == attr:
-                return v
-        return None
+        self.attrs = {} if attrs is None else attrs
 
     def __repr__(self):
         return f"<fstruct {self.label}>"
@@ -98,39 +85,19 @@ Path = tuple[str, ...]
 
 class FDocument(Record):
     """A parsed f-structure file: the root structure, its label table and
-    any anaphor links."""
+    its anaphor links, from each pronoun's label to its antecedent's."""
 
     __slots__ = ("root", "by_label", "links")
-    __hash__ = None  # holds a dict and a list
+    __hash__ = None  # holds dicts
 
-    def __init__(
-        self, root: FStructure, by_label: dict[str, FStructure], links: list[AnaphorLink]
-    ):
+    def __init__(self, root: FStructure, by_label: dict[str, FStructure], links: dict[str, str]):
         self.root, self.by_label, self.links = root, by_label, links
 
-    def antecedent_of(self, label: str) -> Optional[str]:
-        for link in self.links:
-            if link.pronoun == label:
-                return link.antecedent
-        return None
-
     def nodes(self) -> list[FStructure]:
-        """Every f-structure once, in document order (preorder); a structure
-        reached again through `(ref ...)` is not visited twice."""
-        out = []
-        seen = set()
-
-        def walk(fs):
-            if id(fs) in seen:
-                return
-            seen.add(id(fs))
-            out.append(fs)
-            for _, v in fs.attrs:
-                if isinstance(v, FStructure):
-                    walk(v)
-
-        walk(self.root)
-        return out
+        """Every f-structure once, in document order (preorder): the parser
+        registers a label before it builds that structure's children, and a
+        `(ref ...)` can only name a structure defined before it."""
+        return list(self.by_label.values())
 
 
 def sigma(node: FStructure, slot: str = ROOT) -> SemStruct:
@@ -143,7 +110,7 @@ def sigma(node: FStructure, slot: str = ROOT) -> SemStruct:
 def sigma_ant(node: FStructure, doc: FDocument) -> SemStruct:
     """The value of the ANT attribute of `node`'s projection, resolved
     through the document's anaphor links."""
-    ant = doc.antecedent_of(node.label)
+    ant = doc.links.get(node.label)
     if ant is None:
         raise NoAntecedent(node.label)
     return SemStruct(ant, ROOT)
@@ -155,7 +122,7 @@ def resolve(anchor: FStructure, path: Path) -> FValue:
     for attr in path:
         if not isinstance(value, FStructure):
             raise MissingAttribute(anchor.label, attr)
-        nxt = value.get(attr)
+        nxt = value.attrs.get(attr)
         if nxt is None:
             raise MissingAttribute(value.label, attr)
         value = nxt
@@ -274,20 +241,20 @@ def _build_fstruct(node, by_label, building) -> FStructure:
     for attr_node in lst[2:]:
         (name, value), aline = _form(attr_node, "(ATTR VALUE)")
         attr = symbol(name, "attribute name").upper()
-        if fs.get(attr) is not None:
+        if attr in fs.attrs:
             raise FStructError(f"duplicate attribute {attr} in {label}", aline)
         vval, vline = value
         if isinstance(vval, str) and vval.startswith('"'):
-            fs.attrs.append((attr, vval[1:]))
+            fs.attrs[attr] = vval[1:]
         elif isinstance(vval, list) and vval and vval[0][0] == "ref":
             ref = symbol(_form(value, "(ref LABEL)")[0][1], "label")
             if ref in building:
                 raise FStructError(f"reference to {ref}, which encloses it", vline)
             if ref not in by_label:
                 raise FStructError(f"reference to unknown label {ref}", vline)
-            fs.attrs.append((attr, by_label[ref]))
+            fs.attrs[attr] = by_label[ref]
         else:
-            fs.attrs.append((attr, _build_fstruct(value, by_label, building)))
+            fs.attrs[attr] = _build_fstruct(value, by_label, building)
     building.remove(label)
     return fs
 
@@ -299,14 +266,16 @@ def parse_fstructure(text: str) -> FDocument:
         raise FStructError("empty document")
     by_label: dict[str, FStructure] = {}
     root = _build_fstruct(sexps[0], by_label, set())
-    links = []
+    links: dict[str, str] = {}
     for node in sexps[1:]:
         (_, pro, ant), line = _form(node, "(ant PRONOUN ANTECEDENT)")
         pro, ant = symbol(pro, "label"), symbol(ant, "label")
         for lbl in (pro, ant):
             if lbl not in by_label:
                 raise FStructError(f"ant link names unknown label {lbl}", line)
-        if by_label[pro].get("PRED") != "pro":
+        if by_label[pro].attrs.get("PRED") != "pro":
             raise FStructError(f"ant link pronoun {pro} lacks PRED \"pro\"", line)
-        links.append(AnaphorLink(pro, ant))
+        if pro in links:
+            raise FStructError(f"pronoun {pro} has two ant links", line)
+        links[pro] = ant
     return FDocument(root, by_label, links)

@@ -227,11 +227,11 @@ class LexEntry(Record):
 
 
 class Lexicon(Record):
-    __slots__ = ("entries", "ctx", "extensional")
+    __slots__ = ("entries", "ctx")
     __hash__ = None  # holds a list and a dict
 
-    def __init__(self, entries: list[LexEntry], ctx: TypingContext, extensional: bool = False):
-        self.entries, self.ctx, self.extensional = entries, ctx, extensional
+    def __init__(self, entries: list[LexEntry], ctx: TypingContext):
+        self.entries, self.ctx = entries, ctx
 
 
 def _variant(node) -> str:
@@ -426,7 +426,7 @@ def parse_lexicon(text: str, extensional: bool = False) -> Lexicon:
             raise FStructError(f"constant {name} redeclared at a new type", line)
         ctx[name] = ty
     entries = (_entry(node, variant, ctx) for node in entry_nodes)
-    return Lexicon([e for e in entries if e is not None], ctx, extensional)
+    return Lexicon([e for e in entries if e is not None], ctx)
 
 
 def _entry(node, variant: str, ctx: TypingContext) -> Optional[LexEntry]:
@@ -525,7 +525,7 @@ def instantiate(entry: LexEntry, node: FStructure, doc: FDocument) -> GlueFormul
 
 
 def entry_matches(entry: LexEntry, node: FStructure) -> bool:
-    if node.get(entry.trigger_attr) != entry.trigger_value:
+    if node.attrs.get(entry.trigger_attr) != entry.trigger_value:
         return False
     for path, value in entry.constraints:
         try:
@@ -550,7 +550,7 @@ def premises(doc: FDocument, lexicon: Lexicon) -> list[Premise]:
     out = []
     for node in doc.nodes():
         for attr in ("SPEC", "PRED"):
-            value = node.get(attr)
+            value = node.attrs.get(attr)
             if value is None or isinstance(value, FStructure):
                 continue
             matches = [

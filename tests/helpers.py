@@ -976,7 +976,7 @@ def print_fstructure(doc) -> str:
         printed.add(fs.label)
         parts = [f"(fstruct {fs.label}"]
         inner = indent + "  "
-        for attr, v in fs.attrs:
+        for attr, v in fs.attrs.items():
             if isinstance(v, FStructure):
                 parts.append(f"\n{inner}({attr} {go(v, inner)})")
             else:
@@ -984,9 +984,28 @@ def print_fstructure(doc) -> str:
         return "".join(parts) + ")"
 
     out = go(doc.root, "")
-    for link in doc.links:
-        out += f"\n(ant {link.pronoun} {link.antecedent})"
+    for pronoun, antecedent in doc.links.items():
+        out += f"\n(ant {pronoun} {antecedent})"
     return out + "\n"
+
+
+def walk_nodes(doc) -> list:
+    """Every f-structure of `doc` once, in preorder from the root, skipping a
+    structure reached again through `(ref ...)`: the reference for
+    `FDocument.nodes`, which reads the label table instead."""
+    out, seen = [], set()
+
+    def walk(fs):
+        if id(fs) in seen:
+            return
+        seen.add(id(fs))
+        out.append(fs)
+        for v in fs.attrs.values():
+            if isinstance(v, FStructure):
+                walk(v)
+
+    walk(doc.root)
+    return out
 
 
 class InconsistentSubst(GlueError):

@@ -82,6 +82,20 @@ def test_prove_meaning_clash_exits_2(capsys, tmp_path):
     assert (code, out) == (2, "not provable\n")
 
 
+def test_lambda_constructor_reads_its_beta_normal_form(capsys, tmp_path):
+    lex = tmp_path / "lam.glue"
+    lex.write_text(
+        '(const Bill e)\n(const sleep (-> e t))\n'
+        '(entry "Bill" NP (trigger PRED) (constructor (means (sig up) Bill e)))\n'
+        '(entry "sleep" V (trigger PRED) (constructor (forall ((X e))\n'
+        '  (limp (means (sig (path up SUBJ)) X e) (means (sig up) ((lam (x e) (sleep x)) X) t)))))\n'
+    )
+    fstr = tmp_path / "sleeps.fstr"
+    fstr.write_text('(fstruct f (PRED "sleep") (SUBJ (fstruct g (PRED "Bill"))))')
+    code, out, err = run(capsys, "readings", "--fstructure", str(fstr), "--lexicon", str(lex))
+    assert (code, out, err) == (0, "sleep(Bill)\nreadings: 1\n", "")
+
+
 @pytest.mark.parametrize(
     "constructor,fragment",
     [
@@ -125,10 +139,15 @@ def test_non_pattern_meaning_is_an_input_error(capsys, tmp_path, constructor, fr
 def test_prove_linear_identity(capsys, tmp_path, formula):
     f = tmp_path / "id.glue"
     f.write_text(formula)
-    code, out, _ = run(capsys, "prove", "--lexicon", "corpus/lexicon.glue",
-                       "--formula", str(f))
+    argv = ["prove", "--lexicon", "corpus/lexicon.glue", "--formula", str(f)]
+    code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out.startswith("provable")
+    if formula.startswith("(limp (atom"):
+        # a propositional atom is printed by its name alone
+        code, out, _ = run(capsys, *argv, "--trace")
+        assert code == 0
+        assert out == "provable\nLimpR: assume assumption#1\n  Identity: assumption#1   |- A\n"
 
 
 def test_json_round_trip(capsys):
@@ -213,6 +232,7 @@ MALFORMED_LEXICON_FORMS = [
     '(entry "Bill" NP (constructor (means (sig up) (cap) e)))',
     '(entry "Bill" NP (constructor (means (sig up) (lam) e)))',
     '(entry "Bill" NP (constructor (means (sig up) (lam (x e)) e)))',
+    '(entry "Bill" NP (constructor (means (sig up) (lam (x sem) Bill) e)))',
     '(entry "Bill" NP (constructor (atom)))',
     '(entry "Bill" NP (constructor (forall)))',
     '()',
@@ -258,6 +278,10 @@ MALFORMED_FSTRUCTURES = [
      "unknown label h", 4),
     ('(fstruct f (PRED "arrive")\n  (SUBJ (fstruct g (PRED "John"))))\n(ant g f)\n',
      'g lacks PRED "pro"', 3),
+    # a second link for one pronoun used to be ignored without a word
+    ('(fstruct f (PRED "appoint") (SUBJ (fstruct g (PRED "Bill")))\n'
+     '  (OBJ (fstruct h (PRED "admirer") (OBL-OF (fstruct i (PRED "pro"))))))\n'
+     '(ant i g)\n(ant i h)\n', "pronoun i has two ant links", 4),
 ]
 
 

@@ -1,5 +1,6 @@
 """Attribute-value structure tests: parsing, paths, projections."""
 
+import pathlib
 import re
 
 import pytest
@@ -18,7 +19,7 @@ from gluesem.fstruct import (
     sigma_ant,
 )
 
-from helpers import print_fstructure
+from helpers import print_fstructure, walk_nodes
 
 BAH = """
 ; Bill appointed Hillary.
@@ -41,21 +42,20 @@ ADMIRER = """
 def test_parse_basic_document():
     doc = parse_fstructure(BAH)
     assert doc.root.label == "f"
-    assert doc.root.get("PRED") == "appoint"
-    assert doc.root.get("SUBJ").label == "g"
-    assert doc.root.get("OBJ").label == "h"
+    assert doc.root.attrs["PRED"] == "appoint"
+    assert doc.root.attrs["SUBJ"].label == "g"
+    assert doc.root.attrs["OBJ"].label == "h"
 
 
 def test_parse_single_node():
     doc = parse_fstructure('(fstruct f (PRED "Bill"))')
-    assert doc.root.attrs == [("PRED", "Bill")]
+    assert doc.root.attrs == {"PRED": "Bill"}
 
 
 def test_parse_oblique_and_link():
     doc = parse_fstructure(ADMIRER)
     assert resolve(doc.root, ("OBJ", "OBL-OF")).label == "i"
-    assert doc.links[0].pronoun == "i"
-    assert doc.links[0].antecedent == "g"
+    assert doc.links == {"i": "g"}
 
 
 def test_duplicate_label_rejected():
@@ -70,8 +70,8 @@ def test_duplicate_attribute_rejected():
 
 def test_attribute_names_canonicalize_case():
     doc = parse_fstructure('(fstruct f (pred "appoint") (subj (fstruct g (PRED "Bill"))))')
-    assert doc.root.get("PRED") == "appoint"
-    assert doc.root.get("SUBJ").label == "g"
+    assert doc.root.attrs["PRED"] == "appoint"
+    assert doc.root.attrs["SUBJ"].label == "g"
 
 
 def test_syntax_error_reports_line():
@@ -160,6 +160,31 @@ def test_reentrant_structure_is_one_node():
     )
     assert [n.label for n in doc.nodes()] == ["f", "g", "h"]
     assert doc.nodes()[1] is doc.by_label["g"]
+
+
+CORPUS = sorted(pathlib.Path("corpus").glob("*.fstr"))
+# several (ref ...) to structures of other subtrees, each followed by
+# structures defined after it
+SHARED = [
+    '(fstruct f (SUBJ (fstruct g (PRED "John") (POSS (fstruct k (PRED "pro")))))\n'
+    '  (TOPIC (ref k)) (OBJ (fstruct h (PRED "book") (OF (ref g))\n'
+    '    (ADJ (fstruct m (PRED "red") (MOD (ref g)) (ALSO (ref k)))))) (FOCUS (ref m)))',
+    '(fstruct f (XCOMP (fstruct g (SUBJ (fstruct h (PRED "Bill")))\n'
+    '  (OBJ (fstruct i (PRED "it"))))) (SUBJ (ref h)) (OBJ (ref i))\n'
+    '  (ADJ (fstruct j (OF (ref g)) (AT (fstruct k (PRED "k") (TO (ref i)))))))',
+]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [path.read_text(encoding="utf-8") for path in CORPUS] + SHARED,
+    ids=[path.stem for path in CORPUS] + [f"shared-{i}" for i in range(len(SHARED))],
+)
+def test_nodes_are_the_label_table_in_preorder(text):
+    # the label table is filled in preorder, so nodes() equals a walk from
+    # the root that skips a structure reached again through (ref ...)
+    doc = parse_fstructure(text)
+    assert [id(n) for n in doc.nodes()] == [id(n) for n in walk_nodes(doc)]
 
 
 def test_reentrant_premises_are_given_once():

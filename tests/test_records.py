@@ -78,7 +78,7 @@ def test_every_record_class_is_in_the_package():
     assert set(NODES) <= found
     # the remaining records: lexicon, document and search bookkeeping
     assert {c.__name__ for c in found - set(NODES)} == {
-        "AnaphorLink", "FStructure", "FDocument", "LexEntry", "Lexicon", "Premise",
+        "FStructure", "FDocument", "LexEntry", "Lexicon", "Premise",
         "SearchBudget", "Sequent", "Resource", "Derivation", "Reading", "SearchStats",
         "EnumerationResult", "VarClass",
     }

@@ -242,11 +242,17 @@ def test_intension_against_a_variable_binds_its_extension():
 
 
 def test_distinct_eigen_heads_or_arguments_do_not_unify():
-    vc = classes_for(f=EIGEN, g=EIGEN, x=EIGEN, y=EIGEN)
+    vc = classes_for(f=EIGEN, g=EIGEN, r=EIGEN, x=EIGEN, y=EIGEN)
     f, g = Var("f", Arrow(E, T)), Var("g", Arrow(E, T))
     x, y = Var("x", E), Var("y", E)
     assert unify([(App(f, x), App(f, y))], vc) is None
     assert unify([(App(f, x), App(g, x))], vc) is None
+    # the spines differ in length, or the heads in kind
+    r = Var("r", arrow(E, E, T))
+    assert unify([(App(f, x), app(r, x, y))], vc) is None
+    assert unify([(App(f, x), App(Const("f", Arrow(E, T)), x))], vc) is None
+    # a later argument is not compared once an earlier one has failed
+    assert unify([(app(r, x, y), app(r, y, y))], vc) is None
 
 
 # ---------------------------------------------------------------------------
