@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from typing import Optional, Union
 
-from .terms import MAX_NESTING, GlueError, Record
+from .terms import MAX_NESTING, GlueError, Interned, Record
 
 
 class FStructError(GlueError):
@@ -38,7 +38,7 @@ VAR = "VAR"
 RESTR = "RESTR"
 
 
-class SemStruct(Record):
+class SemStruct(Interned, Record):
     """A concrete semantic structure: the `slot` projection of the
     f-structure named `owner`."""
 
@@ -275,6 +275,8 @@ def parse_fstructure(text: str) -> FDocument:
                 raise FStructError(f"ant link names unknown label {lbl}", line)
         if by_label[pro].attrs.get("PRED") != "pro":
             raise FStructError(f"ant link pronoun {pro} lacks PRED \"pro\"", line)
+        if pro == ant:
+            raise FStructError(f"pronoun {pro} is linked to itself", line)
         if pro in links:
             raise FStructError(f"pronoun {pro} has two ant links", line)
         links[pro] = ant

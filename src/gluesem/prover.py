@@ -395,9 +395,7 @@ class Prover:
             bit = loose & -loose
             loose ^= bit
             values += self._mentions[bit.bit_length() - 1]
-        # names and (owner, slot) pairs hash and compare faster than records
-        values = [v.name if type(v) is SemVar else (v.owner, v.slot)
-                  for v in map(su.walk_sem, values)]
+        values = [v.name if type(v) is SemVar else v for v in map(su.walk_sem, values)]
         unbound = sorted({v for v in values if type(v) is str}, key=self.classes.ts)
         return id(goal), ctx, tuple(values), tuple(unbound)
 

@@ -14,6 +14,7 @@ so collapsing the round trip is sound and keeps unifier output canonical).
 from __future__ import annotations
 
 import re
+import weakref
 from operator import attrgetter
 from typing import Optional, Union
 
@@ -58,7 +59,8 @@ class Record:
     class with equal fields are equal and hash alike; records of different
     classes are never equal.  Records with several fields compare their
     field tuples, which take identical fields (shared subterms) as equal
-    without descending into them.
+    without descending into them.  `Base`, `Arrow` and `SemStruct` are
+    `Interned`: the glue atoms that the search matches compare by identity.
     """
 
     __slots__ = ()
@@ -79,11 +81,28 @@ class Record:
         return f"{type(self).__name__}({fields})"
 
 
+class Interned:
+    """Mixin, before `Record`, for one live object per value: a call returns
+    the object its class's weak table holds for equal fields, so `==` is `is`."""
+    __slots__ = ("__weakref__",)
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._live = weakref.WeakValueDictionary()
+
+    def __new__(cls, *fields):
+        obj = cls._live.get(fields)
+        if obj is None:
+            obj = cls._live[fields] = super().__new__(cls)
+        return obj
+
+
 # ---------------------------------------------------------------------------
 # Types
 
 
-class Base(Record):
+class Base(Interned, Record):
     __slots__ = ("name",)
 
     def __init__(self, name: str):
@@ -93,7 +112,7 @@ class Base(Record):
         return self.name
 
 
-class Arrow(Record):
+class Arrow(Interned, Record):
     __slots__ = ("left", "right")
 
     def __init__(self, left: MeaningType, right: MeaningType):

@@ -1,19 +1,22 @@
 """The scope family's scaling table, as ROADMAP.md quotes it.
 
-    python3 tests/scaling.py [N]
+    python3 tests/scaling.py [N] [--repeat R]
 
 prints one row for each k = 0..N (default 4): *Bill seeks every
 conversation with ... every unicorn* with k nested quantified obliques,
-solved by one `readings_for_document` call in this process under the
-default search budget.  The columns are the readings found (Catalan(k + 2)
-when the search completes), the search steps, steps per reading, the head
-rejects, the meaning equations solved and the wall time of the call.
+solved by R `readings_for_document` calls (default 1) in this process
+under the default search budget.  The columns are the readings found
+(Catalan(k + 2) when the search completes), the search steps, steps per
+reading, the head rejects, the meaning equations solved, all the same on
+every call, and the median wall time of the calls.
 Standard library only; pytest does not collect it.
 """
 
 from __future__ import annotations
 
+import argparse
 import math
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -33,11 +36,16 @@ def _n(x: int) -> str:
     return f"{x:,}".replace(",", " ")
 
 
-def row(k: int, lexicon, budget: SearchBudget = SearchBudget()) -> str:
+def row(k: int, lexicon, budget: SearchBudget = SearchBudget(), repeat: int = 1) -> str:
     doc = scope_doc(["every"] * (k + 1))
-    t0 = time.perf_counter()
-    result, _ = readings_for_document(doc, lexicon, budget=budget)
-    wall = time.perf_counter() - t0
+    walls, works = [], []
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        result, _ = readings_for_document(doc, lexicon, budget=budget)
+        walls.append(time.perf_counter() - t0)
+        works.append((result.stats, len(result.readings)))
+    assert all(w == works[0] for w in works), f"the work differs between calls at k={k}"
+    wall = statistics.median(walls)
     s, found = result.stats, len(result.readings)
     want = math.comb(2 * (k + 2), k + 2) // (k + 3)
     if s.limit:
@@ -49,13 +57,16 @@ def row(k: int, lexicon, budget: SearchBudget = SearchBudget()) -> str:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    max_k = int(argv[0]) if argv else 4
+    parser = argparse.ArgumentParser(description="The scope family's scaling table.")
+    parser.add_argument("N", type=int, nargs="?", default=4, help="the largest k")
+    parser.add_argument("--repeat", type=int, default=1, metavar="R",
+                        help="calls per row; the wall is their median")
+    args = parser.parse_args(sys.argv[1:] if argv is None else argv)
     lexicon = load_lexicon(str(ROOT / "corpus" / "lexicon.glue"))
     print(HEADER)
     print("|" + "---|" * 7)
-    for k in range(max_k + 1):
-        print(row(k, lexicon), flush=True)
+    for k in range(args.N + 1):
+        print(row(k, lexicon, repeat=args.repeat), flush=True)
     return 0
 
 

@@ -251,7 +251,8 @@ def test_head_filter_rejects_only_failing_focuses(monkeypatch):
 
 def test_scaling_script_prints_the_catalan_counts():
     out = subprocess.run(
-        [sys.executable, "tests/scaling.py", "2"], capture_output=True, text=True, check=True
+        [sys.executable, "tests/scaling.py", "2", "--repeat", "2"],
+        capture_output=True, text=True, check=True,
     ).stdout.splitlines()
     assert out[0] == scaling.HEADER
     cells = [line.split(" | ") for line in out[2:]]

@@ -1,8 +1,10 @@
 """Contract of the record classes behind terms, types, formulas and semantic
 structures: slotted instances, positional match patterns in constructor
 order, equality that hashes consistently and never crosses classes, and a
-repr that tells unequal terms apart (tests/helpers.py deduplicates by it)."""
+repr that tells unequal terms apart (tests/helpers.py deduplicates by it).
+Types and semantic structures are interned: one object per value."""
 
+import gc
 import inspect
 import os
 import pathlib
@@ -26,6 +28,7 @@ from gluesem.terms import (
     Const,
     Cup,
     E,
+    Interned,
     MetaVar,
     Record,
     T,
@@ -36,8 +39,8 @@ from gluesem.terms import (
 import helpers
 from helpers import TVar, random_term
 
-# one instance of every node class, built twice so that equal objects are
-# never the same object
+# one instance of every node class, built twice: equal objects are the same
+# object exactly for the interned classes
 NODES = {
     Base: lambda: Base("e"),
     Arrow: lambda: Arrow(Base("e"), Base("t")),
@@ -59,6 +62,7 @@ NODES = {
     Limp: lambda: Limp(PropAtom("a"), PropAtom("b")),
     Forall: lambda: Forall("X", E, Means(SemVar("H"), MetaVar("X", E), E)),
 }
+INTERNED = {Base, Arrow, SemStruct}
 
 
 def all_records():
@@ -97,9 +101,30 @@ def test_slots_and_match_args_follow_the_constructor(cls):
 def test_node_instances_are_values(cls):
     a, b = NODES[cls](), NODES[cls]()
     assert not hasattr(a, "__dict__")
-    assert a is not b and a == b and not a != b
+    assert (a is b) == (cls in INTERNED)
+    assert a == b and not a != b
     assert hash(a) == hash(b)
     assert repr(a) == repr(b)
+
+
+def test_interned_classes_are_the_types_and_structures():
+    assert {cls for cls in all_records() if issubclass(cls, Interned)} == INTERNED
+
+
+def test_an_unreferenced_interned_object_leaves_its_table():
+    s = SemStruct("only-here", fstruct.VAR)
+    key = ("only-here", fstruct.VAR)
+    assert SemStruct._live[key] is s
+    del s
+    gc.collect()
+    assert key not in SemStruct._live
+
+
+def test_sem_vars_stay_plain_values():
+    # fresh names are minted in every search, so a table would only fill up
+    a, b = SemVar("H?1"), SemVar("H?1")
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert not isinstance(a, Interned)
 
 
 def test_mutable_records_are_unhashable():
