@@ -16,15 +16,12 @@ from .terms import MAX_NESTING, GlueError, Interned, Record
 
 class FStructError(GlueError):
     def __init__(self, message, line=None):
-        self.line = line
         where = f"line {line}: " if line else ""
         super().__init__(f"{where}{message}")
 
 
 class MissingAttribute(GlueError):
     def __init__(self, anchor, attr):
-        self.anchor = anchor
-        self.attr = attr
         super().__init__(f"f-structure {anchor} has no attribute {attr}")
 
 

@@ -241,37 +241,40 @@ def _variant(node) -> str:
     return lst[1][0]
 
 
-def _parse_type_sexp(node) -> Union[MeaningType, str]:
+def _parse_type_sexp(node) -> MeaningType:
     return _type_and_depth(node)[0]
 
 
-def _type_and_depth(node) -> tuple[Union[MeaningType, str], int]:
+def _type_and_depth(node) -> tuple[MeaningType, int]:
     """The type `node` spells and how deep its arrows nest, which
     `terms.MAX_NESTING` caps as it does for `terms.parse_type`."""
     val, line = node
     if isinstance(val, str):
-        if val == SEM:
-            return SEM, 0
         if val in ("e", "t", "s"):
             return Base(val), 0
+        if val == SEM:
+            raise FStructError("sem is a quantifier kind, not a type", line)
         raise FStructError(f"unknown type {val!r}", line)
     _form(node, "(-> TYPE TYPE ...)")
     parts = [_type_and_depth(n) for n in val[1:]]
-    if any(ty == SEM for ty, _ in parts):
-        raise FStructError("bad arrow type", line)
     try:
         return terms._fold_arrows(parts)
     except GlueError as e:
         raise FStructError(str(e), line) from None
 
 
-def _parse_sem_sexp(node, binders) -> Union[SigmaPath, SemVar]:
+def _parse_sem_sexp(node, binders, anchored) -> Union[SigmaPath, SemVar]:
+    """A structure variable, or with an anchor a sigma path from it."""
     val, line = node
     if isinstance(val, str):
         if binders.get(val) == SEM:
             return SemVar(val)
         raise FStructError(f"unbound structure variable {val!r}", line)
     _, _, head = _head(node, "sigma operator")
+    if head in ("sig", "svar", "srestr", "sant") and not anchored:
+        raise FStructError(
+            f"({head} ...) needs an f-structure: use a structure variable", line
+        )
     if head == "sig":
         _form(node, "(sig F)")
         if val[1][0] == "up":
@@ -284,7 +287,7 @@ def _parse_sem_sexp(node, binders) -> Union[SigmaPath, SemVar]:
         return SigmaPath(attrs, ROOT)
     if head in ("svar", "srestr", "sant"):
         _form(node, f"({head} SIGMA)")
-        inner = _parse_sem_sexp(val[1], binders)
+        inner = _parse_sem_sexp(val[1], binders, anchored)
         if not isinstance(inner, SigmaPath) or inner.slot != ROOT:
             raise FStructError(f"({head} ...) needs a (sig ...) argument", line)
         slot = {"svar": VAR, "srestr": RESTR, "sant": "ANT"}[head]
@@ -311,13 +314,10 @@ def _parse_term_sexp(node, binders, lam_bound) -> MeaningTerm:
         return terms.Cap(body) if head_val == "cap" else terms.Cup(body)
     if head_val == "lam":
         _form(node, "(lam BINDER BODY)")
-        blist, bline = _form(val[1], "(VAR TYPE)")
+        blist, _ = _form(val[1], "(VAR TYPE)")
         name = symbol(blist[0], "variable")
         ty = _parse_type_sexp(blist[1])
-        if ty == SEM:
-            raise FStructError("lambda cannot bind structure variables", bline)
-        body = _parse_term_sexp(val[2], binders, [name] + lam_bound)
-        return terms.Abs(ty, body)
+        return terms.Abs(ty, _parse_term_sexp(val[2], binders, [name] + lam_bound))
     fn = _parse_term_sexp(val[0], binders, lam_bound)
     return terms.app(fn, *[_parse_term_sexp(n, binders, lam_bound) for n in val[1:]])
 
@@ -331,8 +331,12 @@ _CONNECTIVES = {
 }
 
 
-def parse_formula_sexp(node, binders=None) -> GlueFormula:
-    """Parse a glue formula from its s-expression form."""
+def parse_formula_sexp(node, binders=None, anchored=True) -> GlueFormula:
+    """Parse a glue formula from its s-expression form.  Every symbol in it
+    becomes a quantified variable, a lambda-bound variable or a constant, so
+    the formula is closed.  Sigma paths name structures from the anchor `up`
+    of a lexicon entry; a formula that is not `anchored` names them by
+    structure variables only."""
     binders = dict(binders or {})
     lst, line, head = _head(node, "glue formula")
     if head not in _CONNECTIVES:
@@ -346,29 +350,27 @@ def parse_formula_sexp(node, binders=None) -> GlueFormula:
             name = symbol(var, "variable")
             if name in binders:
                 raise FStructError(f"shadowed quantifier variable {name}", pline)
-            binders[name] = _parse_type_sexp(kind)
+            binders[name] = SEM if kind[0] == SEM else _parse_type_sexp(kind)
             names.append(name)
-        body = parse_formula_sexp(lst[2], binders)
+        body = parse_formula_sexp(lst[2], binders, anchored)
         for name in reversed(names):
             body = Forall(name, binders[name], body)
         return body
     if head == "limp":
         return Limp(
-            parse_formula_sexp(lst[1], binders), parse_formula_sexp(lst[2], binders)
+            parse_formula_sexp(lst[1], binders, anchored),
+            parse_formula_sexp(lst[2], binders, anchored),
         )
     if head == "tensor":
-        parts = [parse_formula_sexp(n, binders) for n in lst[1:]]
+        parts = [parse_formula_sexp(n, binders, anchored) for n in lst[1:]]
         out = parts[-1]
         for p in reversed(parts[:-1]):
             out = Tensor(p, out)
         return out
     if head == "means":
-        sem = _parse_sem_sexp(lst[1], binders)
+        sem = _parse_sem_sexp(lst[1], binders, anchored)
         ty = _parse_type_sexp(lst[3])
-        if ty == SEM:
-            raise FStructError("atom type cannot be sem", line)
-        term = _parse_term_sexp(lst[2], binders, [])
-        return Means(sem, term, ty)
+        return Means(sem, _parse_term_sexp(lst[2], binders, []), ty)
     return PropAtom(symbol(lst[1], "atom name"))
 
 
@@ -420,8 +422,6 @@ def parse_lexicon(text: str, extensional: bool = False) -> Lexicon:
             continue
         name = symbol(lst[1], "constant name")
         ty = _parse_type_sexp(lst[2])
-        if ty == SEM:
-            raise FStructError("constants cannot have type sem", line)
         if name in ctx and ctx[name] != ty:
             raise FStructError(f"constant {name} redeclared at a new type", line)
         ctx[name] = ty
@@ -455,7 +455,7 @@ def _entry(node, variant: str, ctx: TypingContext) -> Optional[LexEntry]:
         elif tag == "variant":
             entry_variant = _variant(part)
         elif tag == "syn":
-            sem = _parse_sem_sexp(plist[1], {})
+            sem = _parse_sem_sexp(plist[1], {}, True)
             constraints.append((sem.fpath, _string(plist[2], "value")))
         else:
             template_node = plist[1]
@@ -473,15 +473,12 @@ def load_lexicon(path: str, extensional: bool = False) -> Lexicon:
 
 
 def parse_formula_document(text: str, ctx: TypingContext) -> GlueFormula:
-    """Parse a standalone closed glue formula (for the theorem checker)."""
+    """Parse a standalone glue formula (for the theorem checker): closed, as
+    every parsed formula is, and without an anchor."""
     sexps = read_sexps(text)
     if len(sexps) != 1:
         raise FStructError("formula file must hold exactly one formula")
-    formula = _check_template("<formula>", parse_formula_sexp(sexps[0]), ctx)
-    stray = formula_free_vars(formula)
-    if stray:
-        raise FStructError(f"formula is not closed: {sorted(stray)}")
-    return formula
+    return _check_template("<formula>", parse_formula_sexp(sexps[0], anchored=False), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -518,10 +515,7 @@ def instantiate(entry: LexEntry, node: FStructure, doc: FDocument) -> GlueFormul
             sem = sigma(target, m.sem.slot)
         return Means(sem, m.term, m.ty)
 
-    out = map_formula(entry.template, on_means)
-    stray = formula_free_vars(out)
-    assert not stray, f"instantiated constructor left variables open: {stray}"
-    return out
+    return map_formula(entry.template, on_means)
 
 
 def entry_matches(entry: LexEntry, node: FStructure) -> bool:

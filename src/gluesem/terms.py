@@ -32,9 +32,6 @@ MAX_NESTING = 100
 
 class TypeMismatch(GlueError):
     def __init__(self, location, expected, found):
-        self.location = location
-        self.expected = expected
-        self.found = found
         super().__init__(
             f"type mismatch at {location}: expected {expected}, found {found}"
         )
@@ -42,7 +39,6 @@ class TypeMismatch(GlueError):
 
 class UnboundName(GlueError):
     def __init__(self, name):
-        self.name = name
         super().__init__(f"unbound name: {name}")
 
 
@@ -146,7 +142,7 @@ def parse_type(text: str) -> MeaningType:
     input recurses."""
     bad = GlueError(f"bad type syntax: {text!r}")
     groups: list[list] = [[]]  # the parts of each open group
-    for tok in re.findall(r"->|[a-z]+|[()]", text):
+    for tok in re.findall(r"->|[a-z]+|[()]|\S", text):
         parts = groups[-1]
         if (tok in ("->", ")")) != (len(parts) % 2 == 1):
             raise bad  # "->" and ")" follow a type, and nothing else does
@@ -442,9 +438,9 @@ TypingContext = dict[str, MeaningType]
 
 
 def elaborate(term: MeaningTerm, ctx: TypingContext) -> tuple[MeaningTerm, MeaningType]:
-    """Typecheck `term`, whose binders all carry their types, and fill in
-    constant types from `ctx`.  Returns the annotated term and its type;
-    raises TypeMismatch or UnboundName."""
+    """Typecheck `term`, whose binders and variables all carry their types,
+    and fill in constant types from `ctx`.  Returns the annotated term and
+    its type; raises TypeMismatch or UnboundName."""
 
     def syn(t, env):
         cls = type(t)
@@ -457,8 +453,6 @@ def elaborate(term: MeaningTerm, ctx: TypingContext) -> tuple[MeaningTerm, Meani
                 raise TypeMismatch(print_term(t), ft.left, at)
             return App(f, a), ft.right
         if cls is Abs:
-            if t.var_ty is None:
-                raise TypeMismatch(print_term(t), "a binder type", None)
             b, bt = syn(t.body, (t.var_ty,) + env)
             return Abs(t.var_ty, b), Arrow(t.var_ty, bt)
         if cls is Cap:
@@ -481,10 +475,7 @@ def elaborate(term: MeaningTerm, ctx: TypingContext) -> tuple[MeaningTerm, Meani
                 return Const(t.name, declared), declared
             if declared is not None and declared != t.ty:
                 raise TypeMismatch(t.name, t.ty, declared)
-            return t, t.ty
-        if t.ty is None:  # Var, MetaVar
-            raise UnboundName(t.name)
-        return t, t.ty
+        return t, t.ty  # a typed Const, a Var or a MetaVar
 
     return syn(term, ())
 

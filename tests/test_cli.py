@@ -113,6 +113,31 @@ def test_lambda_constructor_reads_its_beta_normal_form(capsys, tmp_path):
     assert (code, out, err) == (0, "sleep(Bill)\nreadings: 1\n", "")
 
 
+def _read_bill(capsys, tmp_path, lexicon):
+    """Run `readings` at type e on the f-structure of "Bill" alone."""
+    lex = tmp_path / "bill.glue"
+    lex.write_text(lexicon)
+    fstr = tmp_path / "bill.fstr"
+    fstr.write_text('(fstruct g (PRED "Bill"))')
+    return run(capsys, "readings", "--fstructure", str(fstr), "--lexicon", str(lex),
+               "--goal-type", "e")
+
+
+def test_constant_named_up_reads(capsys, tmp_path):
+    # `up` names the anchor only inside a sigma form; as a term it is a constant
+    got = _read_bill(capsys, tmp_path,
+                     '(const up e)\n(entry "Bill" NP (constructor (means (sig up) up e)))\n')
+    assert got == (0, "up\nreadings: 1\n", "")
+
+
+def test_sigma_path_to_an_atom_is_an_input_error(capsys, tmp_path):
+    got = _read_bill(capsys, tmp_path, '(const Bill e)\n'
+                     '(entry "Bill" NP (constructor (means (sig (path up PRED)) Bill e)))\n')
+    assert got == (
+        1, "", "error: path ('PRED',) from g names the atom 'Bill', not an f-structure\n"
+    )
+
+
 @pytest.mark.parametrize(
     "constructor,fragment",
     [
@@ -259,13 +284,34 @@ MALFORMED_LEXICON_FORMS = [
     '(entry "Bill" NP (constructor (means (sig up) Bill e)) (constructor (means (sig up) Hillary e)))',
     '(entry "Bill" NP (trigger PRED) (trigger PRED "Bill") (constructor (means (sig up) Bill e)))',
     '(entry "Bill" NP (variant intensional) (variant extensional) (constructor (means (sig up) Bill e)))',
+    # checks that no other case reaches
+    '(entry "Bill" NP (constructor (means (sig (path down SUBJ)) Bill e)))',
+    '(entry "Bill" NP (constructor (forall ((X sem)) (means (svar X) Bill e))))',
+    '(entry "Bill" NP (constructor (means (sig up) "Bill" e)))',
+    '(entry "Bill" NP (trigger FOO) (constructor (means (sig up) Bill e)))',
+    '(entry "Bill" NP (trigger PRED))',
+    # sem is a quantifier kind, not a type
+    '(const Foo sem)',
+    '(entry "Bill" NP (constructor (means (sig up) Bill sem)))',
+    '(const Foo (-> sem t))',
+]
+
+# A formula file has no anchor: it names structures by variables, so every
+# sigma form in it is an input error (each of these used to run the search).
+SIGMA_FORMULAS = [
+    "(means (sig up) Bill e)",
+    "(means (sig (path up SUBJ)) Bill e)",
+    "(means (svar (sig up)) Bill e)",
+    "(means (srestr (sig up)) Bill e)",
+    "(limp (means (sant (sig up)) Bill e) (means (sig up) Bill e))",
 ]
 
 
 @pytest.mark.parametrize(
     "command,text",
     [("readings", form) for form in MALFORMED_LEXICON_FORMS]
-    + [("prove", "(forall)"), ("prove", "(atom)")],
+    + [("prove", "(forall)"), ("prove", "(atom)")]
+    + [("prove", form) for form in SIGMA_FORMULAS],
 )
 def test_malformed_forms_are_one_line_errors(capsys, tmp_path, command, text):
     bad = tmp_path / "bad.glue"
@@ -387,6 +433,12 @@ def test_deep_goal_type_is_an_input_error(capsys, goal_type, fragment):
     code, out, err = run(capsys, *readings_args("bah", ["--goal-type", goal_type]))
     assert (code, out) == (1, "")
     assert err == f"error: bad type: {fragment}\n"
+
+
+def test_unreadable_goal_type_is_an_input_error(capsys):
+    # characters outside the type syntax used to be dropped, so this ran as t
+    code, out, err = run(capsys, *readings_args("bah", ["--goal-type", "t 42!"]))
+    assert (code, out, err) == (1, "", "error: bad type syntax: 't 42!'\n")
 
 
 def _deep_arrow(n):
@@ -610,3 +662,17 @@ def test_readings_import_neither_argparse_nor_json():
     lines = out.stdout.splitlines()
     assert lines[-2] == "readings: 2"
     assert lines[-1] == "0 []"
+
+
+def test_cli_runs_script_writes_every_run(tmp_path):
+    subprocess.run([sys.executable, "tests/cli_runs.py", ".", str(tmp_path)],
+                   capture_output=True, check=True)
+    texts = {f.stem: f.read_text(encoding="utf-8") for f in tmp_path.iterdir()}
+    assert len(texts) == 74
+    underivable = [name for name, _, code in GOLDEN_RUNS if code == 2]
+    for stem, text in texts.items():
+        code = 2 if any(stem.startswith(f"readings-{n}-") for n in underivable) else 0
+        assert text.startswith(f"exit {code}\n--- stdout\n"), stem
+    with open("corpus/golden/bah.out", encoding="utf-8") as fh:
+        golden = fh.read()
+    assert texts["readings-bah-intensional-plain"] == f"exit 0\n--- stdout\n{golden}--- stderr\n"

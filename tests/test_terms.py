@@ -222,7 +222,9 @@ def test_parse_type():
     assert parse_type("e -> t") == Arrow(E, T)
     assert parse_type("(s -> e -> t) -> t") == Arrow(Arrow(S, Arrow(E, T)), T)
     assert parse_type("((e)) -> (t)") == Arrow(E, T)
-    for bad in ("", "()", "(e", "e)", "e e", "-> e", "e ->", "e -> ) t"):
+    assert parse_type("e->t") == Arrow(E, T)
+    for bad in ("", "()", "(e", "e)", "e e", "-> e", "e ->", "e -> ) t",
+                "t 42!", "e -> t!!", "t,"):
         with pytest.raises(GlueError, match="bad type syntax"):
             parse_type(bad)
     with pytest.raises(GlueError, match="unknown base type 'x'"):
