@@ -20,7 +20,8 @@ from .prover import (
 )
 from .terms import GlueError, parse_type, print_term
 
-USAGE = """\
+_DEFAULT = SearchBudget()
+USAGE = f"""\
 usage:
     glue readings --fstructure F --lexicon L [--goal LABEL] [--goal-type T]
                   [--trace] [--json] [--extensional] [--explicit-parens]
@@ -29,8 +30,8 @@ usage:
                   [--max-depth N]
 
 Options are spelled in full and take their value as `--opt VALUE` or
-`--opt=VALUE`.  N is a non-negative integer (defaults: 100000 steps, depth
-40).
+`--opt=VALUE`.  N is a non-negative integer (defaults: {_DEFAULT.max_steps} steps, depth
+{_DEFAULT.max_depth}).
 
 Exit status for `readings`: 0 with at least one reading, 2 with none
 (functional incompleteness or incoherence), 3 when the search budget ran out,
@@ -41,7 +42,8 @@ and 1 on input errors.
 
 # Each command's options with their defaults: False marks a flag, None a
 # required option, and every other option takes a value.
-_BUDGET = {"--max-steps": "100000", "--max-depth": "40", "--trace": False}
+_BUDGET = {"--max-steps": str(_DEFAULT.max_steps), "--max-depth": str(_DEFAULT.max_depth),
+           "--trace": False}
 _OPTIONS = {
     "readings": {
         "--fstructure": None, "--lexicon": None, "--goal": "", "--goal-type": "t",

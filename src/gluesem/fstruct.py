@@ -99,8 +99,6 @@ class FDocument(Record):
 
 def sigma(node: FStructure, slot: str = ROOT) -> SemStruct:
     """The sigma projection of `node` (or of its VAR/RESTR slot)."""
-    if slot not in (ROOT, VAR, RESTR):
-        raise GlueError(f"unknown sigma slot {slot}")
     return SemStruct(node.label, slot)
 
 

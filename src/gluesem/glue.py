@@ -160,8 +160,6 @@ def inst_sem_var(f: GlueFormula, name: str, value: SemTerm) -> GlueFormula:
 
 def subst_formula(f: GlueFormula, su: Substitution) -> GlueFormula:
     """Apply a unifier substitution to every atom (terms are normalized)."""
-    if su.is_empty():
-        return f
     return map_formula(
         f, lambda m: Means(su.walk_sem(m.sem), su.nf(m.term), m.ty)
     )
@@ -456,6 +454,8 @@ def _entry(node, variant: str, ctx: TypingContext) -> Optional[LexEntry]:
             entry_variant = _variant(part)
         elif tag == "syn":
             sem = _parse_sem_sexp(plist[1], {}, True)
+            if sem.slot != ROOT:
+                raise FStructError("(syn ...) tests an f-structure path: use (sig ...)", pline)
             constraints.append((sem.fpath, _string(plist[2], "value")))
         else:
             template_node = plist[1]

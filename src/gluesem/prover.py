@@ -101,7 +101,6 @@ from .terms import (
     Record,
     T,
     free_names,
-    free_vars,
     print_term,
 )
 from .unify import Substitution, VarClass, solve, solve_sem
@@ -111,10 +110,6 @@ class BudgetExhausted(GlueError):
     def __init__(self, limit, value):
         self.limit = limit  # "max-steps" or "max-depth"
         super().__init__(f"search budget exhausted ({limit} {value})")
-
-
-class UnsolvedVariable(GlueError):
-    pass
 
 
 class SearchBudget(Record):
@@ -577,7 +572,8 @@ def _complete_proofs(
 def prove_sequent(
     sequent: Sequent, budget: SearchBudget = SearchBudget()
 ) -> Iterator[tuple[Substitution, Derivation]]:
-    """All cut-free proofs of the sequent that consume every context formula."""
+    """All cut-free proofs of the closed sequent that consume every context
+    formula."""
     prover = Prover(budget)
     ctx = tuple(
         prover._resource(f, i, f"ctx{i}")
@@ -587,13 +583,9 @@ def prove_sequent(
 
 
 def extract_meaning(su: Substitution, goal_var: MetaVar) -> MeaningTerm:
-    term = su.nf(goal_var)
-    residue = free_vars(term)
-    if residue:
-        raise UnsolvedVariable(
-            f"reading is not closed: {sorted(residue)} in {print_term(term)}"
-        )
-    return term
+    """A complete proof's reading: closed, as `solve` binds the goal variable
+    to a closed value that no eigenvariable, all born after it, escapes into."""
+    return su.nf(goal_var)
 
 
 def enumerate_readings(
@@ -646,15 +638,13 @@ def readings_for_document(
 # Trace rendering
 
 
-def render_trace(d: Derivation, su: Optional[Substitution] = None) -> str:
-    """Human-readable proof tree, one rule per line; given the proof's
-    substitution, fresh variables are annotated with their solutions and
+def render_trace(d: Derivation, su: Substitution) -> str:
+    """Human-readable proof tree, one rule per line, under the proof's
+    substitution: fresh variables are annotated with their solutions and
     consumed atoms are shown instantiated."""
     lines: list[str] = []
 
     def solution(name: str) -> Optional[str]:
-        if su is None:
-            return None
         if name in su.terms:
             return print_term(su.terms[name])
         if name in su.sems:
@@ -668,17 +658,15 @@ def render_trace(d: Derivation, su: Optional[Substitution] = None) -> str:
         if rule == "LimpL":
             return f"LimpL: {print_formula(n.children[0].goal)}"
         if rule == "PiL":
-            pairs = n.fresh
-            if su is not None:
-                pairs = [f"{name} := {sol}" if (sol := solution(name)) else name
-                         for name in n.fresh]
+            pairs = [f"{name} := {sol}" if (sol := solution(name)) else name
+                     for name in n.fresh]
             return f"PiL: {res.tag}#{res.rid}: {', '.join(pairs)}"
         if rule == "LimpR":
             return f"LimpR: assume {res.tag}#{res.rid}"
         if res is None:
             return rule
         text = f"{rule}: {res.tag}#{res.rid}"
-        if rule == "Identity" and su is not None:
+        if rule == "Identity":
             text += f"   |- {print_formula(subst_formula(res.head, su))}"
         return text
 

@@ -50,9 +50,6 @@ from .terms import (
 FLEX = "flex"
 EIGEN = "eigen"
 
-_OLDEST = 0
-_NEWEST = 1 << 60
-
 
 class NonPatternError(GlueError):
     """The problem falls outside the supported pattern fragment; with the
@@ -72,8 +69,6 @@ class VarClass(Record):
         self._counter = itertools.count(1) if _counter is None else _counter
 
     def classify(self, name: str, kind: str) -> int:
-        if name in self.kinds and self.kinds[name] != kind:
-            raise GlueError(f"variable {name} classified twice")
         stamp = next(self._counter)
         self.kinds[name] = kind
         self.stamps[name] = stamp
@@ -100,18 +95,11 @@ class VarClass(Record):
     def fresh_sem_eigen(self, hint: str) -> SemVar:
         return SemVar(self._fresh(hint, EIGEN))
 
-    def kind(self, name: str, default: str) -> str:
-        return self.kinds.get(name, default)
-
     def is_flex_sem(self, v: SemVar) -> bool:
-        return self.kind(v.name, FLEX) == FLEX
+        return self.kinds[v.name] == FLEX
 
     def ts(self, name: str) -> int:
-        if name in self.stamps:
-            return self.stamps[name]
-        # unregistered: engine-minted names carry ?/!; anything else is
-        # treated as oldest (an unscoped local constant)
-        return _NEWEST if "?" in name else _OLDEST
+        return self.stamps[name]
 
 
 class Substitution:
@@ -126,14 +114,6 @@ class Substitution:
     def __init__(self, terms=None, sems=None):
         self.terms: dict[str, MeaningTerm] = terms or {}
         self.sems: dict[str, SemTerm] = sems or {}
-
-    def __repr__(self):
-        items = [f"{k} -> {print_term(v)}" for k, v in self.terms.items()]
-        items += [f"{k} -> {v!r}" for k, v in self.sems.items()]
-        return "{" + ", ".join(items) + "}"
-
-    def is_empty(self) -> bool:
-        return not self.terms and not self.sems
 
     def nf(self, t: MeaningTerm) -> MeaningTerm:
         """Normal form of `t` with every bound variable replaced by its value."""

@@ -10,8 +10,10 @@ import sys
 import pytest
 
 import gluesem
+from gluesem import cli
 from gluesem.cli import main
 from gluesem.glue import load_lexicon
+from gluesem.prover import SearchBudget
 from gluesem.terms import alpha_equal, print_term
 
 from helpers import parse_term
@@ -294,6 +296,10 @@ MALFORMED_LEXICON_FORMS = [
     '(const Foo sem)',
     '(entry "Bill" NP (constructor (means (sig up) Bill sem)))',
     '(const Foo (-> sem t))',
+    # a syn clause tests an f-structure path; its slot used to be dropped
+    '(entry "Bill" NP (syn (svar (sig (path up CASE))) "nom") (constructor (means (sig up) Bill e)))',
+    '(entry "Bill" NP (syn (srestr (sig (path up CASE))) "nom") (constructor (means (sig up) Bill e)))',
+    '(entry "Bill" NP (syn (sant (sig (path up CASE))) "nom") (constructor (means (sig up) Bill e)))',
 ]
 
 # A formula file has no anchor: it names structures by variables, so every
@@ -638,6 +644,15 @@ def test_help_survives_stripped_docstrings():
     assert out.stdout.startswith("usage:")
 
 
+@pytest.mark.parametrize("argv", [readings_args("bah"), PROVE_ARGS], ids=["readings", "prove"])
+def test_budget_defaults_are_the_search_budget(argv):
+    # the command line's defaults are read from SearchBudget, not spelled again
+    _, opts = cli._parse_args(argv)
+    default = SearchBudget()
+    assert (opts["--max-steps"], opts["--max-depth"]) == (default.max_steps, default.max_depth)
+    assert f"(defaults: {default.max_steps} steps, depth\n{default.max_depth})" in cli.USAGE
+
+
 def test_option_values_may_follow_an_equals_sign(capsys):
     code, out, _ = run(capsys, "readings", "--fstructure=corpus/bah.fstr",
                        "--lexicon=corpus/lexicon.glue", "--max-steps=100")
@@ -676,3 +691,13 @@ def test_cli_runs_script_writes_every_run(tmp_path):
     with open("corpus/golden/bah.out", encoding="utf-8") as fh:
         golden = fh.read()
     assert texts["readings-bah-intensional-plain"] == f"exit 0\n--- stdout\n{golden}--- stderr\n"
+
+
+def test_untraced_script_lists_package_lines():
+    out = subprocess.run([sys.executable, "tests/untraced.py", "-q", "tests/test_fstruct.py"],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines and all(re.match(r"\w+\.py:\d+: ", line) for line in lines)
+    # test_fstruct.py never runs the search
+    assert any(line.startswith("prover.py:") for line in lines)

@@ -43,6 +43,7 @@ from gluesem.terms import (
     S,
     T,
     App,
+    free_vars,
     normalize,
     print_term,
 )
@@ -414,7 +415,22 @@ def test_focused_sides_are_closed_when_solved(monkeypatch):
     assert solved > 0 and open_sides == []
 
 
-def test_each_reading_is_closed_normal_and_propositional():
+def test_each_reading_is_closed_normal_and_propositional(monkeypatch):
+    # extraction trusts the search to bind the goal variable to a closed
+    # normal value: check every value it returns, one per complete proof
+    extracted = []
+    real = prover.extract_meaning
+
+    def checked(su, goal_var):
+        term = real(su, goal_var)
+        extracted.append(term)
+        return term
+
+    monkeypatch.setattr(prover, "extract_meaning", checked)
+    for run in _memo_runs():
+        run()
+    assert len(extracted) > 700
+    assert [print_term(t) for t in extracted if free_vars(t) or normalize(t) != t] == []
     for name, lex in [
         ("every-candidate-a-manager", LEX_EXT),
         ("seeks-a-unicorn", LEX),
@@ -422,8 +438,6 @@ def test_each_reading_is_closed_normal_and_propositional():
     ]:
         result, _ = readings_for_document(doc_for(name), lex)
         for r in result.readings:
-            from gluesem.terms import free_vars, normalize
-
             assert not free_vars(r.term)
             assert normalize(r.term) == r.term
             assert typecheck(r.term, lex.ctx) == T
@@ -431,7 +445,8 @@ def test_each_reading_is_closed_normal_and_propositional():
 
 def test_derivations_are_retained_and_traceable():
     result, _ = readings_for_document(doc_for("bah"), LEX)
-    trace = render_trace(result.readings[0].derivation)
+    reading = result.readings[0]
+    trace = render_trace(reading.derivation, reading.substitution)
     assert "Identity" in trace
     assert "appointed[f]" in trace
     assert "LimpL" in trace
@@ -451,8 +466,9 @@ def test_trace_text_is_made_only_when_rendered(monkeypatch):
         for c in n.children:
             walk(c)
 
-    walk(result.readings[0].derivation)
-    lines = render_trace(result.readings[0].derivation).splitlines()
+    reading = result.readings[0]
+    walk(reading.derivation)
+    lines = render_trace(reading.derivation, reading.substitution).splitlines()
     assert limps and [l.strip() for l in lines if l.strip().startswith("LimpL:")] == [
         f"LimpL: {real(n.children[0].goal)}" for n in limps
     ]
