@@ -6,6 +6,7 @@ constant rather than this docstring, which `python -OO` strips).
 
 from __future__ import annotations
 
+import os
 import sys
 
 from .fstruct import parse_fstructure
@@ -175,11 +176,17 @@ def _run_prove(opts) -> int:
 def main(argv=None) -> int:
     try:
         parsed = _parse_args(sys.argv[1:] if argv is None else list(argv))
+        status = 0
         if parsed is None:
             print(USAGE, end="")
-            return 0
-        command, opts = parsed
-        return _run_readings(opts) if command == "readings" else _run_prove(opts)
+        else:
+            command, opts = parsed
+            status = _run_readings(opts) if command == "readings" else _run_prove(opts)
+        sys.stdout.flush()  # an output closed early fails here, not at exit
+        return status
+    except BrokenPipeError:  # the reader closed stdout: exit flushes to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except BudgetExhausted as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

@@ -22,11 +22,12 @@ By then the side that fixes each meaning variable is closed, so one-way
 matching solves it.  A proof whose equations fail is dropped, and only an
 equation on a complete proof can raise NonPatternError.
 
-Proofs share sub-derivations as the same nodes, so a PiL node, the root of
-a focus on a quantified resource, is solved once per search for each value
-of its outer names (`_names_of`); a later visit adds the bindings the first
-made, or fails as it did.  Like the table, this relies on birth order being
-a function of the derivation: the escape checks it skips would pass again.
+A search makes one node per rule, children, goal, resource and fresh names,
+so a PiL node, the root of a focus on a quantified resource, is solved once
+per search for each value of its outer names (`_names_of`); a later visit
+adds the bindings the first made, or fails as it did.  Like the table, this
+relies on birth order being a function of the derivation: the escape checks
+it skips would pass again.
 
 A resource is opened when it is made: its quantifiers are instantiated with
 fresh flex variables, its antecedents collected, and a tensor head split
@@ -237,8 +238,9 @@ class Prover:
         self._table: dict[tuple, list] = {}
         self._deepest = 0  # high-water mark of the depth stepped
         # PiL node id -> (node, term bindings its equations were solved under,
-        # result); node or formula id -> (it, `_names_of` it); held, no id is reused
-        self._solved, self._names = {}, {}
+        # result); node or formula id -> (it, `_names_of` it); a node's rule and
+        # what fixes its fields -> the node (`_node`); held, no id is reused
+        self._solved, self._names, self._nodes = {}, {}, {}
 
     # -- plumbing -----------------------------------------------------------
 
@@ -250,6 +252,12 @@ class Prover:
             if depth > self.budget.max_depth:
                 raise BudgetExhausted("max-depth", self.budget.max_depth)
             self._deepest = depth
+
+    def _node(self, key: tuple, children: tuple, goal, res=None, fresh=()) -> Derivation:
+        """The one node with rule `key[0]` and these fields, all fixed by `key`: a TensorL,
+        LimpL or PiL child proves its goal; a PiR or LimpR name is made for its position."""
+        d = self._nodes.get(key)
+        return d or self._nodes.setdefault(key, Derivation(key[0], children, goal, res, fresh))
 
     def _instantiate(self, f: Forall, flex: bool) -> tuple:
         """A fresh flex (or eigen) variable for the one `f` binds, and `f`'s
@@ -343,7 +351,8 @@ class Prover:
                 else:
                     v, inst = self._posed[pos] = self._instantiate(goal, flex=False)
                 for su2, left2, d2 in self.prove(su, ctx, inst, depth + 1, (pos, 0)):
-                    yield su2, left2, Derivation("PiR", (d2,), goal, fresh=(v.name,))
+                    yield su2, left2, self._node(("PiR", id(d2), v.name),
+                                                 (d2,), goal, None, (v.name,))
             case Limp(ant, cons):
                 res = self._posed.get(pos)
                 if res is None:
@@ -352,11 +361,12 @@ class Prover:
                 for su2, left2, d2 in self.prove(su, ctx | bit, cons, depth + 1, (pos, 0)):
                     if left2 & bit:
                         continue  # linear assumption left unused
-                    yield su2, left2, Derivation("LimpR", (d2,), goal, res)
+                    yield su2, left2, self._node(("LimpR", id(d2), res.rid), (d2,), goal, res)
             case Tensor(left, right):
                 for su1, mid, d1 in self.prove(su, ctx, left, depth + 1, (pos, 0)):
                     for su2, out, d2 in self.prove(su1, mid, right, depth + 1, (pos, 1)):
-                        yield su2, out, Derivation("TensorR", (d1, d2), goal)
+                        yield su2, out, self._node(("TensorR", id(d1), id(d2), id(goal)),
+                                                   (d1, d2), goal)
             case Means() | PropAtom():
                 key = self._table_key(su, ctx, goal)
                 entry = self._table.get(key)
@@ -441,20 +451,21 @@ class Prover:
             # within the branch that introduced it; letting it feed some
             # other formula's antecedent would cross the context split of
             # this implication
-            heads = ((su2, left2, Derivation("TensorL", (d2,), goal, res))
+            heads = ((su2, left2, self._node(("TensorL", id(d2), res.rid), (d2,), goal, res))
                      for su2, left2, d2 in self.prove(su, ctx | res.parts, goal, depth + 1)
                      if not left2 & res.parts)
         else:
             su2 = self._unify_atoms(su, res.head, goal)
-            heads = [] if su2 is None else [(su2, ctx, Derivation("Identity", (), goal, res))]
+            heads = [] if su2 is None else [
+                (su2, ctx, self._node(("Identity", id(goal), res.rid), (), goal, res))]
         for su2, left2, node in heads:
             for su3, left3, pending_ds in self._prove_pendings(su2, left2, res, depth):
                 d = node
                 # innermost implication first: pendings were collected outermost-in
                 for ant_d in reversed(pending_ds):
-                    d = Derivation("LimpL", (ant_d, d), goal)
-                if res.fresh:
-                    d = Derivation("PiL", (d,), goal, res, res.fresh)
+                    d = self._node(("LimpL", id(ant_d), id(d)), (ant_d, d), goal)
+                if res.fresh:  # d ends at res, which fixes the fresh names
+                    d = self._node(("PiL", id(d)), (d,), goal, res, res.fresh)
                 yield su3, left3, d
 
     def _prove_pendings(self, su: Substitution, ctx: int, res: Resource, depth: int,
@@ -565,7 +576,7 @@ def _complete_proofs(
                 if su is not None:
                     yield su, d
     finally:
-        for memo in (prover._table, prover._solved, prover._names):
+        for memo in (prover._table, prover._solved, prover._names, prover._nodes):
             memo.clear()
 
 
@@ -573,13 +584,15 @@ def prove_sequent(
     sequent: Sequent, budget: SearchBudget = SearchBudget()
 ) -> Iterator[tuple[Substitution, Derivation]]:
     """All cut-free proofs of the closed sequent that consume every context
-    formula."""
+    formula; an open sequent raises GlueError."""
+    if free := [n for f in (*sequent.context, sequent.goal) for n in glue.formula_free_vars(f)]:
+        raise GlueError(f"the sequent is not closed: {free[0]} is free")
     prover = Prover(budget)
     ctx = tuple(
         prover._resource(f, i, f"ctx{i}")
         for i, f in enumerate(sequent.context)
     )
-    yield from _complete_proofs(prover, ctx, sequent.goal)
+    return _complete_proofs(prover, ctx, sequent.goal)
 
 
 def extract_meaning(su: Substitution, goal_var: MetaVar) -> MeaningTerm:

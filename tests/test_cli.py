@@ -644,6 +644,27 @@ def test_help_survives_stripped_docstrings():
     assert out.stdout.startswith("usage:")
 
 
+@pytest.mark.parametrize("argv", [
+    readings_args("conversation-every-unicorn"),
+    readings_args("conversation-every-unicorn", ["--json"]),
+    readings_args("conversation-every-unicorn", ["--trace"]),
+    PROVE_ARGS + ["--trace"],
+], ids=["plain", "json", "trace", "prove"])
+def test_closed_output_exits_1_without_a_traceback(argv):
+    # a reader that stops early, as `glue readings ... | head -1` does: the
+    # output's read end is closed before the command writes to it
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(pathlib.Path(gluesem.__file__).resolve().parent.parent)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run([sys.executable, "-m", "gluesem.cli", *argv], stdout=write_end,
+                             stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write_end)
+    assert (out.returncode, out.stderr) == (1, "")
+
+
 @pytest.mark.parametrize("argv", [readings_args("bah"), PROVE_ARGS], ids=["readings", "prove"])
 def test_budget_defaults_are_the_search_budget(argv):
     # the command line's defaults are read from SearchBudget, not spelled again

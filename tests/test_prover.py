@@ -39,6 +39,7 @@ from gluesem.terms import (
     Const,
     Cup,
     E,
+    GlueError,
     MetaVar,
     S,
     T,
@@ -107,6 +108,16 @@ def test_tensor_splits():
 def test_implication_chaining():
     assert list(prove_sequent(Sequent((A, Limp(A, B)), B)))
     assert not list(prove_sequent(Sequent((Limp(A, B),), B)))
+
+
+def test_open_sequent_is_an_input_error():
+    # prove_sequent takes a closed sequent: a free name is refused before
+    # the search starts, in either the context or the goal
+    f = Means(SemVar("X"), MetaVar("M", T), T)
+    with pytest.raises(GlueError, match="not closed: X is free"):
+        prove_sequent(Sequent((f,), f))
+    with pytest.raises(GlueError, match="not closed: M is free"):
+        prove_sequent(Sequent((A,), Limp(A, Means(SemStruct("g", ROOT), MetaVar("M", T), T))))
 
 
 def test_head_filter_keeps_flex_structures():
@@ -258,7 +269,7 @@ def test_scaling_script_prints_the_catalan_counts():
     assert out[0] == scaling.HEADER
     cells = [line.split(" | ") for line in out[2:]]
     assert [(c[0], c[1]) for c in cells] == [("| 0", "2"), ("| 1", "5"), ("| 2", "14")]
-    assert [c[5] for c in cells] == ["14", "42", "110"]  # equations
+    assert [c[5] for c in cells] == ["12", "29", "65"]  # equations
     cut = scaling.row(2, LEX, SearchBudget(max_steps=100)).split(" | ")
     assert cut[1].endswith(" of 14") and cut[2] == "101, max-steps hit"
 
@@ -537,9 +548,9 @@ def test_goals_are_posed_once_per_search(monkeypatch):
     # premises, however often each position is proved.  With the table
     # forced to miss, steps, proofs and readings are those of making new
     # ones on every branch; tabled, only the steps fall.  The equations fall
-    # with the sub-proofs the search shares: tabled, most are the same nodes,
-    # and with the meaning memo forced to miss too, each proof solves all its
-    # own.
+    # with the sub-proofs the search shares: tabled or not, equal sub-proofs
+    # are the same nodes, and with the meaning memo forced to miss too, each
+    # proof solves all its own.
     made = []
     real = Prover._resource
 
@@ -550,7 +561,7 @@ def test_goals_are_posed_once_per_search(monkeypatch):
     monkeypatch.setattr(Prover, "_resource", resource)
     prems = premises(scope_doc(["every"] * 5), LEX)
     for steps, equations, force_miss in [
-        (6_143, 747, untabled), (20_836, 2_410, unmemoized), (20_836, 3_036, None)
+        (6_143, 423, untabled), (20_836, 423, unmemoized), (20_836, 3_036, None)
     ]:
         made.clear()
         result = enumerate_readings(prems, SemStruct("f", ROOT))
@@ -695,7 +706,7 @@ def test_meaning_memo_matches_solving_every_proof(monkeypatch):
     # the same readings, derivations, traces and bound terms whether a PiL
     # node's equations are recalled or solved again for every proof, and the
     # same steps and proofs in as many equations or fewer: strictly fewer on
-    # the scope family from k=1
+    # the scope family from k=0
     runs = _memo_runs()
     memo = [_solved_proofs(monkeypatch, run) for run in runs]
     unmemoized(monkeypatch)
@@ -707,7 +718,40 @@ def test_meaning_memo_matches_solving_every_proof(monkeypatch):
         assert stats.equations <= plain.equations
         fewer.append(stats.equations < plain.equations)
     scope = fewer[-len(KEYED) - 5 * len(_DETS):-len(KEYED)]
-    assert scope == [False] * len(_DETS) + [True] * (4 * len(_DETS))
+    assert scope == [True] * (5 * len(_DETS))
+
+
+def test_equal_sub_derivations_are_one_node(monkeypatch):
+    # the search makes one node for each rule, children, goal, resource and
+    # fresh names: over every complete proof of the scope family up to k=3
+    # and of the modifier shapes, nodes that agree on all of these, their
+    # children compared as nodes, are one object
+    roots = []
+    real = prover._complete_proofs
+
+    def recording(prover_, *args):
+        for su, d in real(prover_, *args):
+            roots.append(d)
+            yield su, d
+
+    monkeypatch.setattr(prover, "_complete_proofs", recording)
+    scope = {f"scope-k{k}" for k in range(4)}
+    for name, prems, goal in work.inputs():
+        if name not in scope and "+" not in name:
+            continue
+        roots.clear()
+        enumerate_readings(prems, goal)
+        by_id, by_key = {}, {}  # the roots hold every node, so no id is reused
+
+        def key(d):
+            if id(d) not in by_id:
+                fields = (d.rule, tuple(map(key, d.children)), id(d.goal), id(d.res), d.fresh)
+                by_id[id(d)] = by_key.setdefault(fields, len(by_key))
+            return by_id[id(d)]
+
+        for d in roots:
+            key(d)
+        assert len(by_id) == len(by_key), name
 
 
 def test_the_search_binds_only_closed_normal_values(monkeypatch):
