@@ -190,7 +190,7 @@ def main(argv=None) -> int:
     except BudgetExhausted as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except GlueError as e:
+    except (GlueError, RecursionError) as e:  # RecursionError: see terms.MAX_NESTING
         print(f"error: {e}", file=sys.stderr)
         return 1
 

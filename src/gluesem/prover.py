@@ -62,8 +62,8 @@ a proof focuses or poses is born newer.  A key's first visit records each
 result as it is found: the bindings it added, the leftovers and the
 derivation.  Once all are found, later visits replay them at one step each,
 re-stamping each derivation's variables in the search's order, unless the
-replay could cross the depth budget.  The table is emptied when the search
-ends.
+replay could cross the depth budget.  The table, like every memo of a search,
+lives as long as its prover, which serves one search.
 
 A derivation records facts, not text: each node the formula it proves, and
 Identity, TensorL, PiL and LimpR nodes the resource they consume, focus or
@@ -237,9 +237,10 @@ class Prover:
         # search stepped, or None until they are all found]
         self._table: dict[tuple, list] = {}
         self._deepest = 0  # high-water mark of the depth stepped
-        # PiL node id -> (node, term bindings its equations were solved under,
-        # result); node or formula id -> (it, `_names_of` it); a node's rule and
-        # what fixes its fields -> the node (`_node`); held, no id is reused
+        # PiL node id -> (term bindings its equations were solved under,
+        # result); node or formula id -> `_names_of` it; a node's rule and what
+        # fixes its fields -> the node (`_node`).  Ids are safe keys: this table
+        # holds every node, and the prover every resource and goal of its search
         self._solved, self._names, self._nodes = {}, {}, {}
 
     # -- plumbing -----------------------------------------------------------
@@ -496,7 +497,7 @@ class Prover:
         entry = self._solved.get(id(d))
         if entry is None:
             return None
-        then, now = entry[1], su.terms
+        then, now = entry[0], su.terms
         return entry if all(then.get(n) is now.get(n) for n in self._names_of(d)) else None
 
     def _names_of(self, x) -> frozenset[str]:
@@ -505,7 +506,7 @@ class Prover:
         nothing outside binds (each resource is consumed once per proof)."""
         found = self._names.get(id(x))
         if found is not None:
-            return found[1]
+            return found
         if isinstance(x, Derivation):
             names = set().union(*map(self._names_of, x.children))
             if x.rule == "Identity" and isinstance(x.goal, Means):
@@ -513,7 +514,7 @@ class Prover:
             names = frozenset(names.difference(x.fresh))
         else:
             names = frozenset(n for n, v in free_names(x.term).items() if type(v) is MetaVar)
-        self._names[id(x)] = x, names
+        self._names[id(x)] = names
         return names
 
 
@@ -548,10 +549,10 @@ def _solve_meanings(
     if d.rule == "PiL":
         entry = prover._recall(su, d)
         if entry is not None:
-            _, then, solved = entry
+            then, solved = entry
             return None if solved is None else su.extend(solved, len(then))
         solved = _solve_meanings(prover, su, d.children[0])
-        prover._solved[id(d)] = d, su.terms, solved
+        prover._solved[id(d)] = su.terms, solved
         return solved
     for child in d.children:
         su = _solve_meanings(prover, su, child)
@@ -567,17 +568,15 @@ def _complete_proofs(
     prover: Prover, ctx: tuple[Resource, ...], goal: GlueFormula
 ) -> Iterator[tuple[Substitution, Derivation]]:
     """The proofs of ctx |- goal that consume every resource and whose
-    meaning equations have a solution, with that solution."""
+    meaning equations have a solution, with that solution; every proof of
+    a search passes `check_linearity` here."""
     mask = sum(1 << res.rid for res in ctx)
-    try:
-        for su, leftover, d in prover.prove(Substitution(), mask, goal, 0):
-            if not leftover:
-                su = _solve_meanings(prover, su, d)
-                if su is not None:
-                    yield su, d
-    finally:
-        for memo in (prover._table, prover._solved, prover._names, prover._nodes):
-            memo.clear()
+    for su, leftover, d in prover.prove(Substitution(), mask, goal, 0):
+        if not leftover:
+            su = _solve_meanings(prover, su, d)
+            if su is not None:
+                check_linearity(d, ctx)
+                yield su, d
 
 
 def prove_sequent(
@@ -609,6 +608,8 @@ def enumerate_readings(
 ) -> EnumerationResult:
     """Enumerate every derivable reading of `goal_sem`, deduplicated up to
     renaming of bound variables and sorted by their printed form."""
+    if not isinstance(goal_sem, SemStruct):
+        raise GlueError(f"the goal is not a semantic structure: {goal_sem!r}")
     prover = Prover(budget)
     ctx = tuple(
         prover._resource(p.formula, i, f"{p.word}[{p.label}]")
@@ -621,7 +622,6 @@ def enumerate_readings(
     try:
         for su, d in _complete_proofs(prover, ctx, goal):
             stats.proofs += 1
-            check_linearity(d, ctx)
             term = extract_meaning(su, goal_var)
             text = print_term(term)
             if text not in found:

@@ -23,10 +23,10 @@ class GlueError(Exception):
     """Base class for all errors raised by this package."""
 
 
-# Lists and types may nest this deep and no deeper.  Every parser and every
-# recursive pass over what they build (f-structures, formulas, terms, types)
-# recurses once or a few times per level, so the limit keeps them all within
-# Python's stack.
+# Lists and types may nest this deep and no deeper, which keeps the parsers
+# and the passes over what they read within Python's stack.  A normal form can
+# nest far deeper than the term as written, and so can the search under a
+# raised `--max-depth`: `cli.main` reports their RecursionError as an input error.
 MAX_NESTING = 100
 
 

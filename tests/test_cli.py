@@ -170,6 +170,51 @@ def test_non_pattern_meaning_is_an_input_error(capsys, tmp_path, constructor, fr
     assert err.count("\n") == 1
 
 
+def _twice(k):
+    """A term k levels deep that normalizes to `s` applied 2**k times."""
+    term = "s"
+    for _ in range(k):
+        term = f"((lam (f (-> e e)) (lam (x e) (f (f x)))) {term})"
+    return term
+
+
+def _too_deep_meaning(tmp_path):
+    # the meaning is written 9 levels deep; its normal form nests 512
+    lex = tmp_path / "deep.glue"
+    lex.write_text(
+        "(const s (-> e e))\n(const Bill e)\n(const arrive (-> e t))\n"
+        f'(entry "Bill" NP (trigger PRED) (constructor (means (sig up) ({_twice(9)} Bill) e)))\n'
+        '(entry "arrived" V (trigger PRED "arrive") (constructor (forall ((X e))\n'
+        "  (limp (means (sig (path up SUBJ)) X e) (means (sig up) (arrive X) t)))))\n"
+    )
+    fstr = tmp_path / "arrived.fstr"
+    fstr.write_text('(fstruct f (PRED "arrive") (SUBJ (fstruct g (PRED "Bill"))))')
+    return ["readings", "--fstructure", str(fstr), "--lexicon", str(lex)]
+
+
+def _too_deep_search(tmp_path):
+    # an assumption of 250 identity conjuncts, each focused below the last,
+    # under a raised depth budget
+    f = tmp_path / "deep.glue"
+    ids = " ".join(["(limp (atom A) (atom A))"] * 250)
+    f.write_text(f"(limp (tensor {ids}) (limp (atom A) (atom A)))")
+    return ["prove", "--lexicon", "corpus/lexicon.glue", "--formula", str(f),
+            "--max-depth", "100000"]
+
+
+@pytest.mark.parametrize("argv", [_too_deep_meaning, _too_deep_search],
+                         ids=["normal-form", "search"])
+def test_recursion_too_deep_is_an_input_error(tmp_path, argv):
+    # in a child process: at the recursion limit, a `sys.settrace` tracer
+    # such as tests/untraced.py's fails too, and Python removes it
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(pathlib.Path(gluesem.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-m", "gluesem.cli", *argv(tmp_path)],
+                         capture_output=True, text=True, env=env)
+    assert (out.returncode, out.stdout) == (1, "")
+    assert out.stderr.startswith("error:") and out.stderr.count("\n") == 1, out.stderr
+
+
 @pytest.mark.parametrize(
     "formula",
     [
@@ -722,3 +767,20 @@ def test_untraced_script_lists_package_lines():
     assert lines and all(re.match(r"\w+\.py:\d+: ", line) for line in lines)
     # test_fstruct.py never runs the search
     assert any(line.startswith("prover.py:") for line in lines)
+
+
+def test_the_package_exports_the_documented_pipeline():
+    # every other name is imported from its module
+    assert sorted(gluesem.__all__) == [
+        "GlueError", "load_lexicon", "parse_fstructure", "parse_lexicon", "readings_for_document"]
+    assert all(hasattr(gluesem, name) for name in gluesem.__all__)
+
+
+def test_readme_library_example_prints_the_golden_readings(capsys):
+    readme = pathlib.Path("README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(block, {})
+    with open("corpus/golden/every-candidate-a-manager.out", encoding="utf-8") as fh:
+        readings = fh.read().splitlines()[:-1]  # less the `readings: N` line
+    assert len(readings) == 2
+    assert capsys.readouterr().out.splitlines() == readings

@@ -92,6 +92,19 @@ def test_atomic_identity_has_exactly_one_proof():
     assert proofs[0][1].rule == "Identity"
 
 
+def test_every_complete_proof_is_checked_for_linearity(monkeypatch):
+    # sequents and readings alike: one check per proof, before it is returned
+    checked = []
+    real = prover.check_linearity
+    monkeypatch.setattr(prover, "check_linearity",
+                        lambda d, ctx: checked.append(d) or real(d, ctx))
+    proofs = list(prove_sequent(Sequent((A, Limp(A, B)), B)))
+    assert len(proofs) == 1 and checked == [proofs[0][1]]
+    checked.clear()
+    result, _ = readings_for_document(doc_for("every-candidate-a-manager"), LEX)
+    assert len(checked) == result.stats.proofs == 2
+
+
 def test_resource_surplus_fails():
     assert list(prove_sequent(Sequent((A, A), A))) == []
 
@@ -118,6 +131,13 @@ def test_open_sequent_is_an_input_error():
         prove_sequent(Sequent((f,), f))
     with pytest.raises(GlueError, match="not closed: M is free"):
         prove_sequent(Sequent((A,), Limp(A, Means(SemStruct("g", ROOT), MetaVar("M", T), T))))
+
+
+def test_goal_variable_is_an_input_error():
+    # the readings of a variable are refused before the search starts
+    prems = [Premise("Bill", "g", Means(SemStruct("g", ROOT), Const("Bill", E), E))]
+    with pytest.raises(GlueError, match="not a semantic structure: G"):
+        enumerate_readings(prems, SemVar("G"))
 
 
 def test_head_filter_keeps_flex_structures():
