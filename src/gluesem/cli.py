@@ -14,7 +14,6 @@ from .glue import load_lexicon, parse_formula_document, print_formula
 from .prover import (
     BudgetExhausted,
     SearchBudget,
-    Sequent,
     prove_sequent,
     readings_for_document,
     render_trace,
@@ -164,7 +163,7 @@ def _run_prove(opts) -> int:
     lexicon = _in_file(lpath, lambda: load_lexicon(lpath))
     formula = _in_file(fpath, lambda: parse_formula_document(_read(fpath), lexicon.ctx))
     budget = SearchBudget(opts["--max-steps"], opts["--max-depth"])
-    for su, derivation in prove_sequent(Sequent((), formula), budget):
+    for su, derivation in prove_sequent((), formula, budget):
         print("provable")
         if opts["--trace"]:
             print(render_trace(derivation, su))

@@ -45,8 +45,9 @@ resource's parts right after it), only the resources whose signature can
 unify with it: a type clash, an atom of the other kind, or two rigid
 structures that differ under the current substitution reject a resource
 before it is focused, so it costs no search step.  This is the head filter
-of Hepple's (1996) first-order compilation; it rejects only what the atom
-match would reject.
+of Hepple's (1996) first-order compilation.  It alone decides kinds, names
+and types, so the atom match of a focus unifies only the structures; the
+full match, which the tests hold the filter to, lives under `tests/`.
 
 A goal is posed once per search: a PiR eigenvariable (re-stamped) and a
 LimpR assumption are kept by the goal's position, not its formula (see
@@ -120,31 +121,21 @@ class SearchBudget(Record):
         self.max_steps, self.max_depth = max_steps, max_depth
 
 
-class Sequent(Record):
-    __slots__ = ("context", "goal")
-
-    def __init__(self, context: tuple[GlueFormula, ...], goal: GlueFormula):
-        self.context, self.goal = context, goal
-
-
-# What a focus ends at: (type, structure) for a meaning atom, with structure
-# None when the focused formula's own quantifier binds it; the name for a
-# propositional atom; None for a tensor, which is split rather than matched.
-HeadSignature = Union[tuple[MeaningType, Optional[SemTerm]], str, None]
-
-
 class Resource(Record):
     """A context formula, opened when it is made: its quantifiers are
     instantiated with fresh flex variables (`fresh`), its antecedents
     collected outermost first (`pendings`), and a tensor head split into
-    the resources of the mask `parts`."""
+    the resources of the mask `parts`.  Its head signature `sig` is what a
+    focus on it ends at: (type, structure) for a meaning atom, with
+    structure None when the formula's own quantifier binds it; the name for
+    a propositional atom; None for a tensor, which is split, not matched."""
 
     __slots__ = ("rid", "tag", "head", "pendings", "fresh", "sig", "parts", "dup")
 
     # dup: the class of equal premise formulas; None for the rest
     def __init__(self, rid: int, tag: str, head: GlueFormula,
                  pendings: tuple[GlueFormula, ...], fresh: tuple[str, ...],
-                 sig: HeadSignature, parts: int, dup: Optional[int]):
+                 sig: Union[tuple, str, None], parts: int, dup: Optional[int]):
         self.rid, self.tag, self.head, self.pendings = rid, tag, head, pendings
         self.fresh, self.sig, self.parts, self.dup = fresh, sig, parts, dup
 
@@ -315,9 +306,10 @@ class Prover:
         return res
 
     def _candidates(self, su, ctx: int, goal) -> int:
-        """The resources of `ctx` whose focus `_unify_atoms` may not reject,
-        whatever the quantifiers are instantiated with; tensors are split,
-        not matched."""
+        """The resources of `ctx` whose head may match `goal`, whatever the
+        quantifiers are instantiated with: atoms of its kind, name and type
+        whose structure may unify with its own, and tensors, which are
+        split, not matched."""
         index = self._index
         found = ctx & index.get(None, 0)
         if isinstance(goal, PropAtom):
@@ -483,13 +475,12 @@ class Prover:
     # -- atoms and meanings --------------------------------------------------
 
     def _unify_atoms(self, su, f, goal) -> Optional[Substitution]:
-        if isinstance(f, PropAtom) and isinstance(goal, PropAtom):
-            return su if f.name == goal.name else None
-        if not (isinstance(f, Means) and isinstance(goal, Means)):
-            return None
-        if f.ty != goal.ty:
-            return None  # the type subscript of the meaning relation must agree
-        return solve_sem(su, f.sem, goal.sem, self.classes)
+        """`su` extended so that the head `f` of a focus matches the atomic
+        `goal`, or None.  `f` must be a candidate for `goal` (`_candidates`):
+        an atom of the same kind, name and type, so only the structures of
+        two meaning atoms are left to unify."""
+        sem = getattr(goal, "sem", None)  # None: a propositional goal
+        return su if sem is None else solve_sem(su, f.sem, sem, self.classes)
 
     def _recall(self, su: Substitution, d: Derivation) -> Optional[tuple]:
         """The record of the PiL node `d` if its equations were solved under
@@ -580,18 +571,15 @@ def _complete_proofs(
 
 
 def prove_sequent(
-    sequent: Sequent, budget: SearchBudget = SearchBudget()
+    context: tuple[GlueFormula, ...], goal: GlueFormula, budget: SearchBudget = SearchBudget()
 ) -> Iterator[tuple[Substitution, Derivation]]:
-    """All cut-free proofs of the closed sequent that consume every context
-    formula; an open sequent raises GlueError."""
-    if free := [n for f in (*sequent.context, sequent.goal) for n in glue.formula_free_vars(f)]:
+    """All cut-free proofs of the closed sequent context |- goal that consume
+    every context formula; an open sequent raises GlueError."""
+    if free := [n for f in (*context, goal) for n in glue.formula_free_vars(f)]:
         raise GlueError(f"the sequent is not closed: {free[0]} is free")
     prover = Prover(budget)
-    ctx = tuple(
-        prover._resource(f, i, f"ctx{i}")
-        for i, f in enumerate(sequent.context)
-    )
-    return _complete_proofs(prover, ctx, sequent.goal)
+    ctx = tuple(prover._resource(f, i, f"ctx{i}") for i, f in enumerate(context))
+    return _complete_proofs(prover, ctx, goal)
 
 
 def extract_meaning(su: Substitution, goal_var: MetaVar) -> MeaningTerm:

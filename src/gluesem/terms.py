@@ -250,15 +250,23 @@ def spine(t: MeaningTerm) -> tuple[MeaningTerm, list[MeaningTerm]]:
 
 
 # ---------------------------------------------------------------------------
-# de Bruijn plumbing.  The traversals below dispatch on type() rather than
-# pattern matching (they are the unifier's inner loop) and return unchanged
-# subterms as the same object.
+# de Bruijn plumbing.  Every traversal of a term in this module dispatches on
+# type() rather than pattern matching (they are the unifier's inner loop), and
+# those below return unchanged subterms as the same object.
+
+
+class _Captured(Exception):
+    """A lowering `_shift` met the variable of a binder that it removes."""
 
 
 def _shift(t: MeaningTerm, d: int, cutoff: int = 0) -> MeaningTerm:
     cls = type(t)
     if cls is BVar:
-        return BVar(t.index + d) if t.index >= cutoff else t
+        if t.index < cutoff:
+            return t
+        if t.index + d < cutoff:
+            raise _Captured
+        return BVar(t.index + d)
     if cls is App:
         f = _shift(t.fn, d, cutoff)
         a = _shift(t.arg, d, cutoff)
@@ -317,11 +325,6 @@ def abstract(outer: list[Var], inner: list[Var], body: MeaningTerm, cap: bool = 
     return t, free
 
 
-def free_vars(term: MeaningTerm) -> set[str]:
-    """Names of free variables and glue metavariables."""
-    return set(free_names(term))
-
-
 def free_names(term: MeaningTerm) -> dict[str, MeaningTerm]:
     """The free variables and glue metavariables of `term`, each by name at
     its first occurrence, in left-to-right order."""
@@ -351,20 +354,6 @@ def free_names(term: MeaningTerm) -> dict[str, MeaningTerm]:
 #   eta     \x. f(x)          -> f          (x not free in f)
 
 
-def _bvar_free(t: MeaningTerm, k: int) -> bool:
-    match t:
-        case BVar(i):
-            return i == k
-        case Abs(_, b):
-            return _bvar_free(b, k + 1)
-        case App(f, a):
-            return _bvar_free(f, k) or _bvar_free(a, k)
-        case Cap(b) | Cup(b):
-            return _bvar_free(b, k)
-        case _:
-            return False
-
-
 _BVAR0 = BVar(0)
 
 
@@ -387,8 +376,11 @@ def _nf(t: MeaningTerm, resolve, k: int, a: Optional[MeaningTerm]) -> MeaningTer
         return t if f is t.fn and x is t.arg else App(f, x)
     if cls is Abs:
         b = _nf(t.body, resolve, k + 1, a)
-        if type(b) is App and b.arg == _BVAR0 and not _bvar_free(b.fn, 0):
-            return _shift(b.fn, -1)
+        if type(b) is App and b.arg == _BVAR0:
+            try:
+                return _shift(b.fn, -1)  # eta, unless the binder's variable occurs
+            except _Captured:
+                pass
         return t if b is t.body else Abs(t.var_ty, b)
     if cls is Cup:
         b = _nf(t.body, resolve, k, a)
@@ -505,7 +497,7 @@ def _binder_name(ty, used: set[str]) -> str:
 
 def print_term(term: MeaningTerm, explicit_parens: bool = False) -> str:
     names: list[str] = []  # the enclosing binders' names, innermost last
-    used = free_vars(term)  # names a binder may not take: free ones and `names`
+    used = set(free_names(term))  # names a binder may not take: free ones and `names`
 
     def go(t):
         cls = type(t)

@@ -42,7 +42,7 @@ from gluesem.terms import (
     Var,
     alpha_equal,
     app,
-    free_vars,
+    free_names,
     normalize,
     print_term,
     spine,
@@ -125,6 +125,17 @@ def _mill(ctx, goal, memo) -> bool:
 # Eager reference prover: the differential oracle for deferred meanings.
 
 
+def full_atom_match(self, su, f, goal):
+    """A `Prover._unify_atoms` for any focused head `f`, candidate or not:
+    the kinds, names and types that the head index decides, then the
+    structures."""
+    if isinstance(f, PropAtom) and isinstance(goal, PropAtom):
+        return su if f.name == goal.name else None
+    if not (isinstance(f, Means) and isinstance(goal, Means)) or f.ty != goal.ty:
+        return None
+    return solve_sem(su, f.sem, goal.sem, self.classes)
+
+
 class EagerProver(prover.Prover):
     """Solves the meaning equation at every atom match, so a failing equation
     prunes its branch where it is made and none is left for the end.  Its
@@ -135,19 +146,15 @@ class EagerProver(prover.Prover):
         return None
 
     def _unify_atoms(self, su, f, goal):
-        if isinstance(f, PropAtom) and isinstance(goal, PropAtom):
-            return su if f.name == goal.name else None
-        if not (isinstance(f, Means) and isinstance(goal, Means)) or f.ty != goal.ty:
-            return None
-        su2 = solve_sem(su, f.sem, goal.sem, self.classes)
-        if su2 is None:
-            return None
+        su2 = full_atom_match(self, su, f, goal)
+        if su2 is None or isinstance(goal, PropAtom):
+            return su2
         return reference_unifier.solve(su2, f.term, goal.term, self.classes)
 
 
 def check_theorem(formula, budget=prover.SearchBudget()):
     """Is `formula` derivable from the empty context?  With a derivation."""
-    for _, d in prover.prove_sequent(prover.Sequent((), formula), budget):
+    for _, d in prover.prove_sequent((), formula, budget):
         return True, d
     return False, None
 
@@ -946,8 +953,7 @@ def reference_print_term(term, explicit_parens: bool = False) -> str:
                 return f"{htext}({', '.join(parts)})", "app"
         raise AssertionError(f"bad term {t!r}")
 
-    used0 = free_vars(term)
-    text, _ = go(term, [], set(used0))
+    text, _ = go(term, [], set(free_names(term)))
     return text
 
 

@@ -15,7 +15,6 @@ from gluesem.cli import main as cli_main
 from gluesem.fstruct import ROOT, SemStruct, parse_fstructure
 from gluesem.glue import Limp, PropAtom, Tensor, load_lexicon, premises
 from gluesem.prover import (
-    Sequent,
     enumerate_readings,
     prove_sequent,
     readings_for_document,
@@ -338,7 +337,7 @@ def test_criterion_10e_propositional_brute_force_agreement():
         for k in range(0, 4 + 1):
             for ctx in itertools.combinations_with_replacement(universe, k):
                 for goal in (a, b):
-                    engine = bool(list(prove_sequent(Sequent(tuple(ctx), goal))))
+                    engine = bool(list(prove_sequent(tuple(ctx), goal)))
                     oracle = mill_provable(list(ctx), goal)
                     assert engine == oracle, (ctx, goal)
                     checked += 1

@@ -73,13 +73,18 @@ def test_erasing_intensions_gives_the_extensional_readings(capsys, name, holds):
     assert (erased == _reading_set(capsys, name, ["--extensional"])) == holds
 
 
-def test_prove_golden(capsys):
+# the paper's theorem, and the converse and the structural rules that
+# linear logic does not have: each resource is used exactly once
+@pytest.mark.parametrize("name,expected_code", [
+    ("type-raising", 0), ("lowering", 2), ("contraction", 2), ("weakening", 2),
+])
+def test_prove_golden(capsys, name, expected_code):
     code, out, _ = run(
         capsys, "prove", "--lexicon", "corpus/lexicon.glue",
-        "--formula", "corpus/type-raising.glue",
+        "--formula", f"corpus/{name}.glue",
     )
-    assert code == 0
-    with open("corpus/golden/type-raising.out", encoding="utf-8") as fh:
+    assert code == expected_code
+    with open(f"corpus/golden/{name}.out", encoding="utf-8") as fh:
         assert out == fh.read()
 
 
@@ -767,6 +772,54 @@ def test_untraced_script_lists_package_lines():
     assert lines and all(re.match(r"\w+\.py:\d+: ", line) for line in lines)
     # test_fstruct.py never runs the search
     assert any(line.startswith("prover.py:") for line in lines)
+
+
+_PARSE_TYPE_TEST = """
+from gluesem.terms import parse_type
+
+
+def test_parse_type():
+    parse_type("e -> t")
+"""
+
+_TOO_DEEP_TEST = """
+import sys
+
+import pytest
+
+from gluesem.terms import App, Const, normalize
+
+
+def test_normal_form_too_deep():
+    t = Const("f", None)
+    for _ in range(5 * sys.getrecursionlimit()):
+        t = App(t, Const("a", None))
+    with pytest.raises(RecursionError):
+        normalize(t)
+"""
+
+
+def test_untraced_script_traces_the_tests_after_the_recursion_limit(tmp_path):
+    # at the recursion limit the call into the tracer fails too, and Python
+    # removes it; the lines that the next test runs must still count
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(pathlib.Path(gluesem.__file__).resolve().parent.parent)
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+
+    def untraced(name, source):
+        path = tmp_path / name / "test_case.py"
+        path.parent.mkdir()
+        path.write_text(source)
+        out = subprocess.run(
+            [sys.executable, "tests/untraced.py", "-q", "-p", "no:cacheprovider", str(path)],
+            capture_output=True, text=True, env=env)
+        assert out.returncode == 0, out.stderr
+        return set(out.stdout.splitlines())
+
+    alone = untraced("alone", _PARSE_TYPE_TEST)
+    after = untraced("after", _TOO_DEEP_TEST + _PARSE_TYPE_TEST)
+    assert not [line for line in after if "bad type syntax" in line]  # parse_type's first
+    assert after <= alone
 
 
 def test_the_package_exports_the_documented_pipeline():

@@ -28,7 +28,6 @@ from gluesem.prover import (
     Derivation,
     Prover,
     SearchBudget,
-    Sequent,
     enumerate_readings,
     prove_sequent,
     readings_for_document,
@@ -44,7 +43,7 @@ from gluesem.terms import (
     S,
     T,
     App,
-    free_vars,
+    free_names,
     normalize,
     print_term,
 )
@@ -57,6 +56,7 @@ from helpers import (
     EagerProver,
     check_theorem,
     free_meta_vars,
+    full_atom_match,
     mill_provable,
     scope_doc,
     typecheck,
@@ -87,7 +87,7 @@ def reading_texts(name, lex=LEX, budget=SearchBudget()):
 
 
 def test_atomic_identity_has_exactly_one_proof():
-    proofs = list(prove_sequent(Sequent((A,), A)))
+    proofs = list(prove_sequent((A,), A))
     assert len(proofs) == 1
     assert proofs[0][1].rule == "Identity"
 
@@ -98,7 +98,7 @@ def test_every_complete_proof_is_checked_for_linearity(monkeypatch):
     real = prover.check_linearity
     monkeypatch.setattr(prover, "check_linearity",
                         lambda d, ctx: checked.append(d) or real(d, ctx))
-    proofs = list(prove_sequent(Sequent((A, Limp(A, B)), B)))
+    proofs = list(prove_sequent((A, Limp(A, B)), B))
     assert len(proofs) == 1 and checked == [proofs[0][1]]
     checked.clear()
     result, _ = readings_for_document(doc_for("every-candidate-a-manager"), LEX)
@@ -106,21 +106,21 @@ def test_every_complete_proof_is_checked_for_linearity(monkeypatch):
 
 
 def test_resource_surplus_fails():
-    assert list(prove_sequent(Sequent((A, A), A))) == []
+    assert list(prove_sequent((A, A), A)) == []
 
 
 def test_resource_duplication_fails():
-    assert list(prove_sequent(Sequent((A,), Tensor(A, A)))) == []
+    assert list(prove_sequent((A,), Tensor(A, A))) == []
 
 
 def test_tensor_splits():
-    assert list(prove_sequent(Sequent((A, B), Tensor(A, B))))
-    assert list(prove_sequent(Sequent((A, B), Tensor(B, A))))
+    assert list(prove_sequent((A, B), Tensor(A, B)))
+    assert list(prove_sequent((A, B), Tensor(B, A)))
 
 
 def test_implication_chaining():
-    assert list(prove_sequent(Sequent((A, Limp(A, B)), B)))
-    assert not list(prove_sequent(Sequent((Limp(A, B),), B)))
+    assert list(prove_sequent((A, Limp(A, B)), B))
+    assert not list(prove_sequent((Limp(A, B),), B))
 
 
 def test_open_sequent_is_an_input_error():
@@ -128,9 +128,9 @@ def test_open_sequent_is_an_input_error():
     # the search starts, in either the context or the goal
     f = Means(SemVar("X"), MetaVar("M", T), T)
     with pytest.raises(GlueError, match="not closed: X is free"):
-        prove_sequent(Sequent((f,), f))
+        prove_sequent((f,), f)
     with pytest.raises(GlueError, match="not closed: M is free"):
-        prove_sequent(Sequent((A,), Limp(A, Means(SemStruct("g", ROOT), MetaVar("M", T), T))))
+        prove_sequent((A,), Limp(A, Means(SemStruct("g", ROOT), MetaVar("M", T), T)))
 
 
 def test_goal_variable_is_an_input_error():
@@ -147,10 +147,10 @@ def test_head_filter_keeps_flex_structures():
     # assumption H ~> c made while proving the antecedent of q.
     gs, c, h = SemStruct("g", ROOT), Const("c", E), SemVar("H")
     p = Forall("H", SEM, Limp(Means(h, c, E), A))
-    assert len(list(prove_sequent(Sequent((p, Means(gs, c, E)), A)))) == 1
+    assert len(list(prove_sequent((p, Means(gs, c, E)), A))) == 1
     q = Forall("H", SEM, Limp(Limp(Means(h, c, E), A), B))
     r = Forall("x", E, Limp(Means(gs, MetaVar("x", E), E), A))
-    assert len(list(prove_sequent(Sequent((q, r), B)))) == 1
+    assert len(list(prove_sequent((q, r), B))) == 1
 
 
 def test_al_functions_as_a_quantifier():
@@ -167,7 +167,7 @@ def test_al_functions_as_a_quantifier():
             Means(ss, App(Cup(p), al), T),
         ),
     )
-    proofs = list(prove_sequent(Sequent((Means(hs, al, E),), goal)))
+    proofs = list(prove_sequent((Means(hs, al, E),), goal))
     assert proofs
 
 
@@ -256,7 +256,8 @@ def test_head_filter_rejects_only_failing_focuses(monkeypatch):
     # every corpus document under its golden's lexicon variant, and the
     # modifier fixture above: the same proofs and readings whether or not
     # the head filter runs, in strictly fewer steps when it does.  Unfiltered,
-    # the head index offers every available resource as a candidate.
+    # the head index offers every available resource as a candidate, and the
+    # full atom match rejects the heads that the index would have.
     cases = [
         (name, LEX_EXT if name in ("convince-every-voter", "every-candidate-a-manager") else LEX, 0)
         for name in CORPUS
@@ -274,6 +275,7 @@ def test_head_filter_rejects_only_failing_focuses(monkeypatch):
 
     filtered = search()
     monkeypatch.setattr(Prover, "_candidates", lambda self, su, ctx, goal: ctx)
+    monkeypatch.setattr(Prover, "_unify_atoms", full_atom_match)
     unfiltered = search()
     for (name, _, _), (on, on_texts), (off, off_texts) in zip(cases, filtered, unfiltered):
         assert (on.proofs, on_texts) == (off.proofs, off_texts), name
@@ -315,8 +317,8 @@ def readings_run(prems, goal_sem, goal_type=T):
     return run
 
 
-def sequent_run(sequent):
-    return lambda: [rule_tree(d) for _, d in prove_sequent(sequent)]
+def sequent_run(context, goal):
+    return lambda: [rule_tree(d) for _, d in prove_sequent(context, goal)]
 
 
 _DETS = ("a", "every", "the")
@@ -326,10 +328,10 @@ _BILL, _HILLARY = (Means(_gs, Const(n, E), E) for n in ("Bill", "Hillary"))
 # structure and type match everywhere, but the meaning equations fail
 REJECTED = [
     # Bill = Hillary: a constant clash
-    sequent_run(Sequent((_BILL,), _HILLARY)),
+    sequent_run((_BILL,), _HILLARY),
     # the same clash at a focus whose antecedent the skeleton search goes on
     # to prove
-    sequent_run(Sequent((Limp(A, _BILL), A), _HILLARY)),
+    sequent_run((Limp(A, _BILL), A), _HILLARY),
     # the goal meaning, made before the eigenvariable x, would have to be x:
     # Y := M, Z := Y, then M = x lets x escape its scope
     readings_run(
@@ -363,7 +365,7 @@ def shipped_runs():
             runs.append(readings_run(premises(doc, LEX), SemStruct("f", ROOT)))
     with open("corpus/type-raising.glue", encoding="utf-8") as fh:
         raising = parse_formula_document(fh.read(), LEX.ctx)
-    runs.append(sequent_run(Sequent((), raising)))
+    runs.append(sequent_run((), raising))
     return runs
 
 
@@ -461,7 +463,7 @@ def test_each_reading_is_closed_normal_and_propositional(monkeypatch):
     for run in _memo_runs():
         run()
     assert len(extracted) > 700
-    assert [print_term(t) for t in extracted if free_vars(t) or normalize(t) != t] == []
+    assert [print_term(t) for t in extracted if free_names(t) or normalize(t) != t] == []
     for name, lex in [
         ("every-candidate-a-manager", LEX_EXT),
         ("seeks-a-unicorn", LEX),
@@ -469,7 +471,7 @@ def test_each_reading_is_closed_normal_and_propositional(monkeypatch):
     ]:
         result, _ = readings_for_document(doc_for(name), lex)
         for r in result.readings:
-            assert not free_vars(r.term)
+            assert not free_names(r.term)
             assert normalize(r.term) == r.term
             assert typecheck(r.term, lex.ctx) == T
 
@@ -626,14 +628,14 @@ def test_tabled_goals_replay_the_proofs_of_the_search(monkeypatch):
     # the scope family from k=2
     sequents = []
     monkeypatch.setitem(
-        globals(), "prove_sequent", lambda s: sequents.append(s) or prover.prove_sequent(s))
+        globals(), "prove_sequent", lambda *s: sequents.append(s) or prover.prove_sequent(*s))
     test_propositional_counts_match_brute_force()
     test_shared_formula_objects_keep_the_search_sound()
     monkeypatch.undo()
     assert len(sequents) == 300 + 400 + 2
     scope = [readings_run(premises(scope_doc(["every"] * (k + 1)), LEX), SemStruct("f", ROOT))
              for k in (2, 3, 4)]
-    runs = shipped_runs() + [sequent_run(s) for s in sequents] + scope
+    runs = shipped_runs() + [sequent_run(*s) for s in sequents] + scope
     tabled = [_run_recording_proofs(monkeypatch, run) for run in runs]
     untabled(monkeypatch)
     fewer = []
@@ -657,38 +659,39 @@ KEYED = [
     # but Y is f on the branch that gives f ~> a to its first antecedent and
     # h on the one that gives it h ~> a; the last premise consumes the
     # assumption only when Y is f, so there is exactly one proof
-    (Sequent((
+    ((
         Forall("Y", SEM, Forall("W", SEM, Limp(_atom("Y"), Limp(_atom("W"), Limp(
             Limp(_atom("Y", T), _atom("g", T)), _atom("k", T)))))),
         _atom("f"),
         _atom("h"),
         Limp(_atom("f", T), _atom("g", T)),
-    ), _atom("k", T)), 1),
+    ), _atom("k", T), 1),
     # split in either order, the two tensors give k ~> a the same parts, but
     # the variable opened first is the older, so unifying U with V binds V
     # on one branch and U on the other; each branch has two proofs, one per
     # way of giving the two e-parts to the two e-antecedents
-    (Sequent((
+    ((
         Forall("U", SEM, Tensor(_atom("U"), Limp(_atom("U", T), Limp(_atom("U"), Limp(
             _atom("U", E), _atom("k", T)))))),
         Forall("V", SEM, Tensor(_atom("V", T), _atom("V", E))),
-    ), _atom("k", T)), 4),
+    ), _atom("k", T), 4),
     # not a repeated key: the search stamps the body of a tensor head (V,
     # focused to prove k ~> a from the parts) before its antecedent (W), as
     # a replay must re-stamp them
-    (Sequent((
+    ((
         Limp(_atom("m"), Tensor(_atom("m", T), _atom("m", E))),
         Forall("W", SEM, _atom("W")),
         Forall("V", SEM, Limp(_atom("V", T), Limp(_atom("V", E), _atom("k", T)))),
-    ), _atom("k", T)), 1),
+    ), _atom("k", T), 1),
 ]
 
 
 def test_table_keys_on_context_bindings_and_birth_order(monkeypatch):
-    tabled = [_run_recording_proofs(monkeypatch, sequent_run(s)) for s, _ in KEYED]
+    tabled = [_run_recording_proofs(monkeypatch, sequent_run(ctx, goal))
+              for ctx, goal, _ in KEYED]
     untabled(monkeypatch)
-    for (sequent, n), (out, proofs, stats) in zip(KEYED, tabled):
-        assert (out, proofs) == _run_recording_proofs(monkeypatch, sequent_run(sequent))[:2]
+    for (ctx, goal, n), (out, proofs, stats) in zip(KEYED, tabled):
+        assert (out, proofs) == _run_recording_proofs(monkeypatch, sequent_run(ctx, goal))[:2]
         assert len(proofs) == n
 
 
@@ -702,7 +705,7 @@ def _memo_runs():
         for i in range(len(_DETS)):
             doc = scope_doc([_DETS[(i + j) % len(_DETS)] for j in range(k + 1)])
             runs.append(readings_run(premises(doc, LEX), SemStruct("f", ROOT)))
-    return runs + [sequent_run(s) for s, _ in KEYED]
+    return runs + [sequent_run(ctx, goal) for ctx, goal, _ in KEYED]
 
 
 def _solved_proofs(monkeypatch, run):
@@ -869,7 +872,7 @@ def test_replays_stop_at_the_depth_budget(monkeypatch):
             texts = [r.text for r in result.readings]
             out[max_depth, "scope"] = result.stats.proofs, result.stats.limit, texts
             for copies in (3, 4):
-                proofs = prove_sequent(Sequent((f,) * copies, f), budget)
+                proofs = prove_sequent((f,) * copies, f, budget)
                 try:
                     out[max_depth, copies] = [rule_tree(d) for _, d in proofs]
                 except prover.BudgetExhausted as e:
@@ -992,7 +995,7 @@ def test_propositional_counts_match_brute_force():
     for _ in range(300):
         ctx = [formula(2) for _ in range(rng.randint(0, 4))]
         goal = rng.choice(atoms)
-        engine = bool(list(prove_sequent(Sequent(tuple(ctx), goal))))
+        engine = bool(list(prove_sequent(tuple(ctx), goal)))
         oracle = mill_provable(list(ctx), goal)
         assert engine == oracle, (ctx, goal)
         checked += 1
@@ -1017,7 +1020,7 @@ def test_shared_formula_objects_keep_the_search_sound():
     t = Tensor(Limp(B, B), Limp(Limp(B, B), B))
     f = Limp(Limp(Limp(A, B), Limp(A, B)), A)
     for ctx, goal in [([t, t], B), ([f, f, f], A)]:
-        assert not list(prove_sequent(Sequent(tuple(ctx), goal)))
+        assert not list(prove_sequent(tuple(ctx), goal))
         assert not mill_provable(list(ctx), goal)
     rng = random.Random(1618033)
     atoms = [PropAtom(n) for n in "AB"]
@@ -1038,7 +1041,7 @@ def test_shared_formula_objects_keep_the_search_sound():
         goal = rng.choice(atoms + pool)
         if sum(map(_size, ctx + [goal])) > 20:
             continue  # keeps the brute-force decider fast
-        engine = bool(list(prove_sequent(Sequent(tuple(ctx), goal))))
+        engine = bool(list(prove_sequent(tuple(ctx), goal)))
         assert engine <= mill_provable(list(ctx), goal), (ctx, goal)
         proved += engine
         checked += 1

@@ -83,7 +83,7 @@ def test_every_record_class_is_in_the_package():
     # the remaining records: lexicon, document and search bookkeeping
     assert {c.__name__ for c in found - set(NODES)} == {
         "FStructure", "FDocument", "LexEntry", "Lexicon", "Premise",
-        "SearchBudget", "Sequent", "Resource", "Derivation", "Reading", "SearchStats",
+        "SearchBudget", "Resource", "Derivation", "Reading", "SearchStats",
         "EnumerationResult", "VarClass",
     }
 

@@ -24,7 +24,7 @@ from gluesem.terms import (
     Var,
     alpha_equal,
     app,
-    free_vars,
+    free_names,
     normalize,
     parse_type,
     print_term,
@@ -106,7 +106,7 @@ def test_substitution_cannot_capture():
     body = Abs(E, app(Const("rel", arrow(E, E, T)), BVar(0), Var("y", E)))
     out = substitute(body, "y", Var("x", E))
     assert out == Abs(E, app(Const("rel", arrow(E, E, T)), BVar(0), Var("x", E)))
-    assert free_vars(out) == {"x"}
+    assert set(free_names(out)) == {"x"}
 
 
 # ---------------------------------------------------------------------------
@@ -175,21 +175,21 @@ def test_the_two_scope_readings_differ():
 
 
 # ---------------------------------------------------------------------------
-# free_vars
+# free_names
 
 
 def test_free_vars_of_open_scope():
     term = Abs(E, app(Const("appoint", None), MetaVar("X", E), BVar(0)))
-    assert free_vars(term) == {"X"}
+    assert set(free_names(term)) == {"X"}
 
 
 def test_free_vars_closed():
-    assert free_vars(t("appoint(Bill, Hillary)")) == set()
+    assert set(free_names(t("appoint(Bill, Hillary)"))) == set()
 
 
 def test_free_vars_mixed():
     term = App(MetaVar("S", Arrow(E, T)), Var("x", E))
-    assert free_vars(term) == {"S", "x"}
+    assert set(free_names(term)) == {"S", "x"}
 
 
 # ---------------------------------------------------------------------------

@@ -449,10 +449,10 @@ def test_escape_property_randomized():
         if su is None:
             continue
         binding = su.nf(f)
-        from gluesem.terms import free_vars
+        from gluesem.terms import free_names
 
         argnames = {a.name for a in args}
-        for name in free_vars(binding):
+        for name in free_names(binding):
             assert vc.ts(name) < vc.ts(f.name) or name in argnames
 
 

@@ -14,7 +14,10 @@ The tracer slows the traced code several times over, so a test that
 bounds wall-clock time, such as the 5 s bound of
 `test_criterion_10e_propositional_brute_force_agreement`, may fail under
 it.  That does not change the list: the test's lines still ran.  Code that
-a test runs in a child process is not traced here.
+a test runs in a child process is not traced here.  Python removes a tracer
+whose call fails, as every call does at the recursion limit, so the script
+installs it again before each test: only the test that hit the limit loses
+lines.
 
 Standard library plus pytest; pytest does not collect this file.
 """
@@ -64,10 +67,15 @@ def traced_run(args: list[str]) -> tuple[int, dict[Path, set[int]]]:
 
         return local
 
+    class Retrace:  # a pytest plugin
+        @staticmethod
+        def pytest_runtest_setup():
+            sys.settrace(tracer)
+
     sys.settrace(tracer)
     try:
         with contextlib.redirect_stdout(sys.stderr):
-            status = pytest.main(args)
+            status = pytest.main(args, plugins=[Retrace()])
     finally:
         sys.settrace(None)
     return int(status), ran
