@@ -545,8 +545,10 @@ def premises(doc: FDocument, lexicon: Lexicon) -> list[Premise]:
     for node in doc.nodes():
         for attr in ("SPEC", "PRED"):
             value = node.attrs.get(attr)
-            if value is None or isinstance(value, FStructure):
+            if value is None:
                 continue
+            if isinstance(value, FStructure):
+                raise GlueError(f"{attr} of {node.label} is an f-structure, not a string")
             matches = [
                 e
                 for e in lexicon.entries

@@ -59,12 +59,13 @@ Atomic goals are tabled (the chart idea of Hepple 1996).  Their proofs
 depend only on the goal object, the context mask, and the structures bound
 to the variables of the goal and of the context's assumptions and parts,
 with the birth order of the unbound ones: premises are closed, and all that
-a proof focuses or poses is born newer.  A key's first visit records each
-result as it is found: the bindings it added, the leftovers and the
-derivation.  Once all are found, later visits replay them at one step each,
-re-stamping each derivation's variables in the search's order, unless the
-replay could cross the depth budget.  The table, like every memo of a search,
-lives as long as its prover, which serves one search.
+a proof focuses or poses is born newer.  A visit with no record searches:
+it collects each result as it is found (the bindings it added, the
+leftovers and the derivation) and, once all are found, stores them as the
+key's record.  Later visits replay a record at one step each, re-stamping
+each derivation's variables in the search's order, unless the replay could
+cross the depth budget.  The table, like every memo of a search, lives as
+long as its prover, which serves one search.
 
 A derivation records facts, not text: each node the formula it proves, and
 Identity, TensorL, PiL and LimpR nodes the resource they consume, focus or
@@ -105,7 +106,7 @@ from .terms import (
     free_names,
     print_term,
 )
-from .unify import Substitution, VarClass, solve, solve_sem
+from .unify import EIGEN, FLEX, Substitution, VarClass, solve, solve_sem
 
 
 class BudgetExhausted(GlueError):
@@ -224,9 +225,9 @@ class Prover:
         # the assumptions and parts with free structure variables: mask, and
         # rid -> those variables
         self._loose, self._mentions = 0, {}
-        # atomic goal key -> [results, how much deeper than the goal the
-        # search stepped, or None until they are all found]
-        self._table: dict[tuple, list] = {}
+        # atomic goal key -> (results, how much deeper than the goal the
+        # search stepped), once they are all found
+        self._table: dict[tuple, tuple] = {}
         self._deepest = 0  # high-water mark of the depth stepped
         # PiL node id -> (term bindings its equations were solved under,
         # result); node or formula id -> `_names_of` it; a node's rule and what
@@ -251,15 +252,11 @@ class Prover:
         d = self._nodes.get(key)
         return d or self._nodes.setdefault(key, Derivation(key[0], children, goal, res, fresh))
 
-    def _instantiate(self, f: Forall, flex: bool) -> tuple:
-        """A fresh flex (or eigen) variable for the one `f` binds, and `f`'s
-        body with it in its place."""
-        classes = self.classes
-        if f.kind == SEM:
-            v = classes.fresh_sem_flex(f.var) if flex else classes.fresh_sem_eigen(f.var)
-            return v, inst_sem_var(f.body, f.var, v)
-        v = classes.fresh_flex(f.var, f.kind) if flex else classes.fresh_eigen(f.var, f.kind)
-        return v, inst_term_var(f.body, f.var, v)
+    def _instantiate(self, f: Forall, kind: str) -> tuple:
+        """A fresh `kind` variable for the one `f` binds, and `f`'s body with
+        it in its place."""
+        v = self.classes.fresh(f.var, kind, None if f.kind == SEM else f.kind)
+        return v, (inst_sem_var if f.kind == SEM else inst_term_var)(f.body, f.var, v)
 
     def _resource(self, formula, premise, tag) -> Resource:
         """A new resource for `formula`, opened and filed under its head."""
@@ -268,7 +265,7 @@ class Prover:
         head, pendings, fresh = formula, [], []
         while True:
             if isinstance(head, Forall):
-                v, head = self._instantiate(head, flex=True)
+                v, head = self._instantiate(head, FLEX)
                 fresh.append(v.name)
             elif isinstance(head, Limp):
                 pendings.append(head.ant)
@@ -342,7 +339,7 @@ class Prover:
                     v, inst = self._posed[pos]
                     self.classes.restamp(v.name)
                 else:
-                    v, inst = self._posed[pos] = self._instantiate(goal, flex=False)
+                    v, inst = self._posed[pos] = self._instantiate(goal, EIGEN)
                 for su2, left2, d2 in self.prove(su, ctx, inst, depth + 1, (pos, 0)):
                     yield su2, left2, self._node(("PiR", id(d2), v.name),
                                                  (d2,), goal, None, (v.name,))
@@ -363,8 +360,8 @@ class Prover:
             case Means() | PropAtom():
                 key = self._table_key(su, ctx, goal)
                 entry = self._table.get(key)
-                if entry is None or entry[1] is None or depth + entry[1] > self.budget.max_depth:
-                    yield from self._focuses(su, ctx, goal, depth, key if entry is None else None)
+                if entry is None or depth + entry[1] > self.budget.max_depth:
+                    yield from self._focuses(su, ctx, goal, depth, key)
                     return
                 self._deepest = max(self._deepest, depth + entry[1])
                 for result in entry[0]:
@@ -381,9 +378,8 @@ class Prover:
             case _:
                 raise AssertionError(f"bad goal {goal!r}")
 
-    def _table_key(self, su: Substitution, ctx: int, goal) -> Optional[tuple]:
-        """What the proofs of the atomic `goal` from `ctx` depend on; None
-        leaves the goal untabled."""
+    def _table_key(self, su: Substitution, ctx: int, goal) -> tuple:
+        """What the proofs of the atomic `goal` from `ctx` depend on."""
         sem = getattr(goal, "sem", None)  # a rigid structure is the goal object's own
         loose = ctx & self._loose
         if not loose:
@@ -397,16 +393,14 @@ class Prover:
         unbound = sorted({v for v in values if type(v) is str}, key=self.classes.ts)
         return id(goal), ctx, tuple(values), tuple(unbound)
 
-    def _focuses(self, su: Substitution, ctx: int, goal, depth: int, key: Optional[tuple]):
+    def _focuses(self, su: Substitution, ctx: int, goal, depth: int, key: tuple):
         """Proofs of an atomic goal, a focus on each candidate in turn,
-        recorded under `key` unless it is None."""
-        if key is not None:
-            results: list[list] = []
-            entry = self._table[key] = [results, None]
-            n = len(su.sems)
-            # a high-water mark from here on: it may count steps taken
-            # outside this goal while it is suspended, an over-approximation
-            outer, self._deepest = self._deepest, depth
+        recorded under `key` once the last is found."""
+        results: list[list] = []
+        n = len(su.sems)
+        # a high-water mark from here on: it may count steps taken outside
+        # this goal while it is suspended, an over-approximation
+        outer, self._deepest = self._deepest, depth
         candidates = self._candidates(su, ctx, goal)
         self.stats.head_rejects += (ctx ^ candidates).bit_count()  # candidates <= ctx
         seen = set()
@@ -423,13 +417,11 @@ class Prover:
                     continue
                 seen.add(res.dup)
             for su2, left2, d2 in self._focus(su, res, ctx ^ bit, goal, depth):
-                if key is not None:
-                    # its own bindings are those after the first n
-                    results.append([su2.sems, n, left2, d2, None])
+                # its own bindings are those after the first n
+                results.append([su2.sems, n, left2, d2, None])
                 yield su2, left2, d2
-        if key is not None:
-            entry[1] = self._deepest - depth
-            self._deepest = max(outer, self._deepest)
+        self._table[key] = results, self._deepest - depth
+        self._deepest = max(outer, self._deepest)
 
     # -- left (focused) rules -----------------------------------------------
 
@@ -603,7 +595,7 @@ def enumerate_readings(
         prover._resource(p.formula, i, f"{p.word}[{p.label}]")
         for i, p in enumerate(prems)
     )
-    goal_var = prover.classes.fresh_flex("M", goal_type)
+    goal_var = prover.classes.fresh("M", FLEX, goal_type)
     goal = Means(goal_sem, goal_var, goal_type)
     found: dict[str, Reading] = {}
     stats = prover.stats

@@ -57,7 +57,8 @@ class NonPatternError(GlueError):
 
 
 class VarClass(Record):
-    """Classification of glue variables: flex or eigen, with birth stamps."""
+    """Classification of glue variables: flex or eigen, with birth stamps.
+    `fresh` mints each variable the search makes."""
 
     __slots__ = ("kinds", "stamps", "_counter")
     __hash__ = None  # grows as the search mints variables
@@ -78,22 +79,14 @@ class VarClass(Record):
         """Give `name` a birth stamp newer than every variable's so far."""
         self.stamps[name] = next(self._counter)
 
-    def _fresh(self, hint: str, kind: str) -> str:
+    def fresh(self, hint: str, kind: str, ty=None):
+        """A new `kind` variable named after `hint`: a structure variable
+        when `ty` is None, else a meaning variable of type `ty`."""
         name = f"{hint}{'?' if kind == FLEX else '!'}{next(self._counter)}"
         self.classify(name, kind)
-        return name
-
-    def fresh_flex(self, hint: str, ty) -> MetaVar:
-        return MetaVar(self._fresh(hint, FLEX), ty)
-
-    def fresh_eigen(self, hint: str, ty) -> Var:
-        return Var(self._fresh(hint, EIGEN), ty)
-
-    def fresh_sem_flex(self, hint: str) -> SemVar:
-        return SemVar(self._fresh(hint, FLEX))
-
-    def fresh_sem_eigen(self, hint: str) -> SemVar:
-        return SemVar(self._fresh(hint, EIGEN))
+        if ty is None:
+            return SemVar(name)
+        return MetaVar(name, ty) if kind == FLEX else Var(name, ty)
 
     def is_flex_sem(self, v: SemVar) -> bool:
         return self.kinds[v.name] == FLEX
@@ -184,7 +177,7 @@ def solve(
     if alpha_equal(l, r):
         return su
     if isinstance(l, Abs) or isinstance(r, Abs):
-        v = classes.fresh_eigen("w", l.var_ty if isinstance(l, Abs) else r.var_ty)
+        v = classes.fresh("w", EIGEN, l.var_ty if isinstance(l, Abs) else r.var_ty)
         lb = open_abs(l, v) if isinstance(l, Abs) else normalize(App(l, v))
         rb = open_abs(r, v) if isinstance(r, Abs) else normalize(App(r, v))
         return solve(su, lb, rb, classes)

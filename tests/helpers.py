@@ -140,10 +140,11 @@ class EagerProver(prover.Prover):
     """Solves the meaning equation at every atom match, so a failing equation
     prunes its branch where it is made and none is left for the end.  Its
     substitutions carry term bindings, which the shipped prover's table of
-    atomic goals does not key on, so it tables nothing."""
+    atomic goals does not key on, so it tables nothing: each visit's fresh
+    key matches no record."""
 
     def _table_key(self, su, ctx, goal):
-        return None
+        return object()
 
     def _unify_atoms(self, su, f, goal):
         su2 = full_atom_match(self, su, f, goal)

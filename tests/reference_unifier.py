@@ -48,7 +48,7 @@ from gluesem.terms import (
     open_abs,
     spine,
 )
-from gluesem.unify import NonPatternError, Substitution, VarClass
+from gluesem.unify import EIGEN, FLEX, NonPatternError, Substitution, VarClass
 
 
 class OpenSubstitution(Substitution):
@@ -97,7 +97,7 @@ def _fresh_over(classes: VarClass, g: MetaVar, arg_tys, result_ty, ts: int) -> M
     """A fresh flex variable named after g, of type arg_tys -> result_ty."""
     for ty in reversed(arg_tys):
         result_ty = Arrow(ty, result_ty)
-    fresh = classes.fresh_flex(g.name.split("?")[0], result_ty)
+    fresh = classes.fresh(g.name.split("?")[0], FLEX, result_ty)
     classes.stamps[fresh.name] = ts
     return fresh
 
@@ -340,7 +340,7 @@ def solve(
 
 def _solve_abs(su, l, r, classes):
     lty = l.var_ty if isinstance(l, Abs) else r.var_ty
-    v = classes.fresh_eigen("w", lty)
+    v = classes.fresh("w", EIGEN, lty)
     lb = open_abs(l, v) if isinstance(l, Abs) else normalize(App(l, v))
     rb = open_abs(r, v) if isinstance(r, Abs) else normalize(App(r, v))
     return solve(su, lb, rb, classes)

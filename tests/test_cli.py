@@ -73,10 +73,11 @@ def test_erasing_intensions_gives_the_extensional_readings(capsys, name, holds):
     assert (erased == _reading_set(capsys, name, ["--extensional"])) == holds
 
 
-# the paper's theorem, and the converse and the structural rules that
+# the paper's theorems, and the converse and the structural rules that
 # linear logic does not have: each resource is used exactly once
 @pytest.mark.parametrize("name,expected_code", [
-    ("type-raising", 0), ("lowering", 2), ("contraction", 2), ("weakening", 2),
+    ("type-raising", 0), ("quantifying-in", 0), ("lowering", 2), ("contraction", 2),
+    ("weakening", 2),
 ])
 def test_prove_golden(capsys, name, expected_code):
     code, out, _ = run(
@@ -272,6 +273,16 @@ def test_json_readings_reparse_to_printed_forms(capsys):
     ] == [True] * 5
 
 
+def test_json_reports_the_goal_it_was_given(capsys, tmp_path):
+    fstr = tmp_path / "bill.fstr"
+    fstr.write_text('(fstruct f (SUBJ (fstruct g (PRED "Bill"))))\n')
+    code, out, _ = run(capsys, "readings", "--fstructure", str(fstr), "--lexicon",
+                       "corpus/lexicon.glue", "--json", "--goal", "g", "--goal-type", "e")
+    payload = json.loads(out)
+    assert code == 0 and payload["goal"] == {"label": "g", "type": "e"}
+    assert payload["readings"] == ["Bill"]
+
+
 def test_trace_mentions_substituted_resources(capsys):
     code, out, _ = run(capsys, *readings_args("bah", ["--trace"]))
     assert code == 0
@@ -382,6 +393,32 @@ def test_malformed_forms_are_one_line_errors(capsys, tmp_path, command, text):
     assert err.startswith(f"error: {bad}: line 2: ") and err.count("\n") == 1
 
 
+def test_a_sigma_slot_of_a_slot_is_an_input_error(capsys, tmp_path):
+    bad = tmp_path / "bad.glue"
+    bad.write_text('(const Bill e)\n'
+                   '(entry "Bill" NP (constructor (means (svar (svar (sig up))) Bill e)))\n')
+    code, out, err = run(capsys, "readings", "--fstructure", "corpus/bah.fstr",
+                         "--lexicon", str(bad))
+    assert (code, out) == (1, "")
+    assert err == f"error: {bad}: line 2: (svar ...) needs a (sig ...) argument\n"
+
+
+@pytest.mark.parametrize("text,error", [
+    ('(fstruct f (PRED (fstruct g (PRED "Bill"))) (SUBJ (fstruct h (PRED "Bill"))))',
+     "PRED of f is an f-structure, not a string"),
+    ('(fstruct f (PRED "arrive") (SUBJ (fstruct g (SPEC (fstruct h (PRED "a"))) (PRED "Bill"))))',
+     "SPEC of g is an f-structure, not a string"),
+])
+def test_a_structure_as_a_trigger_value_is_an_input_error(capsys, tmp_path, text, error):
+    # PRED and SPEC trigger entries by their string; a structure there used
+    # to be skipped, so the sentence read as incomplete (exit 2)
+    bad = tmp_path / "bad.fstr"
+    bad.write_text(text + "\n")
+    code, out, err = run(capsys, "readings", "--fstructure", str(bad),
+                         "--lexicon", "corpus/lexicon.glue")
+    assert (code, out, err) == (1, "", f"error: {error}\n")
+
+
 # One malformed f-structure per case: a fragment of its error message and
 # the line the error names (None: the error names no line).
 MALFORMED_FSTRUCTURES = [
@@ -420,6 +457,22 @@ def test_malformed_fstructures_are_one_line_errors(capsys, tmp_path, text, fragm
     message = err[len(prefix):]
     assert fragment in message
     assert message.startswith(f"line {line}: ") if line else "line" not in message
+
+
+@pytest.mark.parametrize("option,text,error", [
+    ("--lexicon", '(const Bill e)\n(entry (Bill) NP (constructor (means (sig up) Bill e)))\n',
+     "line 2: expected quoted headword"),
+    ("--fstructure", '(fstruct f (PRED "arrive")\n  (SUBJ ()))\n',
+     "line 2: expected (fstruct LABEL [ATTR] ...)"),
+])
+def test_a_list_where_a_string_or_structure_goes_is_an_input_error(capsys, tmp_path, option,
+                                                                    text, error):
+    bad = tmp_path / "bad"
+    bad.write_text(text)
+    argv = readings_args("bah")
+    argv[argv.index(option) + 1] = str(bad)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {bad}: {error}\n")
 
 
 def test_explicit_parens_flag(capsys):
@@ -678,6 +731,12 @@ def test_negative_budgets_are_input_errors(capsys, command, flag):
     assert_usage_error(capsys, [*base, f"{flag}=-1"])
 
 
+def test_a_budget_in_other_digits_is_an_input_error(capsys):
+    # int() would read the Arabic-Indic three as 3
+    assert int("\u0663") == 3
+    assert_usage_error(capsys, readings_args("bah", ["--max-steps", "\u0663"]))
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["readings", "-h"], PROVE_ARGS + ["--help"]])
 def test_help_exits_0(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -820,6 +879,46 @@ def test_untraced_script_traces_the_tests_after_the_recursion_limit(tmp_path):
     after = untraced("after", _TOO_DEEP_TEST + _PARSE_TYPE_TEST)
     assert not [line for line in after if "bad type syntax" in line]  # parse_type's first
     assert after <= alone
+
+
+_FRESH_TEST = """
+from gluesem.terms import E
+from gluesem.unify import EIGEN, FLEX, VarClass
+
+
+def test_fresh():
+    VarClass().fresh("x", FLEX)
+"""
+
+
+def test_untraced_script_lists_jumps_run_one_way(tmp_path):
+    # fresh("x", FLEX) alone never jumps past `if ty is None`; with an
+    # eigenvariable of a type too, that test goes both ways and the choice
+    # of Var never falls through to MetaVar
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(pathlib.Path(gluesem.__file__).resolve().parent.parent)
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+
+    def branches(name, source):
+        path = tmp_path / name / "test_case.py"
+        path.parent.mkdir()
+        path.write_text(source)
+        out = subprocess.run(
+            [sys.executable, "tests/untraced.py", "--branches", "-q", "-p", "no:cacheprovider",
+             str(path)], capture_output=True, text=True, env=env)
+        assert out.returncode == 0, out.stderr
+        lines = out.stdout.splitlines()
+        assert all(re.fullmatch(r"\w+\.py:\d+: .* \[(jump|fall-through) never taken\]", line)
+                   for line in lines), lines
+        return [line.split(": ", 1)[1] for line in lines if line.startswith("unify.py:")]
+
+    flex = branches("flex", _FRESH_TEST)
+    assert "if ty is None: [jump never taken]" in flex
+    assert not [line for line in flex if line.startswith("return MetaVar")]  # never ran
+    both = branches("both", _FRESH_TEST + '    VarClass().fresh("y", EIGEN, E)\n')
+    assert not [line for line in both if line.startswith("if ty is None")]
+    assert "return MetaVar(name, ty) if kind == FLEX else Var(name, ty) " \
+        "[fall-through never taken]" in both
 
 
 def test_the_package_exports_the_documented_pipeline():

@@ -70,6 +70,10 @@ def test_synthesis_agrees_with_inference_on_every_constructor_atom():
             assert ty == m.ty
 
 
+def test_a_typed_constant_the_context_lacks_keeps_its_type():
+    assert elaborate(Const("c", E), {}) == (Const("c", E), E)
+
+
 def test_synthesis_agrees_with_inference_on_type_raising():
     ctx = load_lexicon(LEXICON).ctx
     with open("corpus/type-raising.glue", encoding="utf-8") as fh:

@@ -12,6 +12,7 @@ from gluesem.glue import (
     Limp,
     Means,
     NoEntry,
+    PropAtom,
     Tensor,
     entry_matches,
     formula_free_vars,
@@ -96,6 +97,14 @@ def test_instantiate_transitive_verb(lex):
     assert "h_s ~>_e Y" in text
     assert "f_s ~>_t appoint(X, Y)" in text
     assert not formula_free_vars(inst)
+
+
+def test_print_formula_brackets_a_left_implication_or_tensor_and_an_arrow_type():
+    a, b, c = PropAtom("A"), PropAtom("B"), PropAtom("C")
+    assert print_formula(Limp(Limp(a, b), c)) == "(A -o B) -o C"
+    assert print_formula(Tensor(Tensor(a, b), c)) == "(A * B) * C"
+    run = Const("run", Arrow(E, T))
+    assert print_formula(Means(SemStruct("f", ROOT), run, Arrow(E, T))) == "f_s ~>_(e -> t) run"
 
 
 def test_instantiate_name(lex):
@@ -334,6 +343,22 @@ def test_syn_constraint_through_a_path_the_node_lacks_does_not_match():
         entry_,
         parse_fstructure('(fstruct f (PRED "Bill") (SUBJ (fstruct g (NUM "sg"))))').root,
     )
+
+
+def test_an_entry_may_repeat_its_syn_clause_and_each_constraint_applies():
+    lex2 = parse_lexicon(
+        '(const Bill e)\n'
+        '(entry "Bill" NP (syn (sig (path up CASE)) "nom") (syn (sig (path up NUM)) "sg")\n'
+        '  (constructor (means (sig up) Bill e)))\n'
+    )
+    [entry_] = lex2.entries
+    assert entry_.constraints == ((("CASE",), "nom"), (("NUM",), "sg"))
+    matches = [
+        entry_matches(entry_, parse_fstructure(f'(fstruct f (PRED "Bill") {attrs})').root)
+        for attrs in ('(CASE "nom") (NUM "sg")', '(CASE "nom") (NUM "pl")',
+                      '(CASE "acc") (NUM "sg")', '(CASE "nom")')
+    ]
+    assert matches == [True, False, False, False]
 
 
 def test_constants_may_be_declared_after_the_entries_that_use_them():

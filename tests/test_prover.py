@@ -47,7 +47,7 @@ from gluesem.terms import (
     normalize,
     print_term,
 )
-from gluesem.unify import Substitution, VarClass
+from gluesem.unify import FLEX, Substitution, VarClass
 
 import scaling
 import work
@@ -370,8 +370,9 @@ def shipped_runs():
 
 
 def untabled(monkeypatch):
-    """Force every atomic goal's table lookup to miss."""
-    monkeypatch.setattr(Prover, "_table_key", lambda self, su, ctx, goal: None)
+    """Force every atomic goal's table lookup to miss: a fresh key matches
+    no record."""
+    monkeypatch.setattr(Prover, "_table_key", lambda self, su, ctx, goal: object())
 
 
 def unmemoized(monkeypatch):
@@ -695,6 +696,32 @@ def test_table_keys_on_context_bindings_and_birth_order(monkeypatch):
         assert len(proofs) == n
 
 
+def test_no_goal_is_met_again_before_its_record_is_stored(monkeypatch):
+    # a goal's record is stored once its last proof is found; on every
+    # pinned input no key is looked up while its own enumeration is still
+    # open, so no visit is searched afresh for want of a record
+    open_keys, lookups = [], []
+    real_key, real_focuses = Prover._table_key, Prover._focuses
+
+    def table_key(self, su, ctx, goal):
+        key = real_key(self, su, ctx, goal)
+        lookups.append(key in open_keys)
+        return key
+
+    def focuses(self, su, ctx, goal, depth, key):
+        open_keys.append(key)
+        yield from real_focuses(self, su, ctx, goal, depth, key)
+        open_keys.remove(key)
+
+    monkeypatch.setattr(Prover, "_table_key", table_key)
+    monkeypatch.setattr(Prover, "_focuses", focuses)
+    for name, prems, goal in work.inputs():
+        stats = enumerate_readings(prems, goal).stats
+        assert not any(lookups) and not open_keys, name
+        assert not stats.exhausted, name
+    assert len(lookups) == 9_470
+
+
 def _memo_runs():
     """The meaning memo's inputs: the corpus under both variants, the scope
     family up to k=4 under three determiner mixes, the modifier shapes and
@@ -839,7 +866,7 @@ def test_a_focus_is_solved_again_under_other_outer_values():
     # second visit recalls X := Bill, the third solves X := Hillary
     p = Prover()
     res = p._resource(Forall("X", E, Means(_gs, MetaVar("X", E), E)), 0, "p")
-    m = p.classes.fresh_flex("M", E)
+    m = p.classes.fresh("M", FLEX, E)
     leaf = Derivation("Identity", (), Means(_gs, m, E), res)
     d = Derivation("PiL", (leaf,), leaf.goal, res, res.fresh)
     (x,) = res.fresh
@@ -852,6 +879,25 @@ def test_a_focus_is_solved_again_under_other_outer_values():
     # a recorded failure is recalled as a failure
     d2 = Derivation("PiL", (Derivation("Identity", (), _HILLARY, res),), _HILLARY, res, res.fresh)
     assert prover._solve_meanings(p, Substitution().bind(x, Const("Bill", E)), d2) is None
+
+
+def test_a_recorded_failure_is_recalled():
+    # the PiL node's equation X = Hillary fails under X := Bill; it has no
+    # outer names, so the second visit recalls the failure unsolved
+    p = Prover()
+    res = p._resource(Forall("X", E, Means(_gs, MetaVar("X", E), E)), 0, "p")
+    (x,) = res.fresh
+    d = Derivation("PiL", (Derivation("Identity", (), _HILLARY, res),), _HILLARY, res, res.fresh)
+    su = Substitution().bind(x, Const("Bill", E))
+    assert [prover._solve_meanings(p, su, d) for _ in range(2)] == [None, None]
+    assert p.stats.equations == 1 and p._names_of(d) == frozenset()
+
+
+def test_a_propositional_leaf_gives_a_focus_no_outer_names():
+    p = Prover()
+    res = p._resource(Forall("X", SEM, Limp(_atom("X"), A)), 0, "p")
+    leaf = Derivation("Identity", (), A, res)
+    assert p._names_of(Derivation("PiL", (leaf,), A, res, res.fresh)) == frozenset()
 
 
 def test_replays_stop_at_the_depth_budget(monkeypatch):

@@ -143,6 +143,15 @@ def test_non_pattern_is_an_error():
         unify([(App(y, Cap(p)), app(Const("a", arrow(PROP, PROP, T)), MetaVar("R", PROP), MetaVar("R", PROP)))], vc)
 
 
+def test_repeated_pattern_arguments_are_an_error():
+    # F(x, x) = appoint(x, x) has four solutions, \a b. appoint(a, b) and
+    # \a b. appoint(a, a) among them, and no most general one
+    vc = classes_for(F=FLEX, x=EIGEN)
+    x = Var("x", E)
+    with pytest.raises(NonPatternError, match="F applied to non-pattern arguments"):
+        unify([(app(MetaVar("F", arrow(E, E, T)), x, x), app(APPOINT, x, x))], vc)
+
+
 def test_restriction_extraction_through_extension():
     # (!R)(x) = voter(x): R := ^voter, as in the intensional determiners
     vc = VarClass()
@@ -225,6 +234,17 @@ def test_abstraction_against_a_flex_variable(body, expected):
     q = MetaVar("Q", Arrow(E, T))
     solver = reference_unify if isinstance(expected, MetaVar) else unify
     assert _solved(Abs(E, body), q, vc, solver).nf(q) == expected
+
+
+def test_the_second_side_alone_may_be_an_abstraction_or_an_intension():
+    # H = \x. appoint(x, x) opens the abstraction on the right, and p = ^G
+    # is solved by G := !p, as ^G = p is
+    vc = classes_for(p=EIGEN, G=FLEX, H=FLEX)
+    h = MetaVar("H", Arrow(E, T))
+    both = Abs(E, app(APPOINT, BVar(0), BVar(0)))
+    assert _solved(h, both, vc).nf(h) == both
+    g, p = MetaVar("G", E), Var("p", Arrow(S, E))
+    assert _solved(p, Cap(g), vc).nf(g) == Cup(p)
 
 
 def test_intensions_of_distinct_eigens_do_not_unify():
@@ -326,6 +346,16 @@ def test_sem_unification_is_first_order():
     su = solve_sem(Substitution(), SemVar("H"), SemStruct("f", "ROOT"), vc)
     assert su.walk_sem(SemVar("H")) == SemStruct("f", "ROOT")
     assert solve_sem(su, SemVar("H"), SemStruct("g", "ROOT"), vc) is None
+
+
+def test_a_structure_variable_walks_through_one_bound_after_it():
+    # K is bound to the older H while H is unbound; once H is bound, K
+    # reaches its value through both links
+    vc = classes_for(H=FLEX, K=FLEX)
+    su = solve_sem(Substitution(), SemVar("K"), SemVar("H"), vc)
+    su = solve_sem(su, SemVar("H"), SemStruct("f", "ROOT"), vc)
+    assert su.sems == {"K": SemVar("H"), "H": SemStruct("f", "ROOT")}
+    assert su.walk_sem(SemVar("K")) == SemStruct("f", "ROOT")
 
 
 def test_sem_distinct_slots_never_unify():
