@@ -280,12 +280,6 @@ def _shift(t: MeaningTerm, d: int, cutoff: int = 0) -> MeaningTerm:
     return t
 
 
-def open_abs(t: Abs, repl: MeaningTerm) -> MeaningTerm:
-    """Instantiate the binder of a normal abstraction with the normal `repl`;
-    the result is normal."""
-    return _nf(t.body, None, 0, repl)
-
-
 def abstract(outer: list[Var], inner: list[Var], body: MeaningTerm, cap: bool = False
              ) -> tuple[MeaningTerm, dict[str, MeaningTerm]]:
     """\\outer. \\inner. body, or \\outer. ^\\inner. body with `cap`, binding the

@@ -11,10 +11,11 @@ A proof's meaning equations are solved antecedents first (see
 `prover._complete_proofs`), so when an equation needs a flex variable
 bound, the other side is already closed: no unbound flex variable occurs
 in it.  `solve` therefore matches rather than unifies.  A flex side, F(x...)
-or (!F(y...))(x...) with F applied to distinct eigenvariables, is bound to
-the other side abstracted over them; rigid parts are compared structurally
-and abstractions are opened with a fresh eigenvariable.  An equation with
-unbound flex variables on both sides, or a flex variable applied to
+or (!F(y...))(x...) with F applied to distinct eigenvariables, is bound
+first, to the other side abstracted over them.  Only between two rigid
+sides is an abstraction opened, with a fresh eigenvariable; rigid spines
+are compared head and arguments, `^` heads as `!` heads are.  An equation
+with unbound flex variables on both sides, or a flex variable applied to
 anything but distinct eigenvariables, is outside this fragment and raises
 NonPatternError.  So every value `solve` binds is closed and normal: the walk
 that abstracts it finds its names for the open-variable, escape and occurs
@@ -42,7 +43,6 @@ from .terms import (
     alpha_equal,
     normalize,
     normalize_with,
-    open_abs,
     print_term,
     spine,
 )
@@ -138,25 +138,20 @@ class Substitution:
 # One-way matching
 
 
-def _pattern_args(f: MetaVar, args: list[MeaningTerm]) -> list[Var]:
-    """The arguments `args` of f, checked to be distinct eigenvariables."""
+def _flex_binding(head: MeaningTerm, xs: list[MeaningTerm], other: MeaningTerm):
+    """For a flex side with spine `head`(xs...), F(x...) or (!F(y...))(x...),
+    its variable, the normal value that equates it to the normal `other`
+    (\\x... other, or \\y... ^\\x... other since !^u = u) and the value's free
+    names.  None when the side is rigid; NonPatternError unless F's
+    arguments are distinct eigenvariables."""
+    f, ys = spine(head.body) if type(head) is Cup else (head, [])
+    if type(f) is not MetaVar:
+        return None
+    args = ys + xs
     if any(type(a) is not Var for a in args) or len(set(args)) < len(args):
         raise NonPatternError(
             f"{f.name} applied to non-pattern arguments (outside the decidable fragment)"
         )
-    return args
-
-
-def _flex_binding(side: MeaningTerm, other: MeaningTerm):
-    """For a flex `side`, F(x...) or (!F(y...))(x...), its variable, the
-    normal value that equates it to the normal `other` (\\x... other, or
-    \\y... ^\\x... other since !^u = u) and the value's free names.  None
-    when `side` is rigid; NonPatternError unless F's arguments are distinct eigenvariables."""
-    head, xs = spine(side)
-    f, ys = spine(head.body) if type(head) is Cup else (head, [])
-    if type(f) is not MetaVar:
-        return None
-    _pattern_args(f, ys + xs)
     value, free = abstract(ys, xs, other, f is not head)
     # abstracting variables out of a normal term leaves a redex only at the
     # top: an eta redex \\x. g(x), or ^(!v); contracting it keeps the names
@@ -169,20 +164,17 @@ def solve(
     su: Substitution, l: MeaningTerm, r: MeaningTerm, classes: VarClass
 ) -> Optional[Substitution]:
     """Extend `su` to make l and r equal modulo the term theory, or return
-    None.  One-way matching: a flex side is bound to the other side, which
-    must be closed (free of unbound flex variables) under `su`; otherwise, or
-    when a flex variable is applied to anything but distinct eigenvariables,
-    NonPatternError is raised."""
+    None.  A flex side, l before r, is bound to the other side, which must be
+    closed under `su`; only between two rigid sides is an abstraction opened,
+    and `^` heads are compared as `!` heads are.  Raises NonPatternError
+    outside the matched fragment (see the module docstring)."""
     l, r = su.nf(l), su.nf(r)
     if alpha_equal(l, r):
         return su
-    if isinstance(l, Abs) or isinstance(r, Abs):
-        v = classes.fresh("w", EIGEN, l.var_ty if isinstance(l, Abs) else r.var_ty)
-        lb = open_abs(l, v) if isinstance(l, Abs) else normalize(App(l, v))
-        rb = open_abs(r, v) if isinstance(r, Abs) else normalize(App(r, v))
-        return solve(su, lb, rb, classes)
-    for side, other in ((l, r), (r, l)):
-        found = _flex_binding(side, other)
+    hl, al = spine(l)
+    hr, ar = spine(r)
+    for head, xs, other in ((hl, al, r), (hr, ar, l)):
+        found = _flex_binding(head, xs, other)
         if found is not None:
             f, value, free = found
             # l and r are resolved: every metavariable is unbound
@@ -196,19 +188,16 @@ def solve(
             if any(classes.ts(name) > fts for name in free):
                 return None  # an eigenvariable would escape its scope
             return su.bind(f.name, value)
-    if isinstance(l, Cap) or isinstance(r, Cap):
-        if isinstance(l, Cap) and isinstance(r, Cap):
-            return solve(su, l.body, r.body, classes)
-        capped, other = (l, r) if isinstance(l, Cap) else (r, l)
-        if isinstance(other, Var):
+    if type(l) is Abs or type(r) is Abs:
+        v = classes.fresh("w", EIGEN, l.var_ty if type(l) is Abs else r.var_ty)
+        return solve(su, normalize(App(l, v)), normalize(App(r, v)), classes)
+    for capped, other in ((l, r), (r, l)):
+        if type(capped) is Cap and type(other) is Var:
             # ^b = v only if b = !v: variables denote index-independent values
             return solve(su, capped.body, Cup(other), classes)
-        return None
-    hl, al = spine(l)
-    hr, ar = spine(r)
     if len(al) != len(ar) or type(hl) is not type(hr):
         return None
-    if type(hl) is Cup:
+    if type(hl) is Cup or type(hl) is Cap:
         su = solve(su, hl.body, hr.body, classes)
     elif type(hl) not in (Const, Var) or hl.name != hr.name:
         return None

@@ -19,8 +19,10 @@ package `Substitution`, whose values are closed, into one when it gets it.
 
 It is the oracle of the eager prover (tests/helpers.py) and of the unifier
 tests whose equations have flex variables on both sides.  The code is the
-package's former solver; besides that switch, only `_fresh_over` differs,
-setting the birth stamp of the variable it mints itself.
+package's former solver; besides that switch, `_fresh_over` sets the birth
+stamp of the variable it mints itself, `_solve_abs` opens an abstraction by
+normalizing its application to the fresh variable, and `_solve_head`
+compares `^` heads as it compares `!` heads, as the package's matcher does.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from gluesem.terms import (
     free_names,
     normalize,
     normalize_with,
-    open_abs,
     spine,
 )
 from gluesem.unify import EIGEN, FLEX, NonPatternError, Substitution, VarClass
@@ -341,9 +342,7 @@ def solve(
 def _solve_abs(su, l, r, classes):
     lty = l.var_ty if isinstance(l, Abs) else r.var_ty
     v = classes.fresh("w", EIGEN, lty)
-    lb = open_abs(l, v) if isinstance(l, Abs) else normalize(App(l, v))
-    rb = open_abs(r, v) if isinstance(r, Abs) else normalize(App(r, v))
-    return solve(su, lb, rb, classes)
+    return solve(su, normalize(App(l, v)), normalize(App(r, v)), classes)
 
 
 def _solve_head(su, hl, hr, classes):
@@ -352,7 +351,7 @@ def _solve_head(su, hl, hr, classes):
             return su if a == b else None
         case Var(a, _), Var(b, _):
             return su if a == b else None
-        case Cup(a), Cup(b):
+        case (Cup(a), Cup(b)) | (Cap(a), Cap(b)):
             return solve(su, a, b, classes)
         case _:
             return None

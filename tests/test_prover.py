@@ -876,7 +876,8 @@ def test_a_focus_is_solved_again_under_other_outer_values():
         su = prover._solve_meanings(p, Substitution().bind(m.name, value), d)
         solved.append((su.terms[x], p.stats.equations))
     assert solved == [(bill, 1), (bill, 1), (hillary, 2)]
-    # a recorded failure is recalled as a failure
+    # a new node whose equation, X = Hillary under X := Bill, fails on its
+    # first visit (test_a_recorded_failure_is_recalled recalls such a failure)
     d2 = Derivation("PiL", (Derivation("Identity", (), _HILLARY, res),), _HILLARY, res, res.fresh)
     assert prover._solve_meanings(p, Substitution().bind(x, Const("Bill", E)), d2) is None
 

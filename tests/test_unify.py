@@ -6,6 +6,7 @@ general unifier in `reference_unifier`.
 """
 
 import random
+import re
 
 import pytest
 
@@ -237,14 +238,28 @@ def test_abstraction_against_a_flex_variable(body, expected):
 
 
 def test_the_second_side_alone_may_be_an_abstraction_or_an_intension():
-    # H = \x. appoint(x, x) opens the abstraction on the right, and p = ^G
-    # is solved by G := !p, as ^G = p is
+    # H = \x. appoint(x, x) binds the flex H without opening the abstraction
+    # on the right, so it mints no variable; and p = ^G is solved by G := !p,
+    # as ^G = p is
     vc = classes_for(p=EIGEN, G=FLEX, H=FLEX)
     h = MetaVar("H", Arrow(E, T))
     both = Abs(E, app(APPOINT, BVar(0), BVar(0)))
+    stamps = dict(vc.stamps)
     assert _solved(h, both, vc).nf(h) == both
+    assert vc.stamps == stamps
     g, p = MetaVar("G", E), Var("p", Arrow(S, E))
     assert _solved(p, Cap(g), vc).nf(g) == Cup(p)
+
+
+def test_abstractions_between_rigid_sides_are_opened_on_both():
+    # \x. appoint(x, X) = \x. appoint(x, Bill) opens both abstractions with
+    # one fresh variable; appoint(Bill) = \x. appoint(x, x) applies the rigid
+    # left side to it, and the bodies clash
+    vc = classes_for(X=FLEX)
+    x = MetaVar("X", E)
+    assert _solved(Abs(E, app(APPOINT, BVar(0), x)), Abs(E, app(APPOINT, BVar(0), BILL)),
+                   vc).nf(x) == BILL
+    assert unify([(App(APPOINT, BILL), Abs(E, app(APPOINT, BVar(0), BVar(0))))], vc) is None
 
 
 def test_intensions_of_distinct_eigens_do_not_unify():
@@ -607,10 +622,16 @@ def test_bind_occurs_checks_open_values():
 
 
 def test_matcher_names_the_leftmost_open_variable():
-    vc = classes_for(F=FLEX, A=FLEX, B=FLEX)
+    vc = classes_for(F=FLEX, A=FLEX, B=FLEX, G=FLEX)
     rhs = app(APPOINT, App(SUC, MetaVar("B", E)), MetaVar("A", E))
     with pytest.raises(NonPatternError, match="no antecedent fixes F or B in"):
         unify([(MetaVar("F", T), rhs)], vc)
+    # the flex side is bound before the abstraction is opened, so the
+    # message shows the equation as posed
+    rhs = Abs(E, app(APPOINT, BVar(0), MetaVar("G", E)))
+    with pytest.raises(NonPatternError, match=re.escape(
+            "no antecedent fixes F or G in F = \\x. appoint(x, G) (")):
+        unify([(MetaVar("F", Arrow(E, T)), rhs)], vc)
 
 
 def test_open_and_escaping_value_is_an_error_not_a_failure():
@@ -632,7 +653,7 @@ def test_matcher_binds_normal_values():
         su = unify([(lhs, rhs)], vc)
         if su is not None:
             assert normalize(su.terms["F"]) == su.terms["F"]
-    x, y = Var("x", E), Var("y", E)
+    x, y, w = Var("x", E), Var("y", E), Var("w", S)
     g, h = MetaVar("G", PROP), MetaVar("H", Arrow(E, PROP))
     problems = [
         (App(Cup(g), x), App(VOTER, x), Cap(VOTER)),
@@ -642,9 +663,11 @@ def test_matcher_binds_normal_values():
         (App(Cup(App(h, y)), x), app(APPOINT, x, y),
          Abs(E, Cap(Abs(E, app(APPOINT, BVar(0), BVar(1)))))),
         (app(MetaVar("F", arrow(E, E, T)), x, y), app(APPOINT, x, y), APPOINT),
+        # an applied intension is compared head and argument, ^F with ^c
+        (App(Cap(MetaVar("F", T)), w), App(Cap(Const("c", T)), w), Const("c", T)),
     ]
     for lhs, rhs, expected in problems:
-        vc = classes_for(pv=EIGEN, x=EIGEN, y=EIGEN, G=FLEX, H=FLEX, F=FLEX)
+        vc = classes_for(pv=EIGEN, x=EIGEN, y=EIGEN, w=EIGEN, G=FLEX, H=FLEX, F=FLEX)
         su = unify([(lhs, rhs)], vc)
         (value,) = su.terms.values()
         assert value == expected
