@@ -505,21 +505,24 @@ class Prover:
 # Entry points
 
 
-def check_linearity(d: Derivation, ctx: tuple[Resource, ...]) -> None:
-    """Every premise consumed exactly once: identity/tensor leaves never share
-    a resource, and all premises appear."""
-    seen: list[int] = []
+def check_linearity(d: Derivation, ctx: tuple[Resource, ...], seen: dict[int, int]) -> None:
+    """Every premise consumed exactly once: no two Identity or TensorL leaves
+    share a resource, and all premises appear.  `seen` maps the id of each node
+    checked before in this search to the mask of the resources its leaves consume."""
 
-    def walk(n: Derivation):
-        if n.rule == "Identity" or n.rule == "TensorL":
-            seen.append(n.res.rid)
-        for c in n.children:
-            walk(c)
+    def mask(n: Derivation) -> int:
+        m = seen.get(id(n))
+        if m is None:
+            m = 1 << n.res.rid if n.rule == "Identity" or n.rule == "TensorL" else 0
+            for c in n.children:
+                sub = mask(c)
+                assert not m & sub, "a resource was consumed twice"
+                m |= sub
+            seen[id(n)] = m
+        return m
 
-    walk(d)
-    assert len(seen) == len(set(seen)), "a resource was consumed twice"
-    premise_rids = {r.rid for r in ctx}
-    assert premise_rids <= set(seen), "a premise escaped consumption"
+    consumed = mask(d)
+    assert all(consumed >> r.rid & 1 for r in ctx), "a premise escaped consumption"
 
 
 def _solve_meanings(
@@ -552,13 +555,13 @@ def _complete_proofs(
 ) -> Iterator[tuple[Substitution, Derivation]]:
     """The proofs of ctx |- goal that consume every resource and whose
     meaning equations have a solution, with that solution; every proof of
-    a search passes `check_linearity` here."""
-    mask = sum(1 << res.rid for res in ctx)
+    a search passes `check_linearity` here, under one memo of the nodes `prover._nodes` holds."""
+    mask, seen = sum(1 << res.rid for res in ctx), {}
     for su, leftover, d in prover.prove(Substitution(), mask, goal, 0):
         if not leftover:
             su = _solve_meanings(prover, su, d)
             if su is not None:
-                check_linearity(d, ctx)
+                check_linearity(d, ctx, seen)
                 yield su, d
 
 
@@ -608,6 +611,10 @@ def enumerate_readings(
                 found[text] = Reading(term, text, d, su)
     except BudgetExhausted as e:
         stats.limit = e.limit
+    except KeyError:  # a variable the search never registered: an open premise's
+        if not (free := [n for p in prems for n in glue.formula_free_vars(p.formula)]):
+            raise
+        raise GlueError(f"a premise is not closed: {free[0]} is free") from None
     readings = [found[k] for k in sorted(found)]
     return EnumerationResult(readings, stats)
 

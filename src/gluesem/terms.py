@@ -13,10 +13,11 @@ so collapsing the round trip is sound and keeps unifier output canonical).
 
 from __future__ import annotations
 
+import itertools
 import re
 import weakref
 from operator import attrgetter
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 
 class GlueError(Exception):
@@ -468,46 +469,53 @@ def elaborate(term: MeaningTerm, ctx: TypingContext) -> tuple[MeaningTerm, Meani
 
 # ---------------------------------------------------------------------------
 # Printing.  Bound-variable names are regenerated deterministically from the
-# structure, so alpha-equal terms print identically: entity-type binders draw
-# from x, y, z, ...; all others from P, Q, R, ...
+# structure, so alpha-equal terms print identically: a binder takes the first
+# name of its pool (x, y, z, u, v, w, x1, ... for entities, P, Q, R, S, T, P1,
+# ... for the rest) that no enclosing binder and no free name takes.
 
 
-_ENT_POOL = ["x", "y", "z", "u", "v", "w"]
-_FUN_POOL = ["P", "Q", "R", "S", "T"]
+def _pool(letters: str, skip) -> Iterator[str]:
+    for i in itertools.count():
+        yield from (n for c in letters if (n := f"{c}{i}" if i else c) not in skip)
+
+
+_POOLS = ("xyzuvw", "PQRST")
+_NAMES = tuple(([], _pool(p, ())) for p in _POOLS)  # each pool's names, drawn as needed
 _ATOMS = (Const, Var, MetaVar, BVar)  # printed without parentheses
 
 
-def _binder_name(ty, used: set[str]) -> str:
-    """The first name of the pool for `ty` (then x1, y1, ..., x2, ...) not in `used`."""
-    pool = _ENT_POOL if ty == E else _FUN_POOL
-    i = 0
-    while True:
-        for n in pool:
-            name = f"{n}{i}" if i else n
-            if name not in used:
-                return name
-        i += 1
-
-
 def print_term(term: MeaningTerm, explicit_parens: bool = False) -> str:
+    """One walk names each binder by how many binders of its pool enclose it and collects
+    the free names; only if a binder took one does a second walk leave them out of the pools."""
     names: list[str] = []  # the enclosing binders' names, innermost last
-    used = set(free_names(term))  # names a binder may not take: free ones and `names`
+    depth, taken, free, pools = [0, 0], set(), set(), _NAMES  # depth: binders in scope by pool
 
-    def go(t):
+    def go(t):  # type() dispatch, as in the traversals above
         cls = type(t)
         if cls is App:
-            head, args = spine(t)
-            text = go(head) if type(head) in _ATOMS else f"({go(head)})"
-            parts = [go(a) if type(a) in _ATOMS or not explicit_parens else f"({go(a)})"
-                     for a in args]
-            return f"{text}({', '.join(parts)})"
+            parts = []  # the arguments' texts, last first
+            while cls is App:
+                a, c = t.arg, type(t.arg)
+                if c is BVar:
+                    parts.append(names[-1 - a.index] if a.index < len(names) else f"#{a.index}")
+                elif c is Const:
+                    parts.append(a.name)
+                else:
+                    parts.append(f"({go(a)})" if explicit_parens and c not in _ATOMS else go(a))
+                t, cls = t.fn, type(t.fn)
+            head = t.name if cls is Const else go(t) if cls in _ATOMS else f"({go(t)})"
+            return f"{head}({', '.join(reversed(parts))})"
         if cls is Abs:
-            n = _binder_name(t.var_ty, used)
+            k = t.var_ty is not E
+            (drawn, more), i = pools[k], depth[k]
+            if i == len(drawn):
+                drawn.append(next(more))
+            depth[k], n = i + 1, drawn[i]
             names.append(n)
-            used.add(n)
+            taken.add(n)
             text = f"\\{n}. {go(t.body)}"
             names.pop()
-            used.remove(n)
+            depth[k] = i
             return text
         if cls is Cap or cls is Cup:
             text = go(t.body)  # a lambda body extends right
@@ -516,6 +524,12 @@ def print_term(term: MeaningTerm, explicit_parens: bool = False) -> str:
             return f"{'^' if cls is Cap else '!'}{text}"
         if cls is BVar:
             return names[-1 - t.index] if t.index < len(names) else f"#{t.index}"
+        if cls is not Const:
+            free.add(t.name)
         return t.name
 
-    return go(term)
+    text = go(term)
+    if free & taken:
+        pools = tuple(([], _pool(p, free)) for p in _POOLS)
+        text = go(term)
+    return text

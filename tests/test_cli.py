@@ -185,11 +185,11 @@ def _twice(k):
 
 
 def _too_deep_meaning(tmp_path):
-    # the meaning is written 9 levels deep; its normal form nests 512
+    # the meaning is written 10 levels deep; its normal form nests 1 024
     lex = tmp_path / "deep.glue"
     lex.write_text(
         "(const s (-> e e))\n(const Bill e)\n(const arrive (-> e t))\n"
-        f'(entry "Bill" NP (trigger PRED) (constructor (means (sig up) ({_twice(9)} Bill) e)))\n'
+        f'(entry "Bill" NP (trigger PRED) (constructor (means (sig up) ({_twice(10)} Bill) e)))\n'
         '(entry "arrived" V (trigger PRED "arrive") (constructor (forall ((X e))\n'
         "  (limp (means (sig (path up SUBJ)) X e) (means (sig up) (arrive X) t)))))\n"
     )

@@ -27,6 +27,7 @@ from gluesem import prover
 from gluesem.prover import (
     Derivation,
     Prover,
+    Resource,
     SearchBudget,
     enumerate_readings,
     prove_sequent,
@@ -97,12 +98,45 @@ def test_every_complete_proof_is_checked_for_linearity(monkeypatch):
     checked = []
     real = prover.check_linearity
     monkeypatch.setattr(prover, "check_linearity",
-                        lambda d, ctx: checked.append(d) or real(d, ctx))
+                        lambda d, ctx, seen: checked.append(d) or real(d, ctx, seen))
     proofs = list(prove_sequent((A, Limp(A, B)), B))
     assert len(proofs) == 1 and checked == [proofs[0][1]]
     checked.clear()
     result, _ = readings_for_document(doc_for("every-candidate-a-manager"), LEX)
     assert len(checked) == result.stats.proofs == 2
+
+
+def _identity(rid):
+    """A hand-built Identity node consuming a new resource `rid` of formula A."""
+    return Derivation("Identity", (), A, Resource(rid, f"r{rid}", A, (), (), "A", 0, None))
+
+
+def test_a_shared_node_consumed_under_two_parents_fails_linearity():
+    leaf = _identity(1)
+    twice = Derivation("TensorR", (Derivation("PiR", (leaf,), A), Derivation("PiR", (leaf,), A)),
+                       Tensor(A, A))
+    with pytest.raises(AssertionError, match="consumed twice"):
+        prover.check_linearity(twice, (leaf.res,), {})
+
+
+def test_a_proof_that_misses_a_premise_fails_linearity():
+    a, b = _identity(1), _identity(2)
+    with pytest.raises(AssertionError, match="escaped"):
+        prover.check_linearity(a, (a.res, b.res), {})
+
+
+def test_a_checked_node_consumed_again_by_a_later_proof_fails_linearity():
+    # one memo across the proofs of a search: the second proof reuses the
+    # first's checked sub-node, and consumes that node's resource once more
+    a, b = _identity(1), _identity(2)
+    shared = Derivation("TensorR", (a, b), Tensor(A, A))
+    seen = {}
+    prover.check_linearity(shared, (a.res, b.res), seen)
+    assert seen[id(shared)] == 0b110
+    again = Derivation("TensorR", (shared, Derivation("Identity", (), A, a.res)),
+                       Tensor(Tensor(A, A), A))
+    with pytest.raises(AssertionError, match="consumed twice"):
+        prover.check_linearity(again, (a.res, b.res), seen)
 
 
 def test_resource_surplus_fails():
@@ -131,6 +165,24 @@ def test_open_sequent_is_an_input_error():
         prove_sequent((f,), f)
     with pytest.raises(GlueError, match="not closed: M is free"):
         prove_sequent((A,), Limp(A, Means(SemStruct("g", ROOT), MetaVar("M", T), T)))
+
+
+def test_open_premise_is_an_input_error():
+    # enumerate_readings names a premise's free variable as prove_sequent
+    # does, once the search meets a variable it never registered
+    prem = Premise("x", "g", Means(SemVar("H"), MetaVar("M", T), T))
+    with pytest.raises(GlueError, match="not closed: H is free"):
+        enumerate_readings([prem], SemStruct("g", ROOT))
+
+
+def test_a_key_error_of_closed_premises_is_not_masked(monkeypatch):
+    def fail(*args):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(Prover, "_candidates", fail)
+    prems = [Premise("Bill", "g", Means(SemStruct("g", ROOT), Const("Bill", E), E))]
+    with pytest.raises(KeyError, match="boom"):
+        enumerate_readings(prems, SemStruct("g", ROOT), goal_type=E)
 
 
 def test_goal_variable_is_an_input_error():
@@ -294,6 +346,22 @@ def test_scaling_script_prints_the_catalan_counts():
     assert [c[5] for c in cells] == ["12", "29", "65"]  # equations
     cut = scaling.row(2, LEX, SearchBudget(max_steps=100)).split(" | ")
     assert cut[1].endswith(" of 14") and cut[2] == "101, max-steps hit"
+
+
+def test_scaling_script_profiles_the_parts_of_a_call():
+    out = subprocess.run(
+        [sys.executable, "tests/scaling.py", "1", "--profile"],
+        capture_output=True, text=True, check=True,
+    ).stdout.splitlines()
+    assert out[0].startswith("cProfile, cumulative shares: 1 call at k=1, ")
+    assert out[1:3] == ["| part | k=1 |", "|---|---|"]
+    rows = [line.split(" | ") for line in out[3:]]
+    labels = [label for label, _ in scaling.PARTS] + [scaling.SELF[0]]
+    assert [r[0] for r in rows] == [f"| {label}" for label in labels]
+    shares = [float(r[1].removesuffix("% |")) for r in rows]
+    assert all(0 < share < 100 for share in shares)
+    # `solve` and the memo's `_recall` run only inside the meaning equations
+    assert shares[1] + shares[3] <= shares[0]
 
 
 def test_work_table_is_current():

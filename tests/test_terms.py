@@ -5,6 +5,7 @@ import random
 import pytest
 
 from gluesem.glue import load_lexicon
+from gluesem.prover import enumerate_readings
 from gluesem.terms import (
     Abs,
     App,
@@ -30,6 +31,7 @@ from gluesem.terms import (
     print_term,
 )
 
+import work
 from helpers import (
     RANDOM_SIGNATURE,
     arrow,
@@ -295,6 +297,9 @@ def test_printer_edge_cases_match_reference():
     ents = app(rel, BVar(7), BVar(0))
     for _ in range(8):  # 8 entity binders: x ... w, then x1, y1
         ents = Abs(E, ents)
+    ents7 = app(rel, BVar(0), Var("x1", E))
+    for _ in range(7):
+        ents7 = Abs(E, ents7)
     props = BVar(6)
     for _ in range(7):  # 7 others: P ... T, then P1, Q1
         props = Abs(T, props)
@@ -306,6 +311,8 @@ def test_printer_edge_cases_match_reference():
         App(Abs(E, BVar(3)), BVar(0)): "(\\x. #3)(#0)",  # loose indices
         Cap(App(Cup(Abs(E, App(p, BVar(0)))), x)): "^(!\\y. P(y))(x)",
         Cup(Abs(T, Cap(App(p, BVar(0))))): "!\\Q. ^P(Q)",
+        # a free x1: the seventh entity binder, named by the second walk, skips it
+        ents7: "\\x. \\y. \\z. \\u. \\v. \\w. \\y1. rel(y1, x1)",
         app(rel, Cap(App(p, x)), Cup(Cap(Abs(E, App(p, BVar(0)))))): "rel(^P(x), !^\\y. P(y))",
     }
     for term, expected in cases.items():
@@ -315,6 +322,17 @@ def test_printer_edge_cases_match_reference():
         assert print_term(term) == expected
     term = app(rel, Cap(App(p, x)), Cup(Abs(E, x)))
     assert print_term(term, explicit_parens=True) == "rel((^(P(x))), (!\\y. x))"
+
+
+def test_printer_matches_reference_on_every_reading():
+    # every reading of the work table's inputs, in both parenthesis modes
+    printed = 0
+    for name, prems, goal in work.inputs():
+        for r in enumerate_readings(prems, goal).readings:
+            for explicit in (False, True):
+                assert print_term(r.term, explicit) == reference_print_term(r.term, explicit)
+            printed += 1
+    assert printed == 689  # the sum of tests/work.txt's readings column
 
 
 def test_annotated_binders_parse_with_tight_arrows():
