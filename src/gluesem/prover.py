@@ -14,20 +14,19 @@ timestamps.
 A proof fixes its meaning (the Curry-Howard reading of glue: Dalrymple,
 Gupta, Lamping & Saraswat 1999), so meanings are solved in a second phase.
 The search matches a focused head against an atomic goal by type and
-semantic structure only; the Identity leaf that closes the goal records it.
-Once a proof leaves nothing over, its meaning equations, one per meaning
-Identity leaf, are solved antecedents first: a post-order walk of the
-derivation solves a focused formula's antecedent proofs before its head.
+semantic structure only; the focus's node records the goal it closed.  Once
+a proof leaves nothing over, its meaning equations, one per focus on a
+meaning head, are solved antecedents first: a post-order walk of the
+derivation solves a focus's antecedent proofs before its head.
 By then the side that fixes each meaning variable is closed, so one-way
 matching solves it.  A proof whose equations fail is dropped, and only an
 equation on a complete proof can raise NonPatternError.
 
 A search makes one node per rule, children, goal, resource and fresh names,
-so a PiL node, the root of a focus on a quantified resource, is solved once
-per search for each value of its outer names (`_names_of`); a later visit
-adds the bindings the first made, or fails as it did.  Like the table, this
-relies on birth order being a function of the derivation: the escape checks
-it skips would pass again.
+so a focus on a quantified resource is solved once per search for each value
+of its outer names (`_names_of`); a later visit adds the bindings the first
+made, or fails as it did.  Like the table, this relies on birth order being
+a function of the derivation: the escape checks it skips would pass again.
 
 A resource is opened when it is made: its quantifiers are instantiated with
 fresh flex variables, its antecedents collected, and a tensor head split
@@ -68,8 +67,9 @@ cross the depth budget.  The table, like every memo of a search, lives as
 long as its prover, which serves one search.
 
 A derivation records facts, not text: each node the formula it proves, and
-Identity, TensorL, PiL and LimpR nodes the resource they consume, focus or
-assume; `render_trace` writes every line from them.
+Focus and LimpR nodes the resource they focus or assume.  A focus is one
+node, Andreoli's synthetic rule; `render_trace` writes every line from the
+nodes, a focus as the PiL, LimpL and Identity or TensorL rules it applies.
 
 Readings are the normalized meaning terms of the goal structure across all
 proofs, deduplicated up to renaming of bound variables.
@@ -106,7 +106,7 @@ from .terms import (
     free_names,
     print_term,
 )
-from .unify import EIGEN, FLEX, Substitution, VarClass, solve, solve_sem
+from .unify import EIGEN, FLEX, NonPatternError, Substitution, VarClass, solve, solve_sem
 
 
 class BudgetExhausted(GlueError):
@@ -142,10 +142,10 @@ class Resource(Record):
 
 
 class Derivation(Record):
-    # rule: Identity | TensorL | TensorR | LimpL | LimpR | PiL | PiR; goal:
-    # the formula the node proves; res: the resource an Identity or TensorL
-    # node consumes, a PiL node focuses or a LimpR node assumes; fresh: the
-    # variables a PiL or PiR node introduces
+    # rule: Focus | PiR | LimpR | TensorR; goal: the formula the node proves;
+    # res: the resource a Focus node consumes or a LimpR node assumes; a Focus
+    # node's children: its antecedents' proofs in order, then a tensor head's
+    # body; fresh: the variables a Focus or PiR node introduces
     __slots__ = ("rule", "children", "goal", "res", "fresh")
 
     def __init__(self, rule: str, children: tuple[Derivation, ...], goal: GlueFormula,
@@ -168,8 +168,9 @@ class SearchStats(Record):
     __hash__ = None  # counts grow during the search
 
     # head_rejects: resources skipped by the head filter; equations: meaning
-    # equations solved up to the first that fails, a PiL node's once per outer values;
-    # limit: the budget limit that ran out, "max-steps" or "max-depth", or None
+    # equations solved up to the first that fails, a Focus node's with fresh
+    # names once per outer values; limit: the budget limit that ran out,
+    # "max-steps" or "max-depth", or None
     def __init__(self, steps: int = 0, proofs: int = 0, head_rejects: int = 0,
                  equations: int = 0, limit: Optional[str] = None):
         self.steps, self.proofs, self.head_rejects = steps, proofs, head_rejects
@@ -196,13 +197,12 @@ def _flatten_tensor(f: GlueFormula) -> list[GlueFormula]:
 
 def _stamped(d: Derivation, out: list[str]) -> list[str]:
     """The variables the search stamps on its way to `d`, in its order: a
-    focus's own, then its head's (a TensorL body), then its antecedents'."""
+    focus's own, then its tensor head's body's, then its antecedents'."""
     out += d.fresh
-    ants = []
-    while d.rule == "LimpL":
-        ants.append(d.children[0])
-        d = d.children[1]
-    for c in d.children + tuple(ants):
+    children = d.children
+    if d.rule == "Focus" and isinstance(d.res.head, Tensor):
+        children = children[-1:] + children[:-1]
+    for c in children:
         _stamped(c, out)
     return out
 
@@ -229,10 +229,10 @@ class Prover:
         # search stepped), once they are all found
         self._table: dict[tuple, tuple] = {}
         self._deepest = 0  # high-water mark of the depth stepped
-        # PiL node id -> (term bindings its equations were solved under,
-        # result); node or formula id -> `_names_of` it; a node's rule and what
-        # fixes its fields -> the node (`_node`).  Ids are safe keys: this table
-        # holds every node, and the prover every resource and goal of its search
+        # Focus node with fresh names -> (term bindings its equations were
+        # solved under, result); node or formula -> `_names_of` it; a node's
+        # fields -> the node (`_node`).  Keys are ids, which are safe: this
+        # table holds every node, and the prover every resource and goal
         self._solved, self._names, self._nodes = {}, {}, {}
 
     # -- plumbing -----------------------------------------------------------
@@ -246,11 +246,12 @@ class Prover:
                 raise BudgetExhausted("max-depth", self.budget.max_depth)
             self._deepest = depth
 
-    def _node(self, key: tuple, children: tuple, goal, res=None, fresh=()) -> Derivation:
-        """The one node with rule `key[0]` and these fields, all fixed by `key`: a TensorL,
-        LimpL or PiL child proves its goal; a PiR or LimpR name is made for its position."""
+    def _node(self, rule: str, children: tuple, goal, res=None, fresh=()) -> Derivation:
+        """The one node of this search with these fields: its children, goal
+        and resource by identity, its fresh names by value."""
+        key = (rule, id(goal), id(res), fresh, *map(id, children))
         d = self._nodes.get(key)
-        return d or self._nodes.setdefault(key, Derivation(key[0], children, goal, res, fresh))
+        return d or self._nodes.setdefault(key, Derivation(rule, children, goal, res, fresh))
 
     def _instantiate(self, f: Forall, kind: str) -> tuple:
         """A fresh `kind` variable for the one `f` binds, and `f`'s body with
@@ -341,8 +342,7 @@ class Prover:
                 else:
                     v, inst = self._posed[pos] = self._instantiate(goal, EIGEN)
                 for su2, left2, d2 in self.prove(su, ctx, inst, depth + 1, (pos, 0)):
-                    yield su2, left2, self._node(("PiR", id(d2), v.name),
-                                                 (d2,), goal, None, (v.name,))
+                    yield su2, left2, self._node("PiR", (d2,), goal, None, (v.name,))
             case Limp(ant, cons):
                 res = self._posed.get(pos)
                 if res is None:
@@ -351,12 +351,11 @@ class Prover:
                 for su2, left2, d2 in self.prove(su, ctx | bit, cons, depth + 1, (pos, 0)):
                     if left2 & bit:
                         continue  # linear assumption left unused
-                    yield su2, left2, self._node(("LimpR", id(d2), res.rid), (d2,), goal, res)
+                    yield su2, left2, self._node("LimpR", (d2,), goal, res)
             case Tensor(left, right):
                 for su1, mid, d1 in self.prove(su, ctx, left, depth + 1, (pos, 0)):
                     for su2, out, d2 in self.prove(su1, mid, right, depth + 1, (pos, 1)):
-                        yield su2, out, self._node(("TensorR", id(d1), id(d2), id(goal)),
-                                                   (d1, d2), goal)
+                        yield su2, out, self._node("TensorR", (d1, d2), goal)
             case Means() | PropAtom():
                 key = self._table_key(su, ctx, goal)
                 entry = self._table.get(key)
@@ -426,8 +425,8 @@ class Prover:
     # -- left (focused) rules -----------------------------------------------
 
     def _focus(self, su: Substitution, res: Resource, ctx: int, goal, depth: int):
-        """Proofs of the atomic `goal` that focus `res`: its head matches the
-        goal, or is a tensor whose parts prove it; then its antecedents."""
+        """Proofs of the atomic `goal` that focus `res`, each one Focus node: its
+        head matches the goal, or is a tensor whose parts prove it; then its antecedents."""
         self._step(depth)
         for name in res.fresh:  # born at the focus on the current branch
             self.classes.restamp(name)
@@ -436,33 +435,26 @@ class Prover:
             # within the branch that introduced it; letting it feed some
             # other formula's antecedent would cross the context split of
             # this implication
-            heads = ((su2, left2, self._node(("TensorL", id(d2), res.rid), (d2,), goal, res))
+            heads = ((su2, left2, (d2,))
                      for su2, left2, d2 in self.prove(su, ctx | res.parts, goal, depth + 1)
                      if not left2 & res.parts)
         else:
             su2 = self._unify_atoms(su, res.head, goal)
-            heads = [] if su2 is None else [
-                (su2, ctx, self._node(("Identity", id(goal), res.rid), (), goal, res))]
-        for su2, left2, node in heads:
-            for su3, left3, pending_ds in self._prove_pendings(su2, left2, res, depth):
-                d = node
-                # innermost implication first: pendings were collected outermost-in
-                for ant_d in reversed(pending_ds):
-                    d = self._node(("LimpL", id(ant_d), id(d)), (ant_d, d), goal)
-                if res.fresh:  # d ends at res, which fixes the fresh names
-                    d = self._node(("PiL", id(d)), (d,), goal, res, res.fresh)
-                yield su3, left3, d
+            heads = [] if su2 is None else [(su2, ctx, ())]
+        for su2, left2, body in heads:
+            for su3, left3, ants in self._prove_pendings(su2, left2, res, depth):
+                yield su3, left3, self._node("Focus", ants + body, goal, res, res.fresh)
 
     def _prove_pendings(self, su: Substitution, ctx: int, res: Resource, depth: int,
                         idx: int = 0):
         """Prove the antecedents `idx`... of a focus on `res` left to right on
         the remaining resources."""
         if idx == len(res.pendings):
-            yield su, ctx, []
+            yield su, ctx, ()
             return
         for su2, left2, d2 in self.prove(su, ctx, res.pendings[idx], depth + 1, (res.rid, idx)):
             for su3, left3, ds in self._prove_pendings(su2, left2, res, depth, idx + 1):
-                yield su3, left3, [d2] + ds
+                yield su3, left3, (d2,) + ds
 
     # -- atoms and meanings --------------------------------------------------
 
@@ -475,8 +467,8 @@ class Prover:
         return su if sem is None else solve_sem(su, f.sem, sem, self.classes)
 
     def _recall(self, su: Substitution, d: Derivation) -> Optional[tuple]:
-        """The record of the PiL node `d` if its equations were solved under
-        the values `su` gives its outer names, else None."""
+        """The record of the Focus node `d`, which has fresh names, if its equations
+        were solved under the values `su` gives its outer names, else None."""
         entry = self._solved.get(id(d))
         if entry is None:
             return None
@@ -485,14 +477,14 @@ class Prover:
 
     def _names_of(self, x) -> frozenset[str]:
         """A formula's metavariables, or a node's outer names: those its
-        equations read less the variables of the PiL nodes under it, which
+        equations read less the fresh names of the Focus nodes under it, which
         nothing outside binds (each resource is consumed once per proof)."""
         found = self._names.get(id(x))
         if found is not None:
             return found
         if isinstance(x, Derivation):
             names = set().union(*map(self._names_of, x.children))
-            if x.rule == "Identity" and isinstance(x.goal, Means):
+            if x.rule == "Focus" and isinstance(x.res.head, Means):
                 names |= self._names_of(x.res.head) | self._names_of(x.goal)
             names = frozenset(names.difference(x.fresh))
         else:
@@ -506,14 +498,14 @@ class Prover:
 
 
 def check_linearity(d: Derivation, ctx: tuple[Resource, ...], seen: dict[int, int]) -> None:
-    """Every premise consumed exactly once: no two Identity or TensorL leaves
-    share a resource, and all premises appear.  `seen` maps the id of each node
-    checked before in this search to the mask of the resources its leaves consume."""
+    """Every premise consumed exactly once: no two Focus nodes share a
+    resource, and all premises appear.  `seen` maps the id of each node checked
+    before in this search to the mask of the resources its Focus nodes consume."""
 
     def mask(n: Derivation) -> int:
         m = seen.get(id(n))
         if m is None:
-            m = 1 << n.res.rid if n.rule == "Identity" or n.rule == "TensorL" else 0
+            m = 1 << n.res.rid if n.rule == "Focus" else 0
             for c in n.children:
                 sub = mask(c)
                 assert not m & sub, "a resource was consumed twice"
@@ -529,25 +521,23 @@ def _solve_meanings(
     prover: Prover, su: Substitution, d: Derivation
 ) -> Optional[Substitution]:
     """`su` extended to solve the meaning equations of `d`, or None when one
-    fails.  The walk is post-order, so a LimpL node's antecedent proof is
-    solved before the focused head that its other child ends at.  A PiL
-    node is solved once per value of its outer names (module docstring)."""
-    if d.rule == "PiL":
-        entry = prover._recall(su, d)
-        if entry is not None:
-            then, solved = entry
-            return None if solved is None else su.extend(solved, len(then))
-        solved = _solve_meanings(prover, su, d.children[0])
-        prover._solved[id(d)] = su.terms, solved
-        return solved
+    fails.  The walk is post-order, so a Focus node's antecedent proofs are
+    solved before its head's equation.  A Focus node with fresh names is
+    solved once per value of its outer names (module docstring)."""
+    memo = d.rule == "Focus" and d.fresh
+    if memo and (entry := prover._recall(su, d)) is not None:
+        then, solved = entry
+        return None if solved is None else su.extend(solved, len(then))
+    solved = su
     for child in d.children:
-        su = _solve_meanings(prover, su, child)
-        if su is None:
-            return None
-    if d.rule == "Identity" and isinstance(d.goal, Means):
+        if (solved := _solve_meanings(prover, solved, child)) is None:
+            break
+    if solved is not None and d.rule == "Focus" and isinstance(d.res.head, Means):
         prover.stats.equations += 1
-        su = solve(su, d.res.head.term, d.goal.term, prover.classes)
-    return su
+        solved = solve(solved, d.res.head.term, d.goal.term, prover.classes)
+    if memo:
+        prover._solved[id(d)] = su.terms, solved
+    return solved
 
 
 def _complete_proofs(
@@ -611,7 +601,7 @@ def enumerate_readings(
                 found[text] = Reading(term, text, d, su)
     except BudgetExhausted as e:
         stats.limit = e.limit
-    except KeyError:  # a variable the search never registered: an open premise's
+    except (KeyError, NonPatternError):  # an open premise's variable, unregistered or unfixed
         if not (free := [n for p in prems for n in glue.formula_free_vars(p.formula)]):
             raise
         raise GlueError(f"a premise is not closed: {free[0]} is free") from None
@@ -651,29 +641,34 @@ def render_trace(d: Derivation, su: Substitution) -> str:
             return repr(su.walk_sem(SemVar(name)))
         return None
 
-    def fmt(n: Derivation) -> str:
-        rule, res = n.rule, n.res
-        if rule == "PiR":
-            return f"PiR: {n.goal.var} := {n.fresh[0]}"
-        if rule == "LimpL":
-            return f"LimpL: {print_formula(n.children[0].goal)}"
-        if rule == "PiL":
-            pairs = [f"{name} := {sol}" if (sol := solution(name)) else name
-                     for name in n.fresh]
-            return f"PiL: {res.tag}#{res.rid}: {', '.join(pairs)}"
-        if rule == "LimpR":
-            return f"LimpR: assume {res.tag}#{res.rid}"
-        if res is None:
-            return rule
-        text = f"{rule}: {res.tag}#{res.rid}"
-        if rule == "Identity":
-            text += f"   |- {print_formula(subst_formula(res.head, su))}"
-        return text
+    def line(indent: int, text: str):
+        lines.append("  " * indent + text)
 
     def walk(n: Derivation, indent: int):
-        lines.append("  " * indent + fmt(n))
-        for c in n.children:
-            walk(c, indent + 1)
+        res = n.res
+        if n.rule != "Focus":
+            line(indent, f"PiR: {n.goal.var} := {n.fresh[0]}" if n.rule == "PiR"
+                 else f"LimpR: assume {res.tag}#{res.rid}" if n.rule == "LimpR" else n.rule)
+            for c in n.children:
+                walk(c, indent + 1)
+            return
+        # a focus, as the rules it applies: PiL, one LimpL per antecedent
+        # over that antecedent's proof, then Identity or TensorL
+        if n.fresh:
+            pairs = [f"{name} := {sol}" if (sol := solution(name)) else name
+                     for name in n.fresh]
+            line(indent, f"PiL: {res.tag}#{res.rid}: {', '.join(pairs)}")
+            indent += 1
+        for ant in n.children[:len(res.pendings)]:
+            line(indent, f"LimpL: {print_formula(ant.goal)}")
+            walk(ant, indent + 1)
+            indent += 1
+        if isinstance(res.head, Tensor):
+            line(indent, f"TensorL: {res.tag}#{res.rid}")
+            walk(n.children[-1], indent + 1)
+        else:
+            line(indent, f"Identity: {res.tag}#{res.rid}"
+                 f"   |- {print_formula(subst_formula(res.head, su))}")
 
     walk(d, 0)
     return "\n".join(lines)

@@ -7,8 +7,9 @@ conversation with ... every unicorn* with k nested quantified obliques,
 solved by R `readings_for_document` calls (default 1) in this process
 under the default search budget.  The columns are the readings found
 (Catalan(k + 2) when the search completes), the search steps, steps per
-reading, the head rejects, the meaning equations solved, all the same on
-every call, and the median wall time of the calls.
+reading, the head rejects, the meaning equations solved, the derivation
+nodes the search made, all the same on every call, and the median wall time
+of the calls.
 
 With `--profile`, the R calls at k = N alone run under `cProfile`, and the
 table is ROADMAP.md's "Where a call's time goes": each part's cumulative
@@ -36,21 +37,35 @@ from gluesem.prover import Prover, SearchBudget, readings_for_document  # noqa: 
 
 from helpers import scope_doc  # noqa: E402
 
-HEADER = "| k | readings | steps | steps / reading | head rejects | equations | wall |"
+HEADER = "| k | readings | steps | steps / reading | head rejects | equations | nodes | wall |"
 
 
 def _n(x: int) -> str:
     return f"{x:,}".replace(",", " ")
 
 
+class _Kept(Prover):
+    """A prover that keeps itself, so that `row` can count its nodes."""
+
+    last = None
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        _Kept.last = self
+
+
 def row(k: int, lexicon, budget: SearchBudget = SearchBudget(), repeat: int = 1) -> str:
     doc = scope_doc(["every"] * (k + 1))
     walls, works = [], []
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        result, _ = readings_for_document(doc, lexicon, budget=budget)
-        walls.append(time.perf_counter() - t0)
-        works.append((result.stats, len(result.readings)))
+    prover.Prover = _Kept
+    try:
+        for _ in range(repeat):
+            t0 = time.perf_counter()
+            result, _ = readings_for_document(doc, lexicon, budget=budget)
+            walls.append(time.perf_counter() - t0)
+            works.append((result.stats, len(result.readings), len(_Kept.last._nodes)))
+    finally:
+        prover.Prover = Prover
     assert all(w == works[0] for w in works), f"the work differs between calls at k={k}"
     wall = statistics.median(walls)
     s, found = result.stats, len(result.readings)
@@ -60,7 +75,7 @@ def row(k: int, lexicon, budget: SearchBudget = SearchBudget(), repeat: int = 1)
     else:
         readings, steps, per = _n(found), _n(s.steps), f"{s.steps / found:.3g}"
     return (f"| {k} | {readings} | {steps} | {per} | {_n(s.head_rejects)} "
-            f"| {_n(s.equations)} | {wall:.2g} s |")
+            f"| {_n(s.equations)} | {_n(works[0][2])} | {wall:.2g} s |")
 
 
 # The parts of a call that ROADMAP.md's profile table names: cumulative time
@@ -69,7 +84,7 @@ PARTS = [
     ("meaning equations (`_solve_meanings`)", [prover._solve_meanings]),
     ("… of which `unify.solve`", [unify.solve]),
     ("… of which `terms.abstract`", [terms.abstract]),
-    ("… of which the PiL memo's `_recall`", [Prover._recall]),
+    ("… of which the Focus memo's `_recall`", [Prover._recall]),
     ("printing readings (`print_term`)", [terms.print_term]),
     ("`check_linearity`", [prover.check_linearity]),
     ("`_table_key`", [Prover._table_key]),
@@ -116,7 +131,7 @@ def main(argv=None) -> int:
         print("\n".join(profile(args.N, lexicon, args.repeat)))
         return 0
     print(HEADER)
-    print("|" + "---|" * 7)
+    print("|" + "---|" * 8)
     for k in range(args.N + 1):
         print(row(k, lexicon, repeat=args.repeat), flush=True)
     return 0

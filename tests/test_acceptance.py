@@ -312,7 +312,7 @@ def test_criterion_10d_linearity_accounting():
                 seen = []
 
                 def walk(n):
-                    if n.rule in ("Identity", "TensorL"):  # consumes n.res
+                    if n.rule == "Focus":  # consumes n.res
                         seen.append(n.res)
                     for c in n.children:
                         walk(c)

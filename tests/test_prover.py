@@ -48,7 +48,7 @@ from gluesem.terms import (
     normalize,
     print_term,
 )
-from gluesem.unify import FLEX, Substitution, VarClass
+from gluesem.unify import FLEX, NonPatternError, Substitution, VarClass
 
 import scaling
 import work
@@ -90,7 +90,7 @@ def reading_texts(name, lex=LEX, budget=SearchBudget()):
 def test_atomic_identity_has_exactly_one_proof():
     proofs = list(prove_sequent((A,), A))
     assert len(proofs) == 1
-    assert proofs[0][1].rule == "Identity"
+    assert proofs[0][1].rule == "Focus" and proofs[0][1].children == ()
 
 
 def test_every_complete_proof_is_checked_for_linearity(monkeypatch):
@@ -107,8 +107,8 @@ def test_every_complete_proof_is_checked_for_linearity(monkeypatch):
 
 
 def _identity(rid):
-    """A hand-built Identity node consuming a new resource `rid` of formula A."""
-    return Derivation("Identity", (), A, Resource(rid, f"r{rid}", A, (), (), "A", 0, None))
+    """A hand-built Focus node consuming a new resource `rid` of formula A."""
+    return Derivation("Focus", (), A, Resource(rid, f"r{rid}", A, (), (), "A", 0, None))
 
 
 def test_a_shared_node_consumed_under_two_parents_fails_linearity():
@@ -133,7 +133,7 @@ def test_a_checked_node_consumed_again_by_a_later_proof_fails_linearity():
     seen = {}
     prover.check_linearity(shared, (a.res, b.res), seen)
     assert seen[id(shared)] == 0b110
-    again = Derivation("TensorR", (shared, Derivation("Identity", (), A, a.res)),
+    again = Derivation("TensorR", (shared, Derivation("Focus", (), A, a.res)),
                        Tensor(Tensor(A, A), A))
     with pytest.raises(AssertionError, match="consumed twice"):
         prover.check_linearity(again, (a.res, b.res), seen)
@@ -173,6 +173,15 @@ def test_open_premise_is_an_input_error():
     prem = Premise("x", "g", Means(SemVar("H"), MetaVar("M", T), T))
     with pytest.raises(GlueError, match="not closed: H is free"):
         enumerate_readings([prem], SemStruct("g", ROOT))
+    # or once no antecedent fixes a meaning variable a premise leaves free
+    prem = Premise("x", "g", Means(SemStruct("g", ROOT), MetaVar("M", T), T))
+    with pytest.raises(GlueError, match="not closed: M is free") as caught:
+        enumerate_readings([prem], SemStruct("g", ROOT))
+    assert not isinstance(caught.value, NonPatternError)
+    # but a closed premise whose X nothing fixes is outside the fragment
+    prem = Premise("x", "h", Forall("X", E, Means(_hs, MetaVar("X", E), E)))
+    with pytest.raises(NonPatternError, match="no antecedent fixes X"):
+        enumerate_readings([prem], _hs, goal_type=E)
 
 
 def test_a_key_error_of_closed_premises_is_not_masked(monkeypatch):
@@ -344,6 +353,7 @@ def test_scaling_script_prints_the_catalan_counts():
     cells = [line.split(" | ") for line in out[2:]]
     assert [(c[0], c[1]) for c in cells] == [("| 0", "2"), ("| 1", "5"), ("| 2", "14")]
     assert [c[5] for c in cells] == ["12", "29", "65"]  # equations
+    assert [c[6] for c in cells] == ["26", "66", "159"]  # nodes
     cut = scaling.row(2, LEX, SearchBudget(max_steps=100)).split(" | ")
     assert cut[1].endswith(" of 14") and cut[2] == "101, max-steps hit"
 
@@ -372,8 +382,8 @@ def test_work_table_is_current():
 
 
 def rule_tree(d):
-    """The rules of `d` with the resource each Identity or TensorL node consumes."""
-    rid = d.res.rid if d.rule in ("Identity", "TensorL") else None
+    """The rules of `d` with the resource each Focus node consumes."""
+    rid = d.res.rid if d.rule == "Focus" else None
     return d.rule, rid, tuple(rule_tree(c) for c in d.children)
 
 
@@ -444,7 +454,7 @@ def untabled(monkeypatch):
 
 
 def unmemoized(monkeypatch):
-    """Force every PiL node's meaning-memo lookup to miss."""
+    """Force every Focus node's meaning-memo lookup to miss."""
     monkeypatch.setattr(Prover, "_recall", lambda self, su, d: None)
 
 
@@ -560,19 +570,19 @@ def test_trace_text_is_made_only_when_rendered(monkeypatch):
     monkeypatch.setattr(prover, "print_formula", lambda f: calls.append(f) or real(f))
     result, _ = readings_for_document(doc_for("conversation-every-unicorn"), LEX)
     assert calls == []
-    limps = []
+    ants = []
 
     def walk(n):
-        if n.rule == "LimpL":
-            limps.append(n)
-        for c in n.children:
+        for i, c in enumerate(n.children):
+            if n.rule == "Focus" and i < len(n.res.pendings):
+                ants.append(c)  # one LimpL line, then this antecedent's proof
             walk(c)
 
     reading = result.readings[0]
     walk(reading.derivation)
     lines = render_trace(reading.derivation, reading.substitution).splitlines()
-    assert limps and [l.strip() for l in lines if l.strip().startswith("LimpL:")] == [
-        f"LimpL: {real(n.children[0].goal)}" for n in limps
+    assert ants and [l.strip() for l in lines if l.strip().startswith("LimpL:")] == [
+        f"LimpL: {real(c.goal)}" for c in ants
     ]
 
 
@@ -821,8 +831,8 @@ def _solved_proofs(monkeypatch, run):
 
 
 def test_meaning_memo_matches_solving_every_proof(monkeypatch):
-    # the same readings, derivations, traces and bound terms whether a PiL
-    # node's equations are recalled or solved again for every proof, and the
+    # the same readings, derivations, traces and bound terms whether a
+    # Focus node's equations are recalled or solved again for every proof, and the
     # same steps and proofs in as many equations or fewer: strictly fewer on
     # the scope family from k=0
     runs = _memo_runs()
@@ -894,8 +904,9 @@ def test_the_search_binds_only_closed_normal_values(monkeypatch):
 
 
 def test_outer_names_leave_out_what_a_focus_binds(monkeypatch):
-    # a PiL node's outer names are metavariables of its equations, none
-    # of them a variable that it or a node under it introduces; at the root
+    # the outer names of a Focus node with fresh names are metavariables of
+    # its equations, none of them a variable that it or a node under it
+    # introduces; at the root
     # of each scope reading, the widest quantifier's focus, they are the
     # goal's meaning variable
     made = []
@@ -917,7 +928,7 @@ def test_outer_names_leave_out_what_a_focus_binds(monkeypatch):
         while stack:
             n = stack.pop()
             stack.extend(n.children)
-            if n.rule == "PiL":
+            if n.rule == "Focus" and n.fresh:
                 outer = p._names_of(n)
                 assert not outer & set(_fresh_names(n))
                 checked += 1
@@ -925,18 +936,42 @@ def test_outer_names_leave_out_what_a_focus_binds(monkeypatch):
     roots = [(d.rule, p._names_of(d), free_meta_vars(d.goal.term))
              for name, p, d in nodes if name.startswith("scope-")]
     assert len(roots) == 2 + 5 + 14 + 42 + 132
-    assert all(rule == "PiL" and outer == goal for rule, outer, goal in roots)
+    assert all(rule == "Focus" and outer == goal for rule, outer, goal in roots)
+
+
+def test_a_focus_is_one_node(monkeypatch):
+    # every node the searches of the work table make: one of four rules, and
+    # a focus is one node whose children prove its resource's antecedents in
+    # order, then, for a tensor head, its goal from the head's parts
+    made = []
+    real = Prover.__init__
+    monkeypatch.setattr(Prover, "__init__", lambda self, *args: made.append(self) or real(self, *args))
+    focuses = tensors = 0
+    for name, prems, goal in work.inputs():
+        enumerate_readings(prems, goal)
+        for d in made[-1]._nodes.values():
+            assert d.rule in ("Focus", "PiR", "LimpR", "TensorR"), name
+            if d.rule != "Focus":
+                continue
+            res = d.res
+            tensor = isinstance(res.head, Tensor)
+            assert len(d.children) == len(res.pendings) + tensor, name
+            assert all(c.goal is f for c, f in zip(d.children, res.pendings)), name
+            assert not tensor or d.children[-1].goal is d.goal, name
+            assert d.fresh is res.fresh, name
+            focuses += 1
+            tensors += tensor
+    assert focuses > 1000 and tensors > 0
 
 
 def test_a_focus_is_solved_again_under_other_outer_values():
-    # one PiL node, the focus on forall X. g ~> X proving g ~> M, solved
+    # one Focus node, on forall X. g ~> X proving g ~> M, solved
     # under M := Bill, again under M := Bill, then under M := Hillary: the
     # second visit recalls X := Bill, the third solves X := Hillary
     p = Prover()
     res = p._resource(Forall("X", E, Means(_gs, MetaVar("X", E), E)), 0, "p")
     m = p.classes.fresh("M", FLEX, E)
-    leaf = Derivation("Identity", (), Means(_gs, m, E), res)
-    d = Derivation("PiL", (leaf,), leaf.goal, res, res.fresh)
+    d = Derivation("Focus", (), Means(_gs, m, E), res, res.fresh)
     (x,) = res.fresh
     bill, hillary = Const("Bill", E), Const("Hillary", E)
     solved = []
@@ -946,17 +981,17 @@ def test_a_focus_is_solved_again_under_other_outer_values():
     assert solved == [(bill, 1), (bill, 1), (hillary, 2)]
     # a new node whose equation, X = Hillary under X := Bill, fails on its
     # first visit (test_a_recorded_failure_is_recalled recalls such a failure)
-    d2 = Derivation("PiL", (Derivation("Identity", (), _HILLARY, res),), _HILLARY, res, res.fresh)
+    d2 = Derivation("Focus", (), _HILLARY, res, res.fresh)
     assert prover._solve_meanings(p, Substitution().bind(x, Const("Bill", E)), d2) is None
 
 
 def test_a_recorded_failure_is_recalled():
-    # the PiL node's equation X = Hillary fails under X := Bill; it has no
+    # the Focus node's equation X = Hillary fails under X := Bill; it has no
     # outer names, so the second visit recalls the failure unsolved
     p = Prover()
     res = p._resource(Forall("X", E, Means(_gs, MetaVar("X", E), E)), 0, "p")
     (x,) = res.fresh
-    d = Derivation("PiL", (Derivation("Identity", (), _HILLARY, res),), _HILLARY, res, res.fresh)
+    d = Derivation("Focus", (), _HILLARY, res, res.fresh)
     su = Substitution().bind(x, Const("Bill", E))
     assert [prover._solve_meanings(p, su, d) for _ in range(2)] == [None, None]
     assert p.stats.equations == 1 and p._names_of(d) == frozenset()
@@ -965,8 +1000,7 @@ def test_a_recorded_failure_is_recalled():
 def test_a_propositional_leaf_gives_a_focus_no_outer_names():
     p = Prover()
     res = p._resource(Forall("X", SEM, Limp(_atom("X"), A)), 0, "p")
-    leaf = Derivation("Identity", (), A, res)
-    assert p._names_of(Derivation("PiL", (leaf,), A, res, res.fresh)) == frozenset()
+    assert p._names_of(Derivation("Focus", (), A, res, res.fresh)) == frozenset()
 
 
 def test_replays_stop_at_the_depth_budget(monkeypatch):
