@@ -46,7 +46,11 @@ structures that differ under the current substitution reject a resource
 before it is focused, so it costs no search step.  This is the head filter
 of Hepple's (1996) first-order compilation.  It alone decides kinds, names
 and types, so the atom match of a focus unifies only the structures; the
-full match, which the tests hold the filter to, lives under `tests/`.
+full match, which the tests hold the filter to, lives under `tests/`.  The
+filter also skips, at no step, a resource with a need (`_needs`) that no
+other resource of the context is a candidate for: nothing that could close
+it enters the context later, so the focus could only fail (Cervesato, Hodas
+& Pfenning 2000), and the proofs and their order are unchanged.
 
 A goal is posed once per search: a PiR eigenvariable (re-stamped) and a
 LimpR assumption are kept by the goal's position, not its formula (see
@@ -129,16 +133,18 @@ class Resource(Record):
     the resources of the mask `parts`.  Its head signature `sig` is what a
     focus on it ends at: (type, structure) for a meaning atom, with
     structure None when the formula's own quantifier binds it; the name for
-    a propositional atom; None for a tensor, which is split, not matched."""
+    a propositional atom; None for a tensor, which is split, not matched.
+    `needs`: the atoms its antecedents take from the context (`_needs`)."""
 
-    __slots__ = ("rid", "tag", "head", "pendings", "fresh", "sig", "parts", "dup")
+    __slots__ = ("rid", "tag", "head", "pendings", "fresh", "sig", "parts", "dup", "needs")
 
     # dup: the class of equal premise formulas; None for the rest
     def __init__(self, rid: int, tag: str, head: GlueFormula,
                  pendings: tuple[GlueFormula, ...], fresh: tuple[str, ...],
-                 sig: Union[tuple, str, None], parts: int, dup: Optional[int]):
+                 sig: Union[tuple, str, None], parts: int, dup: Optional[int],
+                 needs: tuple[GlueFormula, ...]):
         self.rid, self.tag, self.head, self.pendings = rid, tag, head, pendings
-        self.fresh, self.sig, self.parts, self.dup = fresh, sig, parts, dup
+        self.fresh, self.sig, self.parts, self.dup, self.needs = fresh, sig, parts, dup, needs
 
 
 class Derivation(Record):
@@ -167,7 +173,7 @@ class SearchStats(Record):
     __slots__ = ("steps", "proofs", "head_rejects", "equations", "limit")
     __hash__ = None  # counts grow during the search
 
-    # head_rejects: resources skipped by the head filter; equations: meaning
+    # head_rejects: resources the head filter or its lookahead skipped; equations: meaning
     # equations solved up to the first that fails, a Focus node's with fresh
     # names once per outer values; limit: the budget limit that ran out,
     # "max-steps" or "max-depth", or None
@@ -193,6 +199,33 @@ def _flatten_tensor(f: GlueFormula) -> list[GlueFormula]:
     if isinstance(f, Tensor):
         return _flatten_tensor(f.left) + _flatten_tensor(f.right)
     return [f]
+
+
+def _rigid(f: GlueFormula) -> Union[tuple, str, None]:
+    """The atom a focus on `f` ends at, if no substitution changes it: its
+    name, or its (type, structure) if the structure is rigid; else None."""
+    while isinstance(f, (Forall, Limp)):
+        f = f.body if isinstance(f, Forall) else f.cons
+    if isinstance(f, PropAtom):
+        return f.name
+    return (f.ty, f.sem) if isinstance(f, Means) and isinstance(f.sem, SemStruct) else None
+
+
+def _needs(goal: GlueFormula, hyps: tuple = ()) -> list[GlueFormula]:
+    """The atoms a proof of `goal` must take from its context: the `_rigid`
+    goals reached through PiR, LimpR consequents and TensorR that no LimpR
+    assumption on the way (`hyps`) has as its head.  Nothing is claimed
+    beneath an assumption with a tensor head or a variable structure."""
+    while isinstance(goal, (Forall, Limp)):
+        if isinstance(goal, Limp):
+            if (key := _rigid(goal.ant)) is None:
+                return []
+            hyps += (key,)
+        goal = goal.body if isinstance(goal, Forall) else goal.cons
+    if isinstance(goal, Tensor):
+        return _needs(goal.left, hyps) + _needs(goal.right, hyps)
+    key = _rigid(goal)
+    return [] if key is None or key in hyps else [goal]
 
 
 def _stamped(d: Derivation, out: list[str]) -> list[str]:
@@ -285,8 +318,9 @@ class Prover:
         # premises are closed, so two premises with equal formulas stay
         # interchangeable under every substitution
         dup = None if premise is None else self._dups.setdefault(formula, len(self._dups))
+        needs = tuple(a for p in pendings for a in _needs(p))
         res = self._resources[rid] = Resource(
-            rid, tag, head, tuple(pendings), tuple(fresh), sig, parts, dup)
+            rid, tag, head, tuple(pendings), tuple(fresh), sig, parts, dup, needs)
         if premise is None:
             mentions = [v for v in glue.formula_free_vars(formula).values()
                         if type(v) is SemVar]
@@ -304,10 +338,10 @@ class Prover:
         return res
 
     def _candidates(self, su, ctx: int, goal) -> int:
-        """The resources of `ctx` whose head may match `goal`, whatever the
-        quantifiers are instantiated with: atoms of its kind, name and type
-        whose structure may unify with its own, and tensors, which are
-        split, not matched."""
+        """The resources of `ctx` that may close `goal`, an atomic goal or a
+        need, whatever the quantifiers are instantiated with: atoms of its
+        kind, name and type whose structure may unify with its own, and
+        tensors, which are split, not matched."""
         index = self._index
         found = ctx & index.get(None, 0)
         if isinstance(goal, PropAtom):
@@ -415,10 +449,16 @@ class Prover:
                 if res.dup in seen:
                     continue
                 seen.add(res.dup)
-            for su2, left2, d2 in self._focus(su, res, ctx ^ bit, goal, depth):
-                # its own bindings are those after the first n
-                results.append([su2.sems, n, left2, d2, None])
-                yield su2, left2, d2
+            rest = ctx ^ bit
+            for need in res.needs:  # skipped if nothing left may supply one
+                if not self._candidates(su, rest, need):
+                    self.stats.head_rejects += 1
+                    break
+            else:
+                for su2, left2, d2 in self._focus(su, res, rest, goal, depth):
+                    # its own bindings are those after the first n
+                    results.append([su2.sems, n, left2, d2, None])
+                    yield su2, left2, d2
         self._table[key] = results, self._deepest - depth
         self._deepest = max(outer, self._deepest)
 

@@ -215,7 +215,7 @@ def test_recursion_too_deep_is_an_input_error(tmp_path, argv):
     # such as tests/untraced.py's fails too, and Python removes it
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     env["PYTHONPATH"] = str(pathlib.Path(gluesem.__file__).resolve().parent.parent)
-    out = subprocess.run([sys.executable, "-m", "gluesem.cli", *argv(tmp_path)],
+    out = subprocess.run([sys.executable, "-B", "-m", "gluesem.cli", *argv(tmp_path)],
                          capture_output=True, text=True, env=env)
     assert (out.returncode, out.stdout) == (1, "")
     assert out.stderr.startswith("error:") and out.stderr.count("\n") == 1, out.stderr
@@ -281,6 +281,16 @@ def test_json_reports_the_goal_it_was_given(capsys, tmp_path):
     payload = json.loads(out)
     assert code == 0 and payload["goal"] == {"label": "g", "type": "e"}
     assert payload["readings"] == ["Bill"]
+
+
+def test_a_missing_argument_fails_before_the_verb_is_focused(capsys):
+    # *John devoured.*: nothing supplies the object the verb's antecedent
+    # needs, so the lookahead skips the verb and the goal is the one step
+    code, out, _ = run(capsys, *readings_args("john-devoured"))
+    assert (code, out) == (2, "readings: 0\n")
+    code, out, _ = run(capsys, *readings_args("john-devoured", ["--json"]))
+    budget = json.loads(out)["budget"]
+    assert code == 2 and (budget["steps_used"], budget["head_rejects"]) == (1, 2)
 
 
 def test_trace_mentions_substituted_resources(capsys):
@@ -747,7 +757,7 @@ def test_help_exits_0(capsys, argv):
 def test_help_survives_stripped_docstrings():
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     env["PYTHONPATH"] = str(pathlib.Path(gluesem.__file__).resolve().parent.parent)
-    out = subprocess.run([sys.executable, "-OO", "-m", "gluesem.cli", "--help"],
+    out = subprocess.run([sys.executable, "-B", "-OO", "-m", "gluesem.cli", "--help"],
                          capture_output=True, text=True, env=env)
     assert (out.returncode, out.stderr) == (0, "")
     assert out.stdout.startswith("usage:")
@@ -767,7 +777,7 @@ def test_closed_output_exits_1_without_a_traceback(argv):
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        out = subprocess.run([sys.executable, "-m", "gluesem.cli", *argv], stdout=write_end,
+        out = subprocess.run([sys.executable, "-B", "-m", "gluesem.cli", *argv], stdout=write_end,
                              stderr=subprocess.PIPE, text=True, env=env)
     finally:
         os.close(write_end)
@@ -802,7 +812,7 @@ def test_readings_import_neither_argparse_nor_json():
     )
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     out = subprocess.run(
-        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-B", "-S", "-c", code], capture_output=True, text=True, env=env, check=True
     )
     lines = out.stdout.splitlines()
     assert lines[-2] == "readings: 2"

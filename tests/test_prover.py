@@ -108,7 +108,7 @@ def test_every_complete_proof_is_checked_for_linearity(monkeypatch):
 
 def _identity(rid):
     """A hand-built Focus node consuming a new resource `rid` of formula A."""
-    return Derivation("Focus", (), A, Resource(rid, f"r{rid}", A, (), (), "A", 0, None))
+    return Derivation("Focus", (), A, Resource(rid, f"r{rid}", A, (), (), "A", 0, None, ()))
 
 
 def test_a_shared_node_consumed_under_two_parents_fails_linearity():
@@ -317,8 +317,9 @@ def test_head_filter_rejects_only_failing_focuses(monkeypatch):
     # every corpus document under its golden's lexicon variant, and the
     # modifier fixture above: the same proofs and readings whether or not
     # the head filter runs, in strictly fewer steps when it does.  Unfiltered,
-    # the head index offers every available resource as a candidate, and the
-    # full atom match rejects the heads that the index would have.
+    # the head index offers every available resource as a candidate, the
+    # full atom match rejects the heads that the index would have, and no
+    # resource has needs for the lookahead to check.
     cases = [
         (name, LEX_EXT if name in ("convince-every-voter", "every-candidate-a-manager") else LEX, 0)
         for name in CORPUS
@@ -337,11 +338,76 @@ def test_head_filter_rejects_only_failing_focuses(monkeypatch):
     filtered = search()
     monkeypatch.setattr(Prover, "_candidates", lambda self, su, ctx, goal: ctx)
     monkeypatch.setattr(Prover, "_unify_atoms", full_atom_match)
+    monkeypatch.setattr(prover, "_needs", lambda goal: [])
     unfiltered = search()
     for (name, _, _), (on, on_texts), (off, off_texts) in zip(cases, filtered, unfiltered):
         assert (on.proofs, on_texts) == (off.proofs, off_texts), name
         assert on.steps < off.steps, name
         assert on.head_rejects > 0 and off.head_rejects == 0, name
+
+
+def test_lookahead_rejects_only_failing_focuses(monkeypatch):
+    # every input of the work table: the same proofs, each the same rules
+    # on the same resources, in the same order, and the same readings
+    # whether or not a focus is skipped for a need that no other resource
+    # could supply; never fewer steps without the lookahead, and more on the
+    # scope family.  (A skipped focus re-stamps nothing, so eigenvariables
+    # minted after it take other numbers: their names are not compared.)
+    inputs = list(work.inputs())
+    runs = [readings_run(prems, goal) for _, prems, goal in inputs]
+    looked = [_run_recording_proofs(monkeypatch, run) for run in runs]
+    monkeypatch.setattr(prover, "_needs", lambda goal: [])
+    for (name, _, _), run, (out, proofs, on) in zip(inputs, runs, looked):
+        plain_out, plain_proofs, off = _run_recording_proofs(monkeypatch, run)
+        assert out == plain_out, name
+        assert [p[0] for p in proofs] == [p[0] for p in plain_proofs], name
+        assert off.steps >= on.steps, name
+        assert off.steps > on.steps or not name.startswith("scope-"), name
+    assert len(inputs) == 45
+
+
+def _needs_of(formula):
+    """The (structure, type) or name of each need of a resource for `formula`."""
+    res = Prover()._resource(formula, 0, "r")
+    return [a.name if isinstance(a, PropAtom) else (a.sem, a.ty) for a in res.needs]
+
+
+def test_needs_are_the_atoms_antecedents_take_from_the_context():
+    c, x = Const("c", E), MetaVar("x", E)
+    gx, hx = Means(_gs, x, E), Means(_hs, x, E)
+    # reached through PiR, LimpR consequents and both sides of TensorR
+    assert _needs_of(Limp(Forall("x", E, Limp(A, Tensor(B, hx))), _BILL)) == ["B", (_hs, E)]
+    # an atom that an assumption on its path supplies is not a need: the
+    # shape of a determiner's scope antecedent, its structure made rigid
+    assert _needs_of(Limp(Forall("x", E, Limp(gx, gx)), B)) == []
+    assert _needs_of(Limp(Forall("x", E, Limp(gx, hx)), B)) == [(_hs, E)]
+    assert _needs_of(Limp(Limp(A, A), B)) == []
+    # nothing beneath an assumption whose head is a tensor, or whose
+    # structure is a variable, is claimed; nor a goal whose structure is one
+    assert _needs_of(Limp(Limp(Tensor(A, B), hx), B)) == []
+    assert _needs_of(Limp(Forall("H", SEM, Limp(Means(SemVar("H"), c, E), hx)), B)) == []
+    assert _needs_of(Forall("H", SEM, Limp(Means(SemVar("H"), c, E), B))) == []
+    # so a premise whose antecedent only such an assumption can close is
+    # still focused
+    C, k = PropAtom("C"), Means(_ks, c, E)
+    apply = Limp(Limp(Tensor(Limp(A, B), A), B), C)
+    anything = Limp(Limp(Forall("G", SEM, Means(SemVar("G"), c, E)), Means(_hs, c, E)), k)
+    assert len(list(prove_sequent((apply,), C))) == len(list(prove_sequent((anything,), k))) == 1
+
+
+def test_premises_claim_nothing_a_scope_assumption_may_supply():
+    # the determiner's scope antecedent `∀x. h:x -o H:S(x)` ends at its
+    # own variable H, and `seeks`'s object antecedent assumes a quantifier
+    # whose scope is the variable structure s: neither claims anything, so
+    # each premise needs only its restriction's or subject's atom
+    doc = doc_for("seeks-a-unicorn")
+    needs = {p.word: _needs_of(p.formula) for p in premises(doc, LEX)}
+    assert needs == {
+        "seeks": [(_gs, E)],
+        "Bill": [],
+        "a": [(SemStruct("h", "RESTR"), T)],
+        "unicorn": [(SemStruct("h", "VAR"), E)],
+    }
 
 
 def test_scaling_script_prints_the_catalan_counts():
@@ -662,7 +728,7 @@ def test_goals_are_posed_once_per_search(monkeypatch):
     monkeypatch.setattr(Prover, "_resource", resource)
     prems = premises(scope_doc(["every"] * 5), LEX)
     for steps, equations, force_miss in [
-        (6_143, 423, untabled), (20_836, 423, unmemoized), (20_836, 3_036, None)
+        (4_805, 423, untabled), (14_048, 423, unmemoized), (14_048, 3_036, None)
     ]:
         made.clear()
         result = enumerate_readings(prems, SemStruct("f", ROOT))
@@ -797,7 +863,7 @@ def test_no_goal_is_met_again_before_its_record_is_stored(monkeypatch):
         stats = enumerate_readings(prems, goal).stats
         assert not any(lookups) and not open_keys, name
         assert not stats.exhausted, name
-    assert len(lookups) == 9_470
+    assert len(lookups) == 6_480
 
 
 def _memo_runs():

@@ -191,6 +191,6 @@ def test_import_leaves_dataclasses_and_inspect_unloaded():
     )
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     out = subprocess.run(
-        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-B", "-S", "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert out.stdout.strip() == "[]"
